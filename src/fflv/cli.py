@@ -23,7 +23,7 @@ from .crystal import (
     sl3_blt,
 )
 from .fflv import fflv_hrep, fflv_points
-from .polytope import lattice_points_auto
+from .polytope import HPolytope
 from .roots import ik_word, lexmax_word, lexmin_word, positive_roots, root_enumeration
 from .tiling import (
     build_tiling,
@@ -82,6 +82,35 @@ def _word_str(word: Sequence[int]) -> str:
     return "(" + ",".join(map(str, word)) + ")"
 
 
+def _term(c: int, i: int, first: bool) -> str:
+    sign = "-" if c < 0 else ("" if first else "+")
+    mag = "" if abs(c) == 1 else f"{abs(c)}*"
+    return f"{sign}{mag}x{i}" if first else f"{sign} {mag}x{i}"
+
+
+def _hrep_text(P: HPolytope) -> str:
+    """One line per row, e.g. ``x0 - x2 + 2*x3 <= 1``."""
+    lines = []
+    for row, b in P.rows:
+        terms = [(i, c) for i, c in enumerate(row) if c]
+        lhs = " ".join(_term(c, i, k == 0) for k, (i, c) in enumerate(terms))
+        lines.append(f"{lhs or '0'} <= {b}")
+    return "\n".join(lines)
+
+
+def _emit_hrep(P: HPolytope, args) -> None:
+    _emit(_dumps(P.to_json()) if args.format == "json" else _hrep_text(P), args.out)
+
+
+def _emit_points(pts, args) -> None:
+    if args.mode == "count":
+        _emit(str(len(pts)), args.out)
+    elif args.format == "json":
+        _emit(pts.dumps(), args.out)
+    else:
+        _emit("\n".join(" ".join(map(str, p)) for p in pts), args.out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -114,23 +143,9 @@ def cmd_word(args) -> int:
 def cmd_fflv(args) -> int:
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":
-        P = fflv_hrep(args.n, lam)
-        if args.format == "json":
-            _emit(_dumps(P.to_json()), args.out)
-        else:
-            lines = [
-                " + ".join(f"x{i}" for i, c in enumerate(row) if c) + f" <= {b}"
-                for row, b in P.rows
-            ]
-            _emit("\n".join(lines), args.out)
+        _emit_hrep(fflv_hrep(args.n, lam), args)
     else:
-        pts = fflv_points(args.n, lam)
-        if args.mode == "count":
-            _emit(str(len(pts)), args.out)
-        elif args.format == "json":
-            _emit(pts.dumps(), args.out)
-        else:
-            _emit("\n".join(" ".join(map(str, p)) for p in pts), args.out)
+        _emit_points(fflv_points(args.n, lam), args)
     return 0
 
 
@@ -152,19 +167,9 @@ def cmd_lusztig(args) -> int:
     word = _parse_word(args.word, args.n)
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":
-        P = lusztig_hrep(word, lam, n=args.n)
-        _emit(_dumps(P.to_json()) if args.format == "json" else str(P), args.out)
-        return 0
-    if args.box is not None:
-        pts = lattice_points_auto(lusztig_hrep(word, lam, n=args.n), args.box)
+        _emit_hrep(lusztig_hrep(word, lam, n=args.n), args)
     else:
-        pts = lusztig_points(word, lam, n=args.n)
-    if args.mode == "count":
-        _emit(str(len(pts)), args.out)
-    elif args.format == "json":
-        _emit(pts.dumps(), args.out)
-    else:
-        _emit("\n".join(" ".join(map(str, p)) for p in pts), args.out)
+        _emit_points(lusztig_points(word, lam, n=args.n), args)
     return 0
 
 
@@ -300,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="lexmin | lexmax | ik:K | comma-separated letters")
     p.add_argument("--mode", choices=("points", "hrep", "count"), default="points")
-    p.add_argument("--box", type=int, default=None,
-                   help="override the initial enumeration box")
     p.set_defaults(func=cmd_lusztig)
 
     p = sub.add_parser("crystal", help="crystal graphs on FFLV lattice points")

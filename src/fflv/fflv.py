@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, lattice_points
-from .roots import Root, fundamental_weight, num_roots, root_index, weight_mu
+from .roots import Root, num_roots, root_index, weight_mu
 
 
 class DyckPath(NamedTuple):
@@ -76,11 +76,10 @@ def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
 def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
     """The lattice points FFLV_n(lambda)_Z.
 
-    The box sum(lambda) is exact here: every single coordinate x_{i,j} is
-    itself the support of a Dyck path, so no coordinate can exceed its rhs.
+    Every row is 0/1 and caps each coordinate it touches, so the certified
+    order is the canonical root order and x_{i,j} <= lambda_i+...+lambda_j.
     """
-    lam = _check_dominant(n, lam)
-    return lattice_points(fflv_hrep(n, lam), sum(lam))
+    return lattice_points(fflv_hrep(n, lam))
 
 
 def fundamental_points(n: int, k: int) -> list[FundamentalPoint]:
@@ -115,10 +114,6 @@ def weyl_dim(n: int, lam: Sequence[int]) -> int:
     for i in range(m):
         for j in range(i + 1, m):
             total *= Fraction(mu[i] - mu[j] + j - i, j - i)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise RuntimeError(f"Weyl product for {lam} is not an integer: {total}")
     return total.numerator
-
-
-def omega(n: int, k: int) -> tuple[int, ...]:
-    """The fundamental weight omega_k as a lambda-vector."""
-    return fundamental_weight(n, k)

@@ -1,10 +1,10 @@
 """Exact integer H-polytope machinery.
 
 An ``HPolytope`` is a list of rows ``coeffs . x <= rhs`` over Z^N, usually
-with the implicit constraint x >= 0.  ``lattice_points`` enumerates the
-integer points inside a caller-supplied box by depth-first assignment with
-interval propagation; everything downstream (Minkowski sums, support
-functions, membership) works on the resulting ``PointSet``.
+with the implicit constraint x >= 0.  ``lattice_points`` enumerates all its
+integer points inside a box that ``certified_box`` proves from the rows
+alone; everything downstream (Minkowski sums, support functions,
+membership) works on the resulting ``PointSet``.
 
 All arithmetic is exact: Python integers only, no floats, no epsilons.
 """
@@ -12,20 +12,12 @@ All arithmetic is exact: Python integers only, no floats, no epsilons.
 from __future__ import annotations
 
 import json
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
 RowT = tuple[tuple[int, ...], int]
-
-
-class BoxEscalationWarning(UserWarning):
-    """Some enumerated point touches the box on a coordinate no single row caps.
-
-    The reported set may then be an artifact of the box rather than of the
-    polytope; re-run with a larger box (``lattice_points_auto`` does this)."""
 
 
 @dataclass(frozen=True)
@@ -133,56 +125,80 @@ def contains(P: HPolytope, x: Sequence[int]) -> bool:
     )
 
 
-def _capped_coords(P: HPolytope, box_bound: int) -> set[int]:
-    """Coordinates d such that some single row already forces x_d <= box_bound.
+def certified_box(P: HPolytope) -> tuple[list[int], list[int]]:
+    """An enumeration order and a per-coordinate bound on every point of P.
 
-    Only rows with all coefficients >= 0 qualify (with x >= 0 they give
-    c * x_d <= rhs on the nose)."""
-    capped: set[int] = set()
-    for a, b in P.rows:
-        if all(c >= 0 for c in a):
-            for d, c in enumerate(a):
-                if c > 0 and b // c <= box_bound:
-                    capped.add(d)
-    return capped
-
-
-def lattice_points(P: HPolytope, box_bound: int) -> PointSet:
-    """All integer points of P inside [0, box_bound]^dim.
-
-    Depth-first over coordinates; at each level the feasible interval for
-    x_d is propagated from every row using coefficient signs and the
-    worst-case contribution of the still-free suffix.  Warns with
-    ``BoxEscalationWarning`` when a returned point touches the box on a
-    coordinate that no single row caps, since the true polytope may then
-    extend beyond the box.
+    A *capping row* of coordinate d has a positive coefficient on d and none
+    negative on the coordinates not yet placed.  With x >= 0 it bounds x_d
+    by (rhs minus the worst case of the placed coordinates) // coefficient.
+    The lowest-index coordinate with a capping row is placed next; placing
+    more coordinates never takes a capping row away, so this greedy order
+    exists whenever any does.  Each row keeps its count of negative
+    coefficients on unplaced coordinates and its worst-case rhs, so the
+    pass costs O(rows * dim).  Raises ``ValueError`` when some coordinate
+    has no capping row.  A negative bound means P has no points.
     """
-    if box_bound < 0:
-        raise ValueError("box_bound must be >= 0")
     if not P.nonneg:
-        raise ValueError("enumeration needs the implicit x >= 0 constraints")
+        raise ValueError("a certified box needs the implicit x >= 0 constraints")
     N = P.dim
     coeffs = [a for a, _ in P.rows]
+    worst = [b for _, b in P.rows]
+    neg = [sum(c < 0 for c in a) for a in coeffs]
+    capped = {
+        d for a, k in zip(coeffs, neg) if not k for d, c in enumerate(a) if c > 0
+    }
+    order: list[int] = []
+    bound = [0] * N
+    while len(order) < N:
+        ready = capped.difference(order)
+        if not ready:
+            loose = sorted(set(range(N)).difference(order))
+            raise ValueError(f"no certified box: {loose} have no capping row")
+        d = min(ready)
+        bound[d] = min(
+            w // a[d] for a, w, k in zip(coeffs, worst, neg) if a[d] > 0 and not k
+        )
+        order.append(d)
+        for r, a in enumerate(coeffs):
+            if a[d] < 0:
+                worst[r] -= a[d] * bound[d]
+                neg[r] -= 1
+                if not neg[r]:
+                    capped.update(j for j, c in enumerate(a) if c > 0)
+    return order, bound
+
+
+def lattice_points(P: HPolytope) -> PointSet:
+    """All integer points of P, or ``ValueError`` if P has no certified box.
+
+    Depth-first over the coordinates in the order of ``certified_box``, each
+    inside its bound; at each level the feasible interval is propagated from
+    every row using coefficient signs and the worst case of the free suffix.
+    """
+    N = P.dim
+    order, bound = certified_box(P)
+    coeffs = [[a[d] for d in order] for a, _ in P.rows]
+    box = [bound[d] for d in order]
     R = len(coeffs)
-    # suffix_min[r][d] = least possible value of sum_{i>=d} a_i x_i over the box
+    # suffix_min[r][k] = least possible value of the row over levels >= k
     suffix_min = []
     for a in coeffs:
         sm = [0] * (N + 1)
-        for d in range(N - 1, -1, -1):
-            sm[d] = sm[d + 1] + min(a[d], 0) * box_bound
+        for k in range(N - 1, -1, -1):
+            sm[k] = sm[k + 1] + min(a[k], 0) * box[k]
         suffix_min.append(sm)
 
     out: list[Point] = []
     x = [0] * N
 
-    def rec(d: int, budget: list[int]) -> None:
-        if d == N:
+    def rec(k: int, budget: list[int]) -> None:
+        if k == N:
             out.append(tuple(x))
             return
-        lo, hi = 0, box_bound
+        lo, hi = 0, box[k]
         for r in range(R):
-            c = coeffs[r][d]
-            slack = budget[r] - suffix_min[r][d + 1]
+            c = coeffs[r][k]
+            slack = budget[r] - suffix_min[r][k + 1]
             if c > 0:
                 hi = min(hi, slack // c)
             elif c < 0:
@@ -190,51 +206,13 @@ def lattice_points(P: HPolytope, box_bound: int) -> PointSet:
                     lo = max(lo, -(slack // -c))  # ceil(-slack / -c)
             elif slack < 0:
                 return
+        d = order[k]
         for v in range(lo, hi + 1):
             x[d] = v
-            rec(d + 1, [budget[r] - coeffs[r][d] * v for r in range(R)])
+            rec(k + 1, [budget[r] - coeffs[r][k] * v for r in range(R)])
 
     rec(0, [b for _, b in P.rows])
-    result = PointSet(out, dim=N)
-
-    capped = _capped_coords(P, box_bound)
-    loose = {
-        d
-        for p in result
-        for d in range(N)
-        if p[d] == box_bound and d not in capped
-    }
-    if loose:
-        warnings.warn(
-            BoxEscalationWarning(
-                f"points touch the box (size {box_bound}) on uncapped "
-                f"coordinates {sorted(loose)}; result may be truncated"
-            ),
-            stacklevel=2,
-        )
-    return result
-
-
-def lattice_points_auto(P: HPolytope, box_bound: int, max_rounds: int = 8) -> PointSet:
-    """``lattice_points`` with automatic box escalation.
-
-    Doubles the box (box <- 2*box + 1) while the enumeration warns that a
-    point touches it on an uncapped coordinate; gives up after
-    ``max_rounds`` and lets the final warning propagate.
-    """
-    box = box_bound
-    for round_no in range(max_rounds):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = lattice_points(P, box)
-        escalate = [w for w in caught if issubclass(w.category, BoxEscalationWarning)]
-        for w in caught:
-            if not issubclass(w.category, BoxEscalationWarning):
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        if not escalate:
-            return result
-        box = 2 * box + 1
-    return lattice_points(P, box)
+    return PointSet(out, dim=N)
 
 
 def sumset(A: PointSet, B: PointSet) -> PointSet:

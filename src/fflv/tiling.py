@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, lattice_points_auto
+from .polytope import HPolytope, PointSet, lattice_points
 from .roots import (
     Root,
     ik_word,
@@ -158,13 +158,14 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
                 f"{lo.label} above {hi.label}"
             )
         s, t, V = lo.label, hi.label, lo.bottom
-        assert root == Root(s, t - 1)
+        if root != Root(s, t - 1):
+            raise RuntimeError(f"tile {s},{t} is not root {root} (word {word})")
         up_bottom = Edge(next(ids), t, V)
         up_top = Edge(next(ids), s, V | {t})
         for e in (up_bottom, up_top):
             key = (e.bottom, e.label)
             if key in created:  # each geometric edge may be created only once
-                raise AssertionError(f"edge {key} created twice (word {word})")
+                raise RuntimeError(f"edge {key} created twice (word {word})")
             created.add(key)
             all_edges.append(e)
         tiles.append(
@@ -181,13 +182,15 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         borders.append(tuple(border))
 
     right = tuple(reversed(border))
-    assert [e.label for e in right] == list(range(1, m + 1))
+    if [e.label for e in right] != list(range(1, m + 1)):
+        raise RuntimeError(f"right boundary out of label order (word {word})")
 
     inc: dict[Edge, list[Tile]] = {e: [] for e in all_edges}
     for tile in tiles:
         for e in tile.all_edges:
             inc[e].append(tile)
-    assert all(len(v) <= 2 for v in inc.values())
+    if any(len(v) > 2 for v in inc.values()):
+        raise RuntimeError(f"an edge borders more than two tiles (word {word})")
 
     return Tiling(
         n=n,
@@ -279,7 +282,8 @@ def _assemble_crossing(
     between = [s]
     for g1, g2 in zip(tiles, tiles[1:]):
         shared = set(g1.all_edges) & set(g2.all_edges)
-        assert len(shared) == 1, "adjacent tiles must share exactly one edge"
+        if len(shared) != 1:
+            raise RuntimeError(f"adjacent tiles share {len(shared)} edges, not 1")
         between.append(shared.pop().label)
     between.append(s + 1)
 
@@ -416,11 +420,11 @@ def lusztig_points(
 ) -> PointSet:
     """Lattice points of the word's Lusztig polytope.
 
-    Unlike the FFLV system, the rows here can have negative coefficients, so
-    sum(lam) is only a first guess at the box; enumeration escalates it if a
-    point ever touches an uncapped face of the box.
+    The rows can have negative coefficients; ``lattice_points`` derives a
+    certified order and box from them, or raises ``ValueError`` if the
+    system admits none, so the set returned is always complete.
     """
-    return lattice_points_auto(lusztig_hrep(word, lam, n), max(sum(lam), 0))
+    return lattice_points(lusztig_hrep(word, lam, n))
 
 
 def check_rectangle_support(n: int, k: int, r: int) -> bool:

@@ -312,28 +312,33 @@ def default_sweep() -> dict:
         return generate_default_sweep()
 
 
+def _ints(values) -> bool:
+    return all(type(v) is int for v in values)  # bool is an int subclass
+
+
 def _valid_case(kind: str, case) -> bool:
     if not isinstance(case, (list, tuple)):
         return False
     if kind in ("main", "words"):
         return (
             len(case) == 2
-            and isinstance(case[0], int)
+            and _ints(case[:1])
             and isinstance(case[1], (list, tuple))
-            and all(isinstance(v, int) for v in case[1])
+            and _ints(case[1])
         )
     arity = 3 if kind == "fundamental" else 2
-    return len(case) == arity and all(isinstance(v, int) for v in case)
+    return len(case) == arity and _ints(case)
 
 
 def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:
     """Replay a sweep of claims.  ``config`` maps claim names to parameter
     lists (default: the shipped sweep); ``kinds`` restricts which claims run.
 
-    A hand-edited config is validated up front: unknown kinds and cases of
-    the wrong shape raise ``ValueError`` instead of failing mid-sweep, and a
-    ``kinds`` filter naming nothing in the config is an error rather than a
-    silently empty (vacuously green) run.
+    The whole config is validated before any claim runs: unknown kinds,
+    cases of the wrong shape (``bool`` is not an int here), a ``kinds``
+    filter naming nothing in the config and a selection without a single
+    case all raise ``ValueError`` instead of failing mid-sweep or passing
+    vacuously.
     """
     if config is None:
         config = default_sweep()
@@ -343,25 +348,23 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
         bad = sorted(set(kinds) - set(config))
         if bad:
             raise ValueError(f"unknown suite kind(s): {', '.join(bad)}")
-    reports: list[VerificationReport] = []
-    for kind in config:
-        if kind not in ("main", "fundamental", "words", "dyck"):
+    claims = {
+        "main": verify_main,
+        "fundamental": verify_fundamental,
+        "words": verify_word_counts,
+        "dyck": verify_dyck_correspondence,
+    }
+    selected = []
+    for kind, cases in config.items():
+        if kind not in claims:
             raise ValueError(f"unknown claim kind {kind!r}")
-        if kinds is not None and kind not in kinds:
-            continue
-        for case in config[kind]:
+        if not isinstance(cases, (list, tuple)):
+            raise ValueError(f"{kind} cases must be a list, got {cases!r}")
+        for case in cases:
             if not _valid_case(kind, case):
                 raise ValueError(f"malformed {kind} case {case!r}")
-            if kind == "main":
-                n, lam = case
-                reports.append(verify_main(n, lam))
-            elif kind == "fundamental":
-                n, k, r = case
-                reports.append(verify_fundamental(n, k, r))
-            elif kind == "words":
-                n, lam = case
-                reports.append(verify_word_counts(n, lam))
-            else:
-                n, k = case
-                reports.append(verify_dyck_correspondence(n, k))
-    return reports
+            if kinds is None or kind in kinds:
+                selected.append((kind, case))
+    if not selected:
+        raise ValueError("suite selection holds no case")
+    return [claims[kind](*case) for kind, case in selected]

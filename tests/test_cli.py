@@ -78,8 +78,21 @@ def test_lusztig_count_matches_dimension():
                         "--lambda", "1,1", "--mode", "count")
     assert (code, out) == (0, "8\n")
     code, out = run_cli("lusztig", "--n", "2", "--word", "lexmax",
-                        "--lambda", "1,1", "--mode", "count", "--box", "10")
+                        "--lambda", "1,1", "--mode", "count")
     assert (code, out) == (0, "8\n")
+
+
+def test_lusztig_hrep_text_frozen():
+    code, out = run_cli("lusztig", "--n", "2", "--word", "1,2,1",
+                        "--lambda", "1,1", "--mode", "hrep")
+    assert code == 0
+    assert out == "x0 + x1 - x2 <= 1\nx1 <= 1\nx2 <= 1\n"
+
+
+def test_fflv_hrep_text_frozen():
+    code, out = run_cli("fflv", "--n", "2", "--lambda", "2,1", "--mode", "hrep")
+    assert code == 0
+    assert out == "x0 <= 2\nx0 + x1 + x2 <= 3\nx2 <= 1\n"
 
 
 def test_crystal_sl3_dot_frozen():
@@ -153,6 +166,11 @@ def test_verify_suite_custom_config():
         with contextlib.redirect_stderr(io.StringIO()):
             assert run_cli("verify", "suite", "--config", cfg)[0] == 2
             assert run_cli("verify", "suite", "--kinds", "word")[0] == 2  # typo
+        with open(cfg, "w") as fh:
+            json.dump({"main": []}, fh)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert run_cli("verify", "suite", "--config", cfg) == (2, "")
+        assert "no case" in err.getvalue()
 
 
 def test_out_flag_writes_file():

@@ -8,11 +8,10 @@ from fflv.fflv import (
     fflv_hrep,
     fflv_points,
     fundamental_points,
-    omega,
     weyl_dim,
 )
 from fflv.polytope import PointSet, contains, sumset
-from fflv.roots import Root, positive_roots, root_index, weight_mu
+from fflv.roots import Root, fundamental_weight, positive_roots, root_index, weight_mu
 
 import oracles
 
@@ -70,7 +69,7 @@ def test_fflv_hrep_zero_weight():
 
 
 def test_fflv_hrep_omega2_rhs_pattern():
-    P = fflv_hrep(3, omega(3, 2))
+    P = fflv_hrep(3, fundamental_weight(3, 2))
     for path, (coeffs, rhs) in zip(dyck_paths(3), P.rows):
         assert rhs == (1 if path.i <= 2 <= path.j else 0)
         assert set(coeffs) <= {0, 1}
@@ -118,11 +117,12 @@ def test_fundamental_points_are_the_lattice_points():
     for n in range(1, 6):
         for k in range(1, n + 1):
             fps = fundamental_points(n, k)
-            assert len(fps) == comb(n + 1, k) == weyl_dim(n, omega(n, k))
+            lam = fundamental_weight(n, k)
+            assert len(fps) == comb(n + 1, k) == weyl_dim(n, lam)
             assert len({fp.point for fp in fps}) == len(fps)
-            P = fflv_hrep(n, omega(n, k))
+            P = fflv_hrep(n, lam)
             assert all(contains(P, fp.point) for fp in fps)
-            assert PointSet([fp.point for fp in fps]) == fflv_points(n, omega(n, k))
+            assert PointSet([fp.point for fp in fps]) == fflv_points(n, lam)
 
 
 def test_fundamental_point_subsets_are_sorted():
@@ -140,7 +140,7 @@ def test_weyl_dim_frozen():
     assert weyl_dim(4, (0, 2, 0, 0)) == 50
     for n in range(1, 6):
         for k in range(1, n + 1):
-            assert weyl_dim(n, omega(n, k)) == comb(n + 1, k)
+            assert weyl_dim(n, fundamental_weight(n, k)) == comb(n + 1, k)
 
 
 def test_minkowski_property_small():

@@ -7,10 +7,11 @@ hand; they pin every orientation convention in the module.
 import random
 from itertools import combinations
 
-from fflv.fflv import fflv_points, omega, weyl_dim
+from fflv.fflv import fflv_points, weyl_dim
 from fflv.roots import (
     Root,
     all_reduced_words,
+    fundamental_weight,
     ik_word,
     lexmax_word,
     lexmin_word,
@@ -21,6 +22,7 @@ from fflv.roots import (
 )
 from fflv.tiling import (
     PeelStallError,
+    _assemble_crossing,
     build_tiling,
     check_rectangle_support,
     crossing_functional,
@@ -92,6 +94,19 @@ def test_build_tiling_rejects_non_reduced():
         pass
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_build_tiling_checks_tiles_against_roots(monkeypatch):
+    import fflv.tiling as tiling
+
+    enum = tiling.root_enumeration
+    monkeypatch.setattr(tiling, "root_enumeration", lambda w, n: enum(w, n)[::-1])
+    try:
+        build_tiling((1, 2, 1))
+    except RuntimeError as exc:
+        assert "is not root" in str(exc)
+    else:
+        raise AssertionError("a tile/root mismatch must raise")
 
 
 def test_borders_evolve_two_edges_at_a_time():
@@ -218,6 +233,19 @@ def test_dual_crossings_frozen_ik2_n3():
     }
 
 
+def test_crossing_of_non_adjacent_tiles_raises():
+    # an explicit check, not an assert, so it also holds under python -O
+    T = build_tiling(ik_word(3, 2))
+    a = T.tiles[0]
+    b = next(t for t in T.tiles if t is not a and t not in T.neighbors[a.id])
+    try:
+        _assemble_crossing(T, 2, (a, b))
+    except RuntimeError as exc:
+        assert "share 0 edges" in str(exc)
+    else:
+        raise AssertionError("tiles sharing no edge must not form a crossing")
+
+
 def test_comb_exists_everywhere():
     for word in all_reduced_words(3):
         T = build_tiling(word)
@@ -279,7 +307,7 @@ def test_restricted_functionals_are_dyck_supports():
 def test_lusztig_hrep_frozen_points():
     pts = lusztig_points((1, 2, 1), (1, 0))
     assert set(pts) == {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
-    assert len(lusztig_points(ik_word(3, 2), omega(3, 2))) == 6
+    assert len(lusztig_points(ik_word(3, 2), fundamental_weight(3, 2))) == 6
     assert list(lusztig_points((1, 2, 1), (0, 0))) == [(0, 0, 0)]
 
 

@@ -103,6 +103,10 @@ def test_run_suite_rejects_malformed_config():
         {"main": [{"n": 2, "lam": [1, 1]}]},        # case is an object, not a pair
         {"main": [[2, [1, 1], 3]]},                 # wrong arity
         {"fundamental": [[2, 1, "1"]]},             # non-integer parameter
+        {"main": [[True, [1, 1]]]},                 # bool is not an int here
+        {"words": [[2, [1, False]]]},
+        {"main": []},                               # nothing to run
+        {},
     ):
         try:
             run_suite(bad)
@@ -110,12 +114,31 @@ def test_run_suite_rejects_malformed_config():
             pass
         else:
             assert False, f"expected ValueError for {bad!r}"
-    try:
-        run_suite({"main": []}, kinds=["words"])
-    except ValueError:
-        pass
-    else:
-        assert False, "expected ValueError for a kinds filter naming nothing"
+    for config, kinds in (
+        ({"main": []}, ["words"]),                  # filter names no kind
+        ({"main": [], "dyck": [[3, 2]]}, ["main"]),  # filter selects no case
+    ):
+        try:
+            run_suite(config, kinds=kinds)
+        except ValueError:
+            pass
+        else:
+            assert False, f"expected ValueError for {config!r}, kinds={kinds}"
+
+
+def test_run_suite_validates_whole_config_before_running(monkeypatch):
+    import fflv.verify as verify
+
+    ran = []
+    monkeypatch.setattr(verify, "verify_fundamental", lambda *a: ran.append(a))
+    for late in ([3, "2"], [3, True]):  # dyck(3, True) would run as k = 1
+        try:
+            run_suite({"fundamental": [[2, 1, 1]], "dyck": [late]})
+        except ValueError as exc:
+            assert "malformed dyck" in str(exc)
+        else:
+            assert False, f"expected ValueError for the dyck case {late!r}"
+    assert ran == []
 
 
 def test_report_str_has_status():
