@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fflv import fflv_points, weyl_dim
 from .polytope import PointSet
-from .roots import Root, num_roots, root_index, weight_mu, weight_of_point
+from .roots import Root, root_index, weight_of_point
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
@@ -120,11 +120,15 @@ def candidate_edges(n: int, lam: Sequence[int], x: Sequence[int]) -> list[Candid
     selects is decided downstream; this emits every move that stays inside
     FFLV_n(lambda)_Z.
     """
-    lam = tuple(lam)
+    pts = fflv_points(n, tuple(lam))
     x = tuple(x)
-    pts = fflv_points(n, lam)
     if x not in pts:
         raise ValueError(f"{x} is not a lattice point of the polytope")
+    return _moves(n, pts, x)
+
+
+def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
+    """candidate_edges at x, given the lattice points pts it must stay in."""
     idx = root_index(n)
     out: list[CandidateEdge] = []
 
@@ -160,22 +164,26 @@ def pb_graph(n: int, lam: Sequence[int]) -> CrystalGraph:
     """The union of all candidate moves; usually not a crystal (multi-edges)."""
     lam = tuple(lam)
     pts = fflv_points(n, lam)
-    edges = set()
-    for x in pts:
-        for ce in candidate_edges(n, lam, x):
-            edges.add((ce.source, ce.a, ce.target))
-    return CrystalGraph(n=n, lam=lam, vertices=pts, edges=frozenset(edges))
+    inside = set(pts)
+    edges = frozenset(
+        (ce.source, ce.a, ce.target) for x in pts for ce in _moves(n, inside, x)
+    )
+    return CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges)
 
 
 def candidate_map(n: int, lam: Sequence[int]) -> dict[tuple[Point, int], list[CandidateEdge]]:
     """Candidates grouped by (vertex, color), in deterministic order."""
+    return _candidate_map(n, fflv_points(n, tuple(lam)))
+
+
+def _candidate_map(n: int, pts: PointSet) -> dict[tuple[Point, int], list[CandidateEdge]]:
+    inside = set(pts)
     out: dict[tuple[Point, int], list[CandidateEdge]] = {}
-    for x in fflv_points(n, lam):
+    for x in pts:
         for a in range(1, n + 1):
             out[(x, a)] = []
-    for x in fflv_points(n, lam):
-        for ce in candidate_edges(n, lam, x):
-            out[(ce.source, ce.a)].append(ce)
+        for ce in _moves(n, inside, x):
+            out[(x, ce.a)].append(ce)
     return out
 
 
@@ -204,7 +212,6 @@ class WordCrystal:
         self.highest: tuple[int, ...] = tuple(hw)
         self.vertices: set[tuple[int, ...]] = set()
         self._f: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-        self._e: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._close()
 
     def _signature(self, word: tuple[int, ...], a: int) -> tuple[list[int], list[int]]:
@@ -236,29 +243,24 @@ class WordCrystal:
         out[minus[-1]] = a
         return tuple(out)
 
-    def eps(self, word: tuple[int, ...], a: int) -> int:
-        return len(self._signature(word, a)[1])
-
-    def phi(self, word: tuple[int, ...], a: int) -> int:
-        return len(self._signature(word, a)[0])
-
     def content(self, word: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(word.count(i) for i in range(1, self.m + 1))
 
     def _close(self) -> None:
+        """Fill vertices and the f table; B(lambda) is generated by the f's
+        from the highest word."""
         queue = [self.highest]
         self.vertices.add(self.highest)
         while queue:
             w = queue.pop()
             for a in range(1, self.n + 1):
-                for op, table in ((self.f, self._f), (self.e, self._e)):
-                    w2 = op(w, a)
-                    if w2 is None:
-                        continue
-                    table[(w, a)] = w2
-                    if w2 not in self.vertices:
-                        self.vertices.add(w2)
-                        queue.append(w2)
+                w2 = self.f(w, a)
+                if w2 is None:
+                    continue
+                self._f[(w, a)] = w2
+                if w2 not in self.vertices:
+                    self.vertices.add(w2)
+                    queue.append(w2)
 
     def export_graph(self) -> CrystalGraph:
         """The f-edges as a CrystalGraph on word vertices."""
@@ -327,45 +329,50 @@ def check_local_axioms(G: CrystalGraph) -> dict:
     if violations:
         return {"passed": False, "violations": violations}
 
+    # (eps_a, phi_a) of every node with a color-a edge, from one walk along
+    # each color-a string starting at its head.  With partial functions a
+    # walk from a head cannot loop, and nodes on a cycle get no entry.
+    strings: dict[tuple[Point, int], tuple[int, int]] = {}
+    for u, a in f:
+        if (u, a) in e:
+            continue
+        chain = [u]
+        while (chain[-1], a) in f:
+            chain.append(f[(chain[-1], a)])
+        for pos, v in enumerate(chain):
+            strings[(v, a)] = (pos, len(chain) - 1 - pos)
+
     verts = list(G.vertices)
     for a in colors:
         for v in verts:
-            cur, steps = v, 0
-            while (cur, a) in f:
-                cur = f[(cur, a)]
-                steps += 1
-                if steps > len(verts):
-                    flag("acyclic", v, f"color-{a} cycle")
-                    return {"passed": False, "violations": violations}
+            # a string longer than the vertex count is reported as a cycle too
+            if (v, a) in f and ((v, a) not in strings or strings[(v, a)][1] > len(verts)):
+                flag("acyclic", v, f"color-{a} cycle")
+                return {"passed": False, "violations": violations}
 
     def eps(v: Point, a: int) -> int:
-        d = 0
-        while (v, a) in e:
-            v = e[(v, a)]
-            d += 1
-        return d
+        return strings.get((v, a), (0, 0))[0]
 
     def phi(v: Point, a: int) -> int:
-        d = 0
-        while (v, a) in f:
-            v = f[(v, a)]
-            d += 1
-        return d
+        return strings.get((v, a), (0, 0))[1]
 
+    nodes = set(verts)
+    for u, _, v in G.edges:
+        nodes.update((u, v))
+    wt = {v: G.weight_of(v) for v in nodes}
     for u, a, v in sorted(G.edges):
-        drop = [x - y for x, y in zip(G.weight_of(u), G.weight_of(v))]
+        drop = [x - y for x, y in zip(wt[u], wt[v])]
         want = [0] * (G.n + 1)
         want[a - 1], want[a] = 1, -1
         if drop != want:
             flag("weight-step", u, f"color-{a} edge changes weight by {drop}")
     for v in verts:
-        wt = G.weight_of(v)
         for a in colors:
-            if phi(v, a) - eps(v, a) != _pairing(wt, a):
+            if phi(v, a) - eps(v, a) != _pairing(wt[v], a):
                 flag(
                     "weight-string",
                     v,
-                    f"phi-eps={phi(v, a) - eps(v, a)} but <wt,a{a}^>={_pairing(wt, a)}",
+                    f"phi-eps={phi(v, a) - eps(v, a)} but <wt,a{a}^>={_pairing(wt[v], a)}",
                 )
     if violations:
         return {"passed": False, "violations": violations}
@@ -432,8 +439,10 @@ def _apply_chain(op: dict, v: Point, colors: Iterable[int]) -> Point | None:
 
 def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
     """Deterministic traversal pairing G with the word oracle for lambda."""
-    lam = tuple(lam)
-    W = word_oracle(G.n, lam)
+    return _iso_report(G, word_oracle(G.n, lam))
+
+
+def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
     out = G.out_map()
     inc = G.in_map()
     if any(len(v) != 1 for v in out.values()) or any(len(v) != 1 for v in inc.values()):
@@ -452,7 +461,7 @@ def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
         w = pair[v]
         for a in range(1, G.n + 1):
             gv = out.get((v, a), [None])[0]
-            gw = W.f(w, a)
+            gw = W._f.get((w, a))
             if (gv is None) != (gw is None):
                 return False, f"color-{a} edge mismatch at {v} / word {w}"
             if gv is None:
@@ -602,6 +611,7 @@ class _Budget:
     def __init__(self, limit: int):
         self.limit = limit
         self.nodes = 0
+        self.selections = 0
 
     def tick(self, amount: int = 1) -> None:
         self.nodes += amount
@@ -709,6 +719,34 @@ def _graph_from_choices(
     return CrystalGraph(n=n, lam=lam, vertices=pts, edges=frozenset(edges))
 
 
+def _is_crystal(g: CrystalGraph, W: WordCrystal) -> bool:
+    """Both validators; the oracle pairing runs first because it rejects
+    almost every selection cheaply."""
+    return _iso_report(g, W)[0] and check_local_axioms(g)["passed"]
+
+
+def _crystals(
+    n: int,
+    lam: tuple[int, ...],
+    pts: PointSet,
+    cand: dict[tuple[Point, int], list[CandidateEdge]],
+    W: WordCrystal,
+    budget: _Budget,
+) -> Iterator[CrystalGraph]:
+    """The combinations of per-color string decompositions that are
+    crystals, in product order; each assembled selection ticks the budget
+    and counts in ``budget.selections``."""
+    per_color = [
+        _color_selections(n, lam, pts, a, cand, budget) for a in range(1, n + 1)
+    ]
+    for combo in itertools.product(*per_color):
+        budget.tick()
+        budget.selections += 1
+        g = _graph_from_choices(n, lam, pts, combo)
+        if _is_crystal(g, W):
+            yield g
+
+
 def conjecture_search(
     n: int,
     lam: Sequence[int],
@@ -719,11 +757,12 @@ def conjecture_search(
     """Hunt for crystal structures among selections from PB_n(lambda).
 
     exhaustive: enumerate per-color string decompositions, combine, keep the
-    combinations that pass the local axioms and the oracle isomorphism;
+    combinations that pass the oracle isomorphism and the local axioms;
     deduplicate by edge set.  greedy: walk the same string discipline but
     never backtrack -- at each vertex that must emit an edge, take the
     candidate whose k comes first in sigma (then the smallest pivot);
-    the single selection is validated the same way.
+    the single selection is validated the same way.  A greedy walk that
+    dead-ends assembles no selection and reports complete=False.
     """
     lam = tuple(lam)
     if sigma is None:
@@ -734,7 +773,7 @@ def conjecture_search(
     if mode not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     pts = fflv_points(n, lam)
-    cand = candidate_map(n, lam)
+    cand = _candidate_map(n, pts)
     sigma_pos = {k: i for i, k in enumerate(sigma)}
 
     if mode == "greedy":
@@ -743,14 +782,13 @@ def conjecture_search(
             choice = _greedy_color_choice(n, lam, pts, a, cand, sigma_pos)
             if choice is None:
                 return SearchResult(
-                    graphs=[], complete=True, mode="greedy",
+                    graphs=[], complete=False, mode="greedy",
                     nodes=0, selections=0, budget=budget,
                 )
             choices.append(choice)
         g = _graph_from_choices(n, lam, pts, choices)
-        ok = check_local_axioms(g)["passed"] and check_oracle_iso(g, lam)
         return SearchResult(
-            graphs=[g] if ok else [],
+            graphs=[g] if _is_crystal(g, word_oracle(n, lam)) else [],
             complete=True,
             mode="greedy",
             nodes=0,
@@ -762,24 +800,11 @@ def conjecture_search(
     complete = True
     graphs: list[CrystalGraph] = []
     seen: set[frozenset[EdgeT]] = set()
-    selections = 0
     try:
-        per_color = [
-            _color_selections(n, lam, pts, a, cand, tracker)
-            for a in range(1, n + 1)
-        ]
-        for combo in itertools.product(*per_color):
-            tracker.tick()
-            selections += 1
-            g = _graph_from_choices(n, lam, pts, combo)
-            if g.edges in seen:
-                continue
-            if not check_local_axioms(g)["passed"]:
-                continue
-            if not check_oracle_iso(g, lam):
-                continue
-            seen.add(g.edges)
-            graphs.append(g)
+        for g in _crystals(n, lam, pts, cand, word_oracle(n, lam), tracker):
+            if g.edges not in seen:
+                seen.add(g.edges)
+                graphs.append(g)
     except BudgetExceeded:
         complete = False
     graphs.sort(key=lambda g: sorted(g.edges))
@@ -788,7 +813,7 @@ def conjecture_search(
         complete=complete,
         mode="exhaustive",
         nodes=tracker.nodes,
-        selections=selections,
+        selections=tracker.selections,
         budget=budget,
     )
 
@@ -807,22 +832,15 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
     pts = fflv_points(n, lam)
     cand = {
         key: [ce for ce in ces if ce.k == k]
-        for key, ces in candidate_map(n, lam).items()
+        for key, ces in _candidate_map(n, pts).items()
     }
+    W = word_oracle(n, lam)
     if all(len(ces) <= 1 for ces in cand.values()):
         edges = frozenset(
             (ces[0].source, ces[0].a, ces[0].target)
             for ces in cand.values()
             if ces
         )
-        g = CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges)
-        return check_local_axioms(g)["passed"] and check_oracle_iso(g, lam)
-    tracker = _Budget(10_000_000)
-    per_color = [
-        _color_selections(n, lam, pts, a, cand, tracker) for a in range(1, n + 1)
-    ]
-    for combo in itertools.product(*per_color):
-        g = _graph_from_choices(n, lam, pts, combo)
-        if check_local_axioms(g)["passed"] and check_oracle_iso(g, lam):
-            return True
-    return False
+        return _is_crystal(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W)
+    found = _crystals(n, lam, pts, cand, W, _Budget(10_000_000))
+    return next(found, None) is not None

@@ -330,15 +330,38 @@ def _valid_case(kind: str, case) -> bool:
     return len(case) == arity and _ints(case)
 
 
+def _case_problem(kind: str, case) -> str | None:
+    """Why a well-formed case cannot run as a ``kind`` claim, or None."""
+    n = case[0]
+    if n < 1:
+        return f"n={n} must be >= 1"
+    if kind in ("main", "words"):
+        lam = case[1]
+        if len(lam) != n:
+            return f"lambda has {len(lam)} entries, expected {n}"
+        if any(v < 0 for v in lam):
+            return "lambda must be dominant (all entries >= 0)"
+        if kind == "words" and n > 3:
+            return "the word-exhaustive check is desk scale: n <= 3"
+        return None
+    k = case[1]
+    if not 1 <= k <= n:
+        return f"k={k} outside [1, {n}]"
+    if kind == "fundamental" and case[2] < 1:
+        return f"r={case[2]} must be >= 1"
+    return None
+
+
 def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:
     """Replay a sweep of claims.  ``config`` maps claim names to parameter
     lists (default: the shipped sweep); ``kinds`` restricts which claims run.
 
     The whole config is validated before any claim runs: unknown kinds,
-    cases of the wrong shape (``bool`` is not an int here), a ``kinds``
-    filter naming nothing in the config and a selection without a single
-    case all raise ``ValueError`` instead of failing mid-sweep or passing
-    vacuously.
+    cases of the wrong shape (``bool`` is not an int here), cases without
+    meaning (n < 1, a lambda whose length is not n or with a negative
+    entry, ``words`` with n > 3, k outside [1, n], r < 1), a ``kinds`` filter
+    naming nothing in the config and a selection without a single case all
+    raise ``ValueError`` instead of failing mid-sweep or passing vacuously.
     """
     if config is None:
         config = default_sweep()
@@ -363,6 +386,9 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
         for case in cases:
             if not _valid_case(kind, case):
                 raise ValueError(f"malformed {kind} case {case!r}")
+            problem = _case_problem(kind, case)
+            if problem:
+                raise ValueError(f"invalid {kind} case {case!r}: {problem}")
             if kinds is None or kind in kinds:
                 selected.append((kind, case))
     if not selected:

@@ -122,6 +122,10 @@ def test_conjecture_text_summary():
     assert code == 0
     assert "valid=2" in out
     assert "complete=True" in out
+    code, out = run_cli("conjecture", "--n", "2", "--lambda", "2,2",
+                        "--mode", "greedy", "--sigma", "2,1")
+    assert code == 0
+    assert out == "mode=greedy complete=False valid=0 selections=0\n"
 
 
 def test_conjecture_greedy_json():

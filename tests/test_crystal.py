@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+from collections import Counter
 
 from fflv.crystal import (
     CrystalGraph,
@@ -111,9 +114,10 @@ def test_word_oracle_adjoint_frozen():
         (1, 3, 2): (1, 3, 3),
         (2, 3, 2): (2, 3, 3),
     }
-    assert W.eps((1, 3, 3), 2) == 2
+    # eps_2(133) = 2: two e_2 steps, then none
     assert W.e((1, 3, 3), 2) == (1, 3, 2)
     assert W.e((1, 3, 2), 2) == (1, 2, 2)
+    assert W.e((1, 2, 2), 2) is None
 
 
 def test_word_oracle_counts_match_weyl_dim():
@@ -155,6 +159,48 @@ def test_axioms_fail_with_witness_on_deleted_edge():
     assert not report["passed"]
     assert report["violations"]
     assert all("vertex" in v for v in report["violations"])
+
+
+def test_axioms_catch_color_cycle():
+    g = word_oracle(2, (1, 1)).export_graph()
+    closed = CrystalGraph(
+        n=g.n,
+        lam=g.lam,
+        vertices=g.vertices,
+        edges=g.edges | {((1, 2, 2), 1, (1, 2, 1))},  # 121 -f1-> 122 -f1-> 121
+        weights=g.weights,
+    )
+    assert check_local_axioms(closed) == {
+        "passed": False,
+        "violations": [
+            {"axiom": "acyclic", "vertex": (1, 2, 1), "detail": "color-1 cycle"}
+        ],
+    }
+
+
+def test_axiom_violations_frozen():
+    # every single-edge deletion and recoloring of two crystals; the
+    # violation lists (axiom, witness, detail, order) are frozen by digest
+    lists = []
+    for g in (word_oracle(2, (2, 1)).export_graph(), sl3_bgt(2, 2)):
+        for u, a, v in sorted(g.edges):
+            variants = [g.edges - {(u, a, v)}]
+            variants += [
+                (g.edges - {(u, a, v)}) | {(u, b, v)}
+                for b in range(1, g.n + 1)
+                if b != a
+            ]
+            for edges in variants:
+                broken = CrystalGraph(
+                    n=g.n, lam=g.lam, vertices=g.vertices,
+                    edges=frozenset(edges), weights=g.weights,
+                )
+                lists.append(check_local_axioms(broken)["violations"])
+    assert len(lists) == 108 and all(lists)
+    axioms = Counter(v["axiom"] for vs in lists for v in vs)
+    assert axioms == {"partial-function": 56, "weight-step": 8, "weight-string": 248}
+    digest = hashlib.sha256(json.dumps(lists, sort_keys=True).encode()).hexdigest()
+    assert digest == "1c5f71e9d43b781753090bc57782d6098247384301881da56c64164603c79d2a"
 
 
 def test_sl3_bgt_adjoint_frozen():
@@ -272,6 +318,98 @@ def test_conjecture_adjoint_contains_both_sl3_graphs():
     assert len(res.graphs) >= 2
 
 
+def _edges(text):
+    """Edges written one per line as 'source color target', digits only."""
+    out = set()
+    for line in text.split("\n"):
+        if line.strip():
+            u, a, v = line.split()
+            out.add((tuple(map(int, u)), int(a), tuple(map(int, v))))
+    return frozenset(out)
+
+
+EXHAUSTIVE_101 = [
+    _edges("""
+    000000 1 100000
+    000000 3 000001
+    000001 1 100001
+    000001 2 000010
+    000010 1 001000
+    001000 1 101000
+    001001 2 001010
+    001010 1 002000
+    010000 3 010001
+    010001 3 001001
+    010010 1 011000
+    010010 3 001010
+    011000 3 002000
+    100000 2 010000
+    100000 3 100001
+    100001 2 100010
+    100010 2 010010
+    101000 2 011000
+    """),
+    _edges("""
+    000000 1 100000
+    000000 3 000001
+    000001 1 100001
+    000001 2 000010
+    000010 1 100010
+    001000 3 001001
+    001001 2 001010
+    001010 1 002000
+    010000 3 001000
+    010001 2 010010
+    010010 1 011000
+    010010 3 001010
+    011000 3 002000
+    100000 2 010000
+    100000 3 100001
+    100001 2 010001
+    100010 1 101000
+    101000 2 011000
+    """),
+]
+
+
+def test_conjecture_exhaustive_frozen():
+    for lam, selections, nodes in (((1, 1), 4, 38), ((2, 1), 16, 136), ((2, 2), 576, 1798)):
+        res = conjecture_search(2, lam)
+        assert res.complete
+        assert [g.edges for g in res.graphs] == [sl3_blt(*lam).edges, sl3_bgt(*lam).edges]
+        assert (res.selections, res.nodes) == (selections, nodes)
+    res = conjecture_search(3, (1, 0, 1))
+    assert res.complete
+    assert [g.edges for g in res.graphs] == EXHAUSTIVE_101
+    assert (res.selections, res.nodes) == (512, 904)
+
+
+def test_work_done_once_per_call(monkeypatch):
+    import fflv.crystal as crystal
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(crystal, "fflv_points", counted("points", crystal.fflv_points))
+    monkeypatch.setattr(crystal, "word_oracle", counted("oracle", crystal.word_oracle))
+    # the exhaustive (2,2) search validates its 576 selections against one oracle
+    for run, oracles in (
+        (lambda: crystal.pb_graph(2, (2, 2)), 0),
+        (lambda: crystal.candidate_map(2, (2, 2)), 0),
+        (lambda: crystal.conjecture_search(2, (2, 2)), 1),
+        (lambda: crystal.conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy"), 1),
+        (lambda: crystal.fixed_k_check(2, 1, 2), 1),
+    ):
+        calls.clear()
+        run()
+        assert calls == Counter(points=1, oracle=oracles)
+
+
 def test_conjecture_budget_flag():
     res = conjecture_search(2, (1, 1), budget=3)
     assert not res.complete
@@ -282,9 +420,12 @@ def test_conjecture_greedy_recovers_sl3_graphs():
     assert [g.edges for g in res.graphs] == [sl3_bgt(1, 1).edges]
     res = conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy")
     assert [g.edges for g in res.graphs] == [sl3_blt(1, 1).edges]
-    # the no-backtrack walk is a heuristic: it may dead-end on bigger weights
-    res = conjecture_search(2, (2, 2), sigma=(2, 1), mode="greedy")
-    assert res.mode == "greedy" and len(res.graphs) <= 1
+    # the no-backtrack walk is a heuristic: on (2,2) it dead-ends under both
+    # sigmas, assembles no selection and must not claim completeness
+    for sigma in ((1, 2), (2, 1)):
+        res = conjecture_search(2, (2, 2), sigma=sigma, mode="greedy")
+        assert res.mode == "greedy"
+        assert (res.graphs, res.complete, res.selections) == ([], False, 0)
 
 
 def test_fixed_k_fundamental_cases():

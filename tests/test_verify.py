@@ -138,6 +138,22 @@ def test_run_suite_validates_whole_config_before_running(monkeypatch):
             assert "malformed dyck" in str(exc)
         else:
             assert False, f"expected ValueError for the dyck case {late!r}"
+    # well-formed cases without meaning are rejected before any claim runs too
+    for config in (
+        {"fundamental": [[4, 2, 3], [4, 3, 3]], "main": [[3, [1]]]},  # len(lam) != n
+        {"fundamental": [[2, 1, 1]], "main": [[2, [-1, 1]]]},         # not dominant
+        {"fundamental": [[2, 1, 1]], "main": [[0, []]]},              # n < 1
+        {"fundamental": [[2, 1, 1]], "words": [[4, [1, 0, 0, 0]]]},   # words n > 3
+        {"fundamental": [[2, 1, 1]], "dyck": [[3, 4]]},               # k > n
+        {"fundamental": [[2, 1, 1], [2, 0, 1]]},                      # k < 1
+        {"fundamental": [[2, 1, 1], [2, 1, 0]]},                      # r < 1
+    ):
+        try:
+            run_suite(config)
+        except ValueError as exc:
+            assert "invalid" in str(exc)
+        else:
+            assert False, f"expected ValueError for {config!r}"
     assert ran == []
 
 
