@@ -1,0 +1,96 @@
+"""Deterministic tiling-layer counters for one pass of the benchmark's
+``words`` workload.
+
+    python3 scripts/tiling_counters.py [--seed 1] [--node-function _extend_paths]
+
+Runs every case of ``perfbench/workloads.py``'s ``words`` list once, with a
+profile hook on ``fflv/tiling.py`` that counts, without touching the library:
+
+* ``dfs_nodes``: calls of the crossing search's node function (one per tile
+  a path enters; ``--node-function`` names it);
+* ``candidate_paths``: paths that reached the end tile (``_assemble_crossing``
+  calls), ``crossings_found`` / ``crossings_kept``: what ``dual_crossings``
+  and ``reineke_filter`` return;
+* ``peel_calls``, ``peel_layers``: ``peel_order`` calls and the layers they
+  return; ``tile_recounts``: full border-edge counts of one tile, i.e.
+  generator-expression calls made by ``peel_order`` itself.
+
+Prints one JSON object.  The counts repeat exactly for a given seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from fflv import tiling  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _enclosing(frame) -> str:
+    """Name of the function a comprehension or generator frame belongs to."""
+    frame = frame.f_back
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+def count(seed: int, node_function: str) -> dict:
+    counts = dict.fromkeys(
+        ("dfs_nodes", "candidate_paths", "crossings_found", "crossings_kept",
+         "peel_calls", "peel_layers", "tile_recounts", "hrep_rows"), 0
+    )
+    source = tiling.__file__
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != source:
+            return
+        name = code.co_name
+        if event == "call":
+            if name == node_function:
+                counts["dfs_nodes"] += 1
+            elif name == "_assemble_crossing":
+                counts["candidate_paths"] += 1
+            elif name == "peel_order":
+                counts["peel_calls"] += 1
+            elif name == "<genexpr>" and _enclosing(frame) == "peel_order":
+                counts["tile_recounts"] += 1
+        elif event == "return" and arg is not None:
+            if name == "dual_crossings":
+                counts["crossings_found"] += len(arg)
+            elif name == "reineke_filter":
+                counts["crossings_kept"] += len(arg)
+            elif name == "peel_order":
+                counts["peel_layers"] += arg.num_layers
+            elif name == "lusztig_hrep":
+                counts["hrep_rows"] += len(arg.rows)
+
+    cases = workloads.words(seed)
+    sys.setprofile(hook)
+    try:
+        for case in cases:
+            case.run()
+    finally:
+        sys.setprofile(None)
+    return {"seed": seed, "cases": len(cases), **counts}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    ap.add_argument("--node-function", default="_extend_paths")
+    args = ap.parse_args()
+    result = count(args.seed, args.node_function)
+    if result["dfs_nodes"] == 0:
+        raise SystemExit(f"error: no calls of {args.node_function!r} in {tiling.__file__}")
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()

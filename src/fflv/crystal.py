@@ -443,11 +443,15 @@ def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
 
 
 def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
-    out = G.out_map()
-    inc = G.in_map()
-    if any(len(v) != 1 for v in out.values()) or any(len(v) != 1 for v in inc.values()):
-        return False, "multi-edges: not a partial permutation per color"
-    sources = [v for v in G.vertices if not any((v, a) in inc for a in range(1, G.n + 1))]
+    out: dict[tuple[Point, int], Point] = {}
+    inc: dict[tuple[Point, int], Point] = {}
+    for u, a, v in G.edges:
+        if (u, a) in out or (v, a) in inc:
+            return False, "multi-edges: not a partial permutation per color"
+        out[(u, a)] = v
+        inc[(v, a)] = u
+    targets = {v for (v, a) in inc if 1 <= a <= G.n}
+    sources = [v for v in G.vertices if v not in targets]
     if len(sources) != 1:
         return False, f"{len(sources)} sources, expected 1"
     src = sources[0]
@@ -460,7 +464,7 @@ def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
         v = queue.pop()
         w = pair[v]
         for a in range(1, G.n + 1):
-            gv = out.get((v, a), [None])[0]
+            gv = out.get((v, a))
             gw = W._f.get((w, a))
             if (gv is None) != (gw is None):
                 return False, f"color-{a} edge mismatch at {v} / word {w}"

@@ -3,8 +3,8 @@
 An ``HPolytope`` is a list of rows ``coeffs . x <= rhs`` over Z^N, usually
 with the implicit constraint x >= 0.  ``lattice_points`` enumerates all its
 integer points inside a box that ``certified_box`` proves from the rows
-alone; everything downstream (Minkowski sums, support functions,
-membership) works on the resulting ``PointSet``.
+alone; everything downstream (Minkowski sums, membership) works on the
+resulting ``PointSet``.
 
 All arithmetic is exact: Python integers only, no floats, no epsilons.
 """
@@ -223,12 +223,3 @@ def sumset(A: PointSet, B: PointSet) -> PointSet:
         (tuple(u + v for u, v in zip(a, b)) for a in A for b in B), dim=A.dim
     )
 
-
-def support(A: PointSet, d: Sequence[int]) -> int:
-    """Support function: max over a in A of d . a."""
-    if len(A) == 0:
-        raise ValueError("support of an empty set")
-    d = tuple(d)
-    if len(d) != A.dim:
-        raise ValueError("direction has wrong dimension")
-    return max(sum(c * v for c, v in zip(d, a)) for a in A)

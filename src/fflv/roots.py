@@ -14,7 +14,9 @@ roots containing k first.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -35,16 +37,23 @@ def num_roots(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def positive_roots(n: int) -> list[Root]:
-    """All alpha_{i,j} for 1 <= i <= j <= n, lexicographic by (i, j)."""
+@cache
+def _canonical_roots(n: int) -> tuple[Root, ...]:
+    """The per-rank table behind ``positive_roots`` and ``root_index``."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return [Root(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return tuple(Root(i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
-def root_index(n: int) -> dict[Root, int]:
-    """Position of every root in the canonical order."""
-    return {r: p for p, r in enumerate(positive_roots(n))}
+def positive_roots(n: int) -> list[Root]:
+    """All alpha_{i,j} for 1 <= i <= j <= n, lexicographic by (i, j)."""
+    return list(_canonical_roots(n))
+
+
+@cache
+def root_index(n: int) -> Mapping[Root, int]:
+    """Position of every root in the canonical order (read-only, one per rank)."""
+    return MappingProxyType({r: p for p, r in enumerate(_canonical_roots(n))})
 
 
 def is_reduced(word: Sequence[int], n: int | None = None) -> bool:
@@ -163,30 +172,6 @@ def random_reduced_word(n: int, rng: random.Random) -> Word:
     return tuple(acc)
 
 
-def cmp_oplex(a: Sequence[int], b: Sequence[int]) -> int:
-    """Opposite-lexicographic comparison: +1 if a > b, -1 if b > a, 0 if equal.
-
-    At the leftmost index where the vectors differ, the smaller entry wins.
-    """
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
-def cmp_roplex(a: Sequence[int], b: Sequence[int]) -> int:
-    """Right-opposite-lexicographic comparison; the same rule applied at the
-    rightmost differing index."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
 def fundamental_weight(n: int, k: int) -> tuple[int, ...]:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -212,7 +197,7 @@ def weight_of_point(lam: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
     if len(x) != num_roots(n):
         raise ValueError("point has wrong dimension for this weight")
     wt = list(weight_mu(lam))
-    for r, v in zip(positive_roots(n), x):
+    for r, v in zip(_canonical_roots(n), x):
         if v:
             wt[r.i - 1] -= v
             wt[r.j] += v

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, lattice_points
 from .roots import (
@@ -90,12 +90,21 @@ class Tiling:
 
     def __post_init__(self) -> None:
         self._by_root = {tile.root: tile for tile in self.tiles}
+        # (a, b) -> label of the one edge tiles a and b share, both orders
+        self.shared_label: dict[tuple[int, int], int] = {}
         nbrs: dict[int, set[int]] = {tile.id: set() for tile in self.tiles}
-        for inc in self.incidence.values():
+        for e, inc in self.incidence.items():
             for a in inc:
                 for b in inc:
-                    if a.id != b.id:
-                        nbrs[a.id].add(b.id)
+                    if a.id == b.id:
+                        continue
+                    if (a.id, b.id) in self.shared_label:
+                        raise RuntimeError(
+                            f"tiles {a.id} and {b.id} share more than one edge "
+                            f"(word {self.word})"
+                        )
+                    self.shared_label[(a.id, b.id)] = e.label
+                    nbrs[a.id].add(b.id)
         self.neighbors = {
             tid: tuple(self.tiles[j] for j in sorted(ids)) for tid, ids in nbrs.items()
         }
@@ -112,9 +121,6 @@ class PeelOrder:
     layer: dict[int, int]  # tile id -> layer (1-based)
     num_layers: int
 
-    def ascending(self, a: Tile, b: Tile) -> bool:
-        return self.layer[a.id] < self.layer[b.id]
-
 
 @dataclass(frozen=True)
 class DualCrossing:
@@ -124,9 +130,6 @@ class DualCrossing:
     # per tile: the strip label it is entered / left through; equal entries
     # mean an interior tile of that strip, distinct entries a turning tile
     entering_leaving: tuple[tuple[int, int], ...]
-
-    def is_comb(self) -> bool:
-        return self.strip_sequence == (self.s, self.s + 1)
 
 
 def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
@@ -216,9 +219,21 @@ def strip(T: Tiling, t: int) -> Strip:
         nxt = [x for x in T.incidence[e] if x is not prev]
         if not nxt:
             break
-        (tile,) = nxt
+        if len(nxt) != 1:
+            after = "the left boundary" if prev is None else f"tile {prev.id}"
+            raise RuntimeError(
+                f"strip {t}: edge {e.id} after {after} borders "
+                f"{len(nxt)} further tiles, expected 1"
+            )
+        tile = nxt[0]
         chain.append(tile)
-        (e,) = [d for d in tile.all_edges if d.label == t and d != e]
+        ahead = [d for d in tile.all_edges if d.label == t and d != e]
+        if len(ahead) != 1:
+            raise RuntimeError(
+                f"strip {t}: tile {tile.id} has {len(ahead)} other edges "
+                f"labelled {t}, expected 1"
+            )
+        e = ahead[0]
         prev = tile
     if len(chain) != T.m - 1:
         raise RuntimeError(f"strip {t} has {len(chain)} tiles, expected {T.m - 1}")
@@ -235,36 +250,41 @@ def peel_order(T: Tiling, s: int) -> PeelOrder:
 
     Layer 1 is every tile meeting the window in exactly two of its four
     edges; peeling swaps those edges for the tiles' other two and repeats.
-    All tiles of a layer are peeled simultaneously.
+    All tiles of a layer are peeled simultaneously.  Each tile's count of
+    border edges is taken once and then kept current through the incidence
+    of every edge a peel flips.
     """
     m = T.m
     if not 1 <= s <= 2 * m:
         raise ValueError(f"peel index {s} out of range [1, {2 * m}]")
     cyc = boundary_cycle(T)
     B = {cyc[(m + s + j - 1) % (2 * m)] for j in range(1, m + 1)}
+    on_border = [0] * len(T.tiles)
+    for e in B:
+        for tile in T.incidence[e]:
+            on_border[tile.id] += 1
     layer: dict[int, int] = {}
-    remaining = set(range(len(T.tiles)))
+    remaining = list(range(len(T.tiles)))
     level = 0
     while remaining:
         level += 1
-        ready = [
-            tid
-            for tid in sorted(remaining)
-            if sum(1 for e in T.tiles[tid].all_edges if e in B) == 2
-        ]
+        ready = [tid for tid in remaining if on_border[tid] == 2]
         if not ready:
             raise PeelStallError(
                 f"peeling stalled at layer {level}, s={s}, word {T.word}"
             )
         for tid in ready:
-            tile = T.tiles[tid]
-            for e in tile.all_edges:
+            for e in T.tiles[tid].all_edges:
                 if e in B:
                     B.discard(e)
+                    delta = -1
                 else:
                     B.add(e)
+                    delta = 1
+                for other in T.incidence[e]:
+                    on_border[other.id] += delta
             layer[tid] = level
-            remaining.discard(tid)
+        remaining = [tid for tid in remaining if tid not in layer]
     return PeelOrder(s=s, layer=layer, num_layers=level)
 
 
@@ -281,18 +301,20 @@ def _assemble_crossing(
     """
     between = [s]
     for g1, g2 in zip(tiles, tiles[1:]):
-        shared = set(g1.all_edges) & set(g2.all_edges)
-        if len(shared) != 1:
-            raise RuntimeError(f"adjacent tiles share {len(shared)} edges, not 1")
-        between.append(shared.pop().label)
+        label = T.shared_label.get((g1.id, g2.id))
+        if label is None:
+            raise RuntimeError(
+                f"consecutive tiles {g1.id} and {g2.id} share 0 edges, not 1"
+            )
+        between.append(label)
     between.append(s + 1)
 
     roles: list[tuple[int, int]] = []
     for tile, enter, leave in zip(tiles, between, between[1:]):
         if enter == leave:
-            if enter not in tile.labels:
+            if enter != tile.s and enter != tile.t:
                 return None
-        elif {enter, leave} != set(tile.labels):
+        elif (enter, leave) != (tile.s, tile.t) and (leave, enter) != (tile.s, tile.t):
             return None
         roles.append((enter, leave))
 
@@ -308,29 +330,54 @@ def _assemble_crossing(
 def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     """All dual s-crossings: peel-ascending neighbour sequences from the last
     tile of strip s to the last tile of strip s+1, with a consistent strip
-    sequence."""
+    sequence.
+
+    The depth-first search enters only tiles from which the end tile is
+    reachable along ascending layers, found by one backward pass over the
+    peel layers; every pruned subtree holds no path to the end tile, so the
+    crossings and their order are those of the full search.
+    """
     if not 1 <= s <= T.n:
         raise ValueError(f"need 1 <= s <= {T.n}, got {s}")
-    po = peel_order(T, T.m + s)
+    layer = peel_order(T, T.m + s).layer
     start = strip(T, s).tiles[-1]
     end = strip(T, s + 1).tiles[-1]
+
+    # tile id -> its ascending neighbours that reach the end tile, kept
+    # only for tiles that reach it themselves
+    steps: dict[int, list[Tile]] = {end.id: []}
+    for tid in sorted(layer, key=layer.get, reverse=True):
+        ahead = [
+            nb for nb in T.neighbors[tid]
+            if nb.id in steps and layer[nb.id] > layer[tid]
+        ]
+        if ahead:
+            steps[tid] = ahead
     out: list[DualCrossing] = []
-
-    def rec(path: list[Tile]) -> None:
-        cur = path[-1]
-        if cur.id == end.id:
-            cr = _assemble_crossing(T, s, tuple(path))
-            if cr is not None:
-                out.append(cr)
-            return
-        for nb in T.neighbors[cur.id]:
-            if po.ascending(cur, nb):
-                path.append(nb)
-                rec(path)
-                path.pop()
-
-    rec([start])
+    if start.id in steps:
+        _extend_paths(T, s, steps, end.id, [start], out)
     return out
+
+
+def _extend_paths(
+    T: Tiling,
+    s: int,
+    steps: dict[int, list[Tile]],
+    end_id: int,
+    path: list[Tile],
+    out: list[DualCrossing],
+) -> None:
+    """One node of the crossing search: close the path at the end tile, or
+    extend it by every step in order."""
+    if path[-1].id == end_id:
+        cr = _assemble_crossing(T, s, tuple(path))
+        if cr is not None:
+            out.append(cr)
+        return
+    for nb in steps[path[-1].id]:
+        path.append(nb)
+        _extend_paths(T, s, steps, end_id, path, out)
+        path.pop()
 
 
 def reineke_filter(crossings: list[DualCrossing]) -> list[DualCrossing]:
@@ -359,6 +406,19 @@ def reineke_filter(crossings: list[DualCrossing]) -> list[DualCrossing]:
     return kept
 
 
+def _crossing_row(
+    s: int, cr: DualCrossing, idx: Mapping[Root, int], dim: int
+) -> tuple[int, ...]:
+    """The coefficient vector of ``crossing_functional``, without its structure."""
+    coeffs = [0] * dim
+    for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving):
+        if tile.s <= s < tile.t:
+            coeffs[idx[tile.root]] = 1
+        elif enter == leave:
+            coeffs[idx[tile.root]] = -1
+    return tuple(coeffs)
+
+
 def crossing_functional(
     T: Tiling, s: int, cr: DualCrossing
 ) -> tuple[tuple[int, ...], list[dict]]:
@@ -369,23 +429,18 @@ def crossing_functional(
     0 on turning tiles with epsilon -1.
     """
     idx = root_index(T.n)
-    coeffs = [0] * num_roots(T.n)
-    structure: list[dict] = []
-    for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving):
-        eps = 1 if (tile.s <= s and tile.t >= s + 1) else -1
-        turning = enter != leave
-        c = 1 if eps == 1 else (0 if turning else -1)
-        coeffs[idx[tile.root]] = c
-        structure.append(
-            {
-                "labels": tile.labels,
-                "root": tuple(tile.root),
-                "epsilon": eps,
-                "turning": turning,
-                "coeff": c,
-            }
-        )
-    return tuple(coeffs), structure
+    coeffs = _crossing_row(s, cr, idx, num_roots(T.n))
+    structure = [
+        {
+            "labels": tile.labels,
+            "root": tuple(tile.root),
+            "epsilon": 1 if tile.s <= s < tile.t else -1,
+            "turning": enter != leave,
+            "coeff": coeffs[idx[tile.root]],
+        }
+        for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving)
+    ]
+    return coeffs, structure
 
 
 def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) -> HPolytope:
@@ -403,16 +458,17 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     if any(v < 0 for v in lam):
         raise ValueError(f"weight must be dominant: {lam}")
     T = build_tiling(word, n)
+    idx = root_index(n)
+    dim = num_roots(n)
     rows: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple] = set()
     for s in range(1, n + 1):
         for cr in reineke_filter(dual_crossings(T, s)):
-            coeffs, _ = crossing_functional(T, s, cr)
-            key = (coeffs, lam[s - 1])
+            key = (_crossing_row(s, cr, idx, dim), lam[s - 1])
             if key not in seen:
                 seen.add(key)
                 rows.append(key)
-    return HPolytope(dim=num_roots(n), rows=tuple(rows), nonneg=True)
+    return HPolytope(dim=dim, rows=tuple(rows), nonneg=True)
 
 
 def lusztig_points(

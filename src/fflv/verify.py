@@ -20,8 +20,8 @@ from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
 from .polytope import PointSet, contains, sumset
 from .roots import Root, all_reduced_words, ik_word, num_roots, root_index
 from .tiling import (
+    _crossing_row,
     build_tiling,
-    crossing_functional,
     dual_crossings,
     lusztig_points,
     reineke_filter,
@@ -225,7 +225,7 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
 
     restricted: set[frozenset[Root]] = set()
     for cr in kept:
-        coeffs, _ = crossing_functional(T, k, cr)
+        coeffs = _crossing_row(k, cr, idx, len(roots))
         bad = [
             str(r)
             for r, c in zip(roots, coeffs)

@@ -98,3 +98,67 @@ def grid_path_supports(k, n):
 
     rec(1, k, set())
     return out
+
+
+def support(points, d):
+    """Support function max over a in points of d . a; ValueError when empty."""
+    points = list(points)
+    if not points:
+        raise ValueError("support of an empty set")
+    if any(len(a) != len(d) for a in points):
+        raise ValueError("direction has wrong dimension")
+    return max(sum(c * v for c, v in zip(d, a)) for a in points)
+
+
+def recount_peel_layers(T, s):
+    """Peel layers of window s, re-counting every remaining tile's border
+    edges at every layer; None if peeling stalls.
+
+    T is a tiling object (tiles with all_edges, left/right boundaries); the
+    window is b_{m+s+1} .. b_{2m+s} of the boundary cycle.
+    """
+    m = T.m
+    cyc = list(T.left_boundary) + list(T.right_boundary)
+    border = {cyc[(m + s + j - 1) % (2 * m)] for j in range(1, m + 1)}
+    edges = [set(tile.all_edges) for tile in T.tiles]
+    layer = {}
+    remaining = set(range(len(T.tiles)))
+    level = 0
+    while remaining:
+        level += 1
+        ready = [tid for tid in sorted(remaining) if len(edges[tid] & border) == 2]
+        if not ready:
+            return None
+        for tid in ready:
+            border ^= edges[tid]
+            layer[tid] = level
+            remaining.discard(tid)
+    return layer
+
+
+def ascending_neighbour_paths(T, layer, start, end):
+    """Every path start -> end through edge-sharing tiles whose layers rise
+    strictly, in depth-first order over neighbours sorted by tile id.
+
+    Neighbours are recomputed from the tiles' edge sets; nothing is pruned.
+    """
+    edges = [set(tile.all_edges) for tile in T.tiles]
+    nbrs = [
+        [b for b in range(len(T.tiles)) if b != a and edges[a] & edges[b]]
+        for a in range(len(T.tiles))
+    ]
+    out = []
+
+    def rec(path):
+        cur = path[-1]
+        if cur == end:
+            out.append(tuple(path))
+            return
+        for nb in nbrs[cur]:
+            if layer[nb] > layer[cur]:
+                path.append(nb)
+                rec(path)
+                path.pop()
+
+    rec([start])
+    return out

@@ -5,8 +5,6 @@ import random
 from fflv.roots import (
     Root,
     all_reduced_words,
-    cmp_oplex,
-    cmp_roplex,
     fundamental_weight,
     ik_word,
     is_reduced,
@@ -143,38 +141,6 @@ def test_random_reduced_word():
         for _ in range(30):
             w = random_reduced_word(n, rng)
             assert is_reduced(w, n)
-
-
-def test_cmp_oplex_frozen():
-    # at the leftmost difference the SMALLER entry wins
-    assert cmp_oplex((0, 2), (1, 0)) == 1
-    assert cmp_oplex((1, 0), (0, 2)) == -1
-    assert cmp_oplex((1, 1), (1, 1)) == 0
-    assert cmp_oplex((1, 0, 5), (1, 2, 0)) == 1
-
-
-def test_cmp_roplex_frozen():
-    assert cmp_roplex((5, 0), (0, 1)) == 1
-    assert cmp_roplex((0, 1), (5, 0)) == -1
-    assert cmp_roplex((2, 2), (2, 2)) == 0
-    assert cmp_roplex((0, 1, 1), (9, 0, 1)) == -1
-
-
-def test_cmp_orders_are_total_orders():
-    rng = random.Random(7)
-    vecs = [tuple(rng.randrange(4) for _ in range(5)) for _ in range(40)]
-    for cmp in (cmp_oplex, cmp_roplex):
-        for a in vecs:
-            assert cmp(a, a) == 0
-            for b in vecs:
-                assert cmp(a, b) == -cmp(b, a)  # antisymmetry
-                assert (cmp(a, b) == 0) == (a == b)
-        # transitivity via consistency with a sort key: descending in these
-        # orders is ascending in the plain (or reversed) lex order
-        key = {cmp_oplex: lambda v: v, cmp_roplex: lambda v: tuple(reversed(v))}[cmp]
-        ranked = sorted(vecs, key=key)
-        for a, b in zip(ranked, ranked[1:]):
-            assert cmp(a, b) >= 0
 
 
 def test_weight_mu():

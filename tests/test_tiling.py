@@ -4,6 +4,7 @@ The small frozen cases ((1,2,1), (2,1,2), i^2 at n=3) were worked out by
 hand; they pin every orientation convention in the module.
 """
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -142,6 +143,52 @@ def test_strips_structure():
             assert T.tiles[cid].labels == (t, u)
 
 
+def _expect_runtime_error(action, *fragments):
+    try:
+        action()
+    except RuntimeError as exc:
+        for fragment in fragments:
+            assert fragment in str(exc), (fragment, str(exc))
+    else:
+        raise AssertionError("a corrupt tiling must raise RuntimeError")
+
+
+def test_strip_rejects_a_fork_in_the_incidence():
+    # the edge leaving the first tile of strip 2 also claims a third tile
+    T = build_tiling(lexmin_word(3))
+    first, second = strip(T, 2).tiles[:2]
+    (exit_edge,) = set(first.all_edges) & set(second.all_edges)
+    stray = next(x for x in T.tiles if x not in (first, second))
+    T.incidence[exit_edge] = (first, second, stray)
+    _expect_runtime_error(
+        lambda: strip(T, 2), "strip 2", f"tile {first.id}", "2 further tiles"
+    )
+
+
+def test_strip_rejects_a_tile_without_the_label():
+    # the walk along strip 2 is led into a tile that does not carry label 2
+    T = build_tiling(lexmin_word(3))
+    first, second = strip(T, 2).tiles[:2]
+    (exit_edge,) = set(first.all_edges) & set(second.all_edges)
+    alien = next(x for x in T.tiles if 2 not in x.labels)
+    T.incidence[exit_edge] = (first, alien)
+    _expect_runtime_error(
+        lambda: strip(T, 2), "strip 2", f"tile {alien.id}", "0 other edges labelled 2"
+    )
+
+
+def test_tiles_sharing_two_edges_are_rejected():
+    T = build_tiling(lexmin_word(3))
+    a, b = (T.tiles[i] for i in next(iter(T.shared_label)))
+    second = next(e for e in a.all_edges if b not in T.incidence[e])
+    incidence = dict(T.incidence)
+    incidence[second] = (a, b)
+    _expect_runtime_error(
+        lambda: dataclasses.replace(T, incidence=incidence),
+        f"tiles {a.id} and {b.id} share more than one edge",
+    )
+
+
 def test_peel_frozen_121():
     T = build_tiling((1, 2, 1))
     po = peel_order(T, 4)
@@ -250,7 +297,10 @@ def test_comb_exists_everywhere():
     for word in all_reduced_words(3):
         T = build_tiling(word)
         for s in range(1, 4):
-            combs = [cr for cr in dual_crossings(T, s) if cr.is_comb()]
+            combs = [
+                cr for cr in dual_crossings(T, s)
+                if cr.strip_sequence == (s, s + 1)
+            ]
             assert len(combs) == 1
             assert combs[0] in reineke_filter(dual_crossings(T, s))
 
@@ -279,7 +329,7 @@ def test_crossings_contained_in_comb_outside_rectangle():
         for k in range(1, n + 1):
             T = build_tiling(ik_word(n, k))
             crs = dual_crossings(T, k)
-            (comb,) = [cr for cr in crs if cr.is_comb()]
+            (comb,) = [cr for cr in crs if cr.strip_sequence == (k, k + 1)]
             comb_out = {
                 t.id for t in comb.tiles if not (t.s <= k and t.t >= k + 1)
             }
@@ -361,3 +411,42 @@ def test_tiling_json_and_svg():
     svg = tiling_to_svg(T)
     assert svg.startswith("<svg") and svg.count("<polygon") == 6
     assert svg == tiling_to_svg(build_tiling(lexmin_word(3)))  # deterministic
+
+
+def test_tiling_layers_match_the_unpruned_oracles():
+    """Incremental peeling, the pruned crossing search and the shared-label
+    table reproduce the recount-every-layer peeling and the full neighbour
+    path enumeration: same layers, crossings and H-rows, in the same order."""
+    rng = random.Random(20261018)
+    words = [w for n in (1, 2, 3, 4) for w in all_reduced_words(n)]
+    words += [random_reduced_word(n, rng) for n in (5, 6) for _ in range(20)]
+    assert len(words) == 1 + 2 + 16 + 768 + 40
+    for word in words:
+        n = max(word)
+        T = build_tiling(word)
+        edges = [set(tile.all_edges) for tile in T.tiles]
+        for a, b in combinations(range(len(T.tiles)), 2):
+            shared = [e.label for e in edges[a] & edges[b]]
+            assert shared == ([T.shared_label[a, b]] if (a, b) in T.shared_label else [])
+            assert T.shared_label.get((b, a)) == T.shared_label.get((a, b))
+        layers = {}
+        for s in range(1, 2 * T.m + 1):
+            po = peel_order(T, s)
+            layers[s] = oracles.recount_peel_layers(T, s)
+            assert list(po.layer.items()) == list(layers[s].items())
+            assert po.num_layers == max(po.layer.values())
+        lam = tuple(range(1, n + 1))
+        rows = []
+        for s in range(1, n + 1):
+            start, end = strip(T, s).tiles[-1].id, strip(T, s + 1).tiles[-1].id
+            candidates = [
+                _assemble_crossing(T, s, tuple(T.tiles[i] for i in path))
+                for path in oracles.ascending_neighbour_paths(T, layers[T.m + s], start, end)
+            ]
+            crossings = [cr for cr in candidates if cr is not None]
+            assert dual_crossings(T, s) == crossings
+            for cr in reineke_filter(crossings):
+                row = (crossing_functional(T, s, cr)[0], lam[s - 1])
+                if row not in rows:
+                    rows.append(row)
+        assert list(lusztig_hrep(word, lam).rows) == rows
