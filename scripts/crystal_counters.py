@@ -1,0 +1,80 @@
+"""Deterministic crystal-layer counters for one pass of the benchmark's
+``crystal`` workload.
+
+    python3 scripts/crystal_counters.py [--seed 1]
+
+Runs every case of ``perfbench/workloads.py``'s ``crystal`` list once, with
+a profile hook on ``fflv/crystal.py`` and ``fflv/roots.py`` that counts,
+without touching the library:
+
+* ``search_nodes``: ticks of the exhaustive search's budget (``tick``
+  calls);
+* ``pairings``: complete selections the exhaustive search assembled and
+  sent to the validators (``_is_crystal`` calls made from ``_crystals``);
+* ``iso_report_calls``, ``local_axiom_calls``: ``_iso_report`` and
+  ``check_local_axioms`` calls, from the searches and from the workload's
+  own checks;
+* ``weight_calls``: ``weight_of_point`` calls.
+
+Prints one JSON object.  The counts repeat exactly for a given seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from fflv import crystal, roots  # noqa: E402
+import workloads  # noqa: E402
+
+
+def count(seed: int) -> dict:
+    counts = dict.fromkeys(
+        ("search_nodes", "pairings", "iso_report_calls", "local_axiom_calls",
+         "weight_calls"), 0
+    )
+    sources = {crystal.__file__, roots.__file__}
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or code.co_filename not in sources:
+            return
+        name = code.co_name
+        if name == "tick":
+            counts["search_nodes"] += 1
+        elif name == "_is_crystal" and frame.f_back.f_code.co_name == "_crystals":
+            counts["pairings"] += 1
+        elif name == "_iso_report":
+            counts["iso_report_calls"] += 1
+        elif name == "check_local_axioms":
+            counts["local_axiom_calls"] += 1
+        elif name == "weight_of_point":
+            counts["weight_calls"] += 1
+
+    cases = workloads.crystal_cases(seed)
+    sys.setprofile(hook)
+    try:
+        for case in cases:
+            case.run()
+    finally:
+        sys.setprofile(None)
+    return {"seed": seed, "cases": len(cases), **counts}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    args = ap.parse_args()
+    result = count(args.seed)
+    if result["search_nodes"] == 0:
+        raise SystemExit(f"error: no search-node ticks in {crystal.__file__}")
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()

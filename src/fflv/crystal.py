@@ -8,9 +8,12 @@ Four layers:
 * two validators -- a reconstructed Stembridge-style local-axiom check and
   the normative isomorphism check against an independent tensor-word
   oracle crystal;
-* a search over edge selections from PB_n(lambda) (greedy by a
-  sigma-preference, or exhaustive with budgeted backtracking) hunting for
-  the conjectured n! crystal structures.
+* a search over edge selections from PB_n(lambda) hunting for the
+  conjectured n! crystal structures: greedy by a sigma-preference, or
+  exhaustive by one budgeted backtracking engine that grows the
+  isomorphism with the word oracle from the highest weight and branches
+  only over candidate targets that fit it; every graph it assembles still
+  passes both validators.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ class CrystalGraph:
     lam: tuple[int, ...]
     vertices: PointSet
     edges: frozenset[EdgeT]
-    # optional explicit weights (used when vertices are not lattice points,
-    # e.g. the oracle's words); default is the content of the point
+    # optional explicit weights: the oracle's words (not lattice points) or
+    # a search's table computed once per point; default is the weight of
+    # the point
     weights: dict[Point, tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False
     )
@@ -606,8 +610,8 @@ class SearchResult:
     graphs: list[CrystalGraph]
     complete: bool
     mode: str
-    nodes: int          # backtracking nodes visited
-    selections: int     # full selections assembled and validated
+    nodes: int          # search-engine nodes visited
+    selections: int     # complete pairings assembled and validated
     budget: int
 
 
@@ -617,76 +621,27 @@ class _Budget:
         self.nodes = 0
         self.selections = 0
 
-    def tick(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def tick(self) -> None:
+        self.nodes += 1
         if self.nodes > self.limit:
             raise BudgetExceeded
 
 
-def _color_selections(
-    n: int,
-    lam: tuple[int, ...],
+def _greedy_color_choice(
     pts: PointSet,
     a: int,
     cand: dict[tuple[Point, int], list[CandidateEdge]],
-    budget: _Budget,
-) -> list[dict[Point, Point | None]]:
-    """All ways to pick <=1 outgoing color-a candidate per vertex that are
-    consistent with some decomposition into strings.
+    sigma_pos: dict[int, int],
+    weights: dict[Point, tuple[int, ...]],
+) -> dict[Point, Point | None] | None:
+    """One deterministic color-a selection, or None on a dead end.
 
     Vertices are processed by descending <wt, alpha_a^vee>, so each vertex's
     incoming edge is settled before the vertex itself: a vertex with string
     position (eps, phi) must take an outgoing edge iff phi > 0, and
     phi = pairing + eps can never be negative.
     """
-    pairing = {v: _pairing(weight_of_point(lam, v), a) for v in pts}
-    verts = sorted(pts, key=lambda v: (-pairing[v], v))
-    results: list[dict[Point, Point | None]] = []
-    choice: dict[Point, Point | None] = {}
-    eps: dict[Point, int] = {}
-    taken: set[Point] = set()
-
-    def rec(i: int) -> None:
-        budget.tick()
-        if i == len(verts):
-            results.append(dict(choice))
-            return
-        v = verts[i]
-        ev = eps.get(v, 0)
-        phi = pairing[v] + ev
-        if phi < 0:
-            return
-        if phi == 0:
-            choice[v] = None
-            rec(i + 1)
-            del choice[v]
-            return
-        for ce in cand[(v, a)]:
-            t = ce.target
-            if t in taken:
-                continue
-            taken.add(t)
-            eps[t] = ev + 1
-            choice[v] = t
-            rec(i + 1)
-            del choice[v]
-            del eps[t]
-            taken.discard(t)
-
-    rec(0)
-    return results
-
-
-def _greedy_color_choice(
-    n: int,
-    lam: tuple[int, ...],
-    pts: PointSet,
-    a: int,
-    cand: dict[tuple[Point, int], list[CandidateEdge]],
-    sigma_pos: dict[int, int],
-) -> dict[Point, Point | None] | None:
-    """One deterministic color-a selection, or None on a dead end."""
-    pairing = {v: _pairing(weight_of_point(lam, v), a) for v in pts}
+    pairing = {v: _pairing(weights[v], a) for v in pts}
     verts = sorted(pts, key=lambda v: (-pairing[v], v))
     choice: dict[Point, Point | None] = {}
     eps: dict[Point, int] = {}
@@ -713,19 +668,25 @@ def _greedy_color_choice(
 
 
 def _graph_from_choices(
-    n: int, lam: tuple[int, ...], pts: PointSet, per_color: Sequence[dict]
+    n: int,
+    lam: tuple[int, ...],
+    pts: PointSet,
+    per_color: Sequence[dict],
+    weights: dict[Point, tuple[int, ...]],
 ) -> CrystalGraph:
     edges = set()
     for a, choice in enumerate(per_color, start=1):
         for v, t in choice.items():
             if t is not None:
                 edges.add((v, a, t))
-    return CrystalGraph(n=n, lam=lam, vertices=pts, edges=frozenset(edges))
+    return CrystalGraph(
+        n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
+    )
 
 
 def _is_crystal(g: CrystalGraph, W: WordCrystal) -> bool:
-    """Both validators; the oracle pairing runs first because it rejects
-    almost every selection cheaply."""
+    """Both validators; the oracle pairing runs first because it is the
+    cheaper of the two."""
     return _iso_report(g, W)[0] and check_local_axioms(g)["passed"]
 
 
@@ -736,19 +697,84 @@ def _crystals(
     cand: dict[tuple[Point, int], list[CandidateEdge]],
     W: WordCrystal,
     budget: _Budget,
+    weights: dict[Point, tuple[int, ...]],
 ) -> Iterator[CrystalGraph]:
-    """The combinations of per-color string decompositions that are
-    crystals, in product order; each assembled selection ticks the budget
-    and counts in ``budget.selections``."""
-    per_color = [
-        _color_selections(n, lam, pts, a, cand, budget) for a in range(1, n + 1)
-    ]
-    for combo in itertools.product(*per_color):
+    """The edge selections from ``cand`` that are crystals isomorphic to W,
+    by one backtracking search that builds the isomorphism as it goes.
+
+    The vertex of highest weight is paired with ``W.highest``; paired
+    vertices are then visited in the order they were paired, each in color
+    order.  At a vertex v paired with word w, color a gets no edge when
+    f_a(w) is undefined; otherwise the search branches over the distinct
+    candidate targets that fit the oracle: the vertex already paired with
+    f_a(w), or, while f_a(w) is unpaired, an unpaired target of weight
+    content(f_a(w)), which is then paired with it.  A pairing that covers
+    every vertex is assembled and still passes both validators.  Every
+    step (one color at one vertex) ticks the budget; every assembled
+    pairing counts in ``budget.selections``.  Graphs come in depth-first
+    order and are pairwise distinct.
+    """
+    if len(pts) != len(W.vertices):
+        return
+    content = {w: W.content(w) for w in W.vertices}
+    tops = [v for v in pts if weights[v] == content[W.highest]]
+    if len(tops) != 1:
+        return
+    word = {tops[0]: W.highest}    # vertex -> paired word
+    vertex = {W.highest: tops[0]}  # word -> paired vertex
+    order = [tops[0]]              # paired vertices, in pairing order
+    edges: list[EdgeT] = []
+    # choice points: (step, untried targets last-first, len(edges), len(order))
+    stack: list[tuple[int, list[Point], int, int]] = []
+    step = 0  # color step % n + 1 at vertex order[step // n]
+    while True:
         budget.tick()
-        budget.selections += 1
-        g = _graph_from_choices(n, lam, pts, combo)
-        if _is_crystal(g, W):
-            yield g
+        i, a = divmod(step, n)
+        a += 1
+        if i < len(order):
+            v = order[i]
+            fw = W._f.get((word[v], a))
+            if fw is None:
+                step += 1
+                continue
+            owner = vertex.get(fw)
+            targets = dict.fromkeys(ce.target for ce in cand[(v, a)])
+            if owner is not None:
+                fits = [owner] if owner in targets else []
+            else:
+                fits = [
+                    t for t in reversed(targets)
+                    if t not in word and weights[t] == content[fw]
+                ]
+            stack.append((step, fits, len(edges), len(order)))
+        elif len(order) == len(pts):
+            budget.selections += 1
+            g = CrystalGraph(
+                n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
+            )
+            if _is_crystal(g, W):
+                yield g
+        # resume at the newest choice point with a target left to try
+        while stack:
+            step, fits, n_edges, n_order = stack[-1]
+            del edges[n_edges:]
+            for t in order[n_order:]:
+                del vertex[word.pop(t)]
+            del order[n_order:]
+            if fits:
+                break
+            stack.pop()
+        else:
+            return
+        i, a = divmod(step, n)
+        v, t = order[i], fits.pop()
+        edges.append((v, a + 1, t))
+        if t not in word:
+            fw = W._f[(word[v], a + 1)]
+            word[t] = fw
+            vertex[fw] = t
+            order.append(t)
+        step += 1
 
 
 def conjecture_search(
@@ -760,13 +786,19 @@ def conjecture_search(
 ) -> SearchResult:
     """Hunt for crystal structures among selections from PB_n(lambda).
 
-    exhaustive: enumerate per-color string decompositions, combine, keep the
-    combinations that pass the oracle isomorphism and the local axioms;
-    deduplicate by edge set.  greedy: walk the same string discipline but
-    never backtrack -- at each vertex that must emit an edge, take the
-    candidate whose k comes first in sigma (then the smallest pivot);
-    the single selection is validated the same way.  A greedy walk that
-    dead-ends assembles no selection and reports complete=False.
+    exhaustive: one backtracking search pairs PB vertices with the words of
+    the oracle crystal B(lambda), highest weight first and breadth-first
+    from there, and at each vertex and color tries only the candidate
+    targets that fit the oracle's f_a, so a wrong choice dies one edge
+    after it is taken.  Every pairing that covers all vertices is assembled
+    and kept if it passes the oracle isomorphism and the local axioms;
+    ``nodes`` counts search steps (the budget ticks on them) and
+    ``selections`` the complete pairings validated.  greedy: per color,
+    walk the vertices by descending <wt, alpha_a^vee> and never backtrack
+    -- at each vertex that must emit an edge, take the candidate whose k
+    comes first in sigma (then the smallest pivot); the single selection
+    is validated the same way.  A greedy walk that dead-ends assembles no
+    selection and reports complete=False.
     """
     lam = tuple(lam)
     if sigma is None:
@@ -777,20 +809,21 @@ def conjecture_search(
     if mode not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     pts = fflv_points(n, lam)
+    weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)
     sigma_pos = {k: i for i, k in enumerate(sigma)}
 
     if mode == "greedy":
         choices = []
         for a in range(1, n + 1):
-            choice = _greedy_color_choice(n, lam, pts, a, cand, sigma_pos)
+            choice = _greedy_color_choice(pts, a, cand, sigma_pos, weights)
             if choice is None:
                 return SearchResult(
                     graphs=[], complete=False, mode="greedy",
                     nodes=0, selections=0, budget=budget,
                 )
             choices.append(choice)
-        g = _graph_from_choices(n, lam, pts, choices)
+        g = _graph_from_choices(n, lam, pts, choices, weights)
         return SearchResult(
             graphs=[g] if _is_crystal(g, word_oracle(n, lam)) else [],
             complete=True,
@@ -805,7 +838,7 @@ def conjecture_search(
     graphs: list[CrystalGraph] = []
     seen: set[frozenset[EdgeT]] = set()
     try:
-        for g in _crystals(n, lam, pts, cand, word_oracle(n, lam), tracker):
+        for g in _crystals(n, lam, pts, cand, word_oracle(n, lam), tracker, weights):
             if g.edges not in seen:
                 seen.add(g.edges)
                 graphs.append(g)
@@ -834,6 +867,7 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
         raise ValueError(f"bad arguments n={n}, k={k}, r={r}")
     lam = tuple(r if t == k else 0 for t in range(1, n + 1))
     pts = fflv_points(n, lam)
+    weights = {v: weight_of_point(lam, v) for v in pts}
     cand = {
         key: [ce for ce in ces if ce.k == k]
         for key, ces in _candidate_map(n, pts).items()
@@ -845,6 +879,7 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
             for ces in cand.values()
             if ces
         )
-        return _is_crystal(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W)
-    found = _crystals(n, lam, pts, cand, W, _Budget(10_000_000))
+        forced = CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges, weights=weights)
+        return _is_crystal(forced, W)
+    found = _crystals(n, lam, pts, cand, W, _Budget(10_000_000), weights)
     return next(found, None) is not None

@@ -327,6 +327,18 @@ def _assemble_crossing(
     )
 
 
+def _last_tile(T: Tiling, t: int) -> Tile:
+    """The last tile of strip t: strip t leaves the tiling through the
+    right-boundary edge labelled t, so that edge borders exactly this tile."""
+    tiles = [tile for e in T.right_boundary if e.label == t for tile in T.incidence[e]]
+    if len(tiles) != 1:
+        raise RuntimeError(
+            f"strip {t}: the right-boundary edge labelled {t} borders "
+            f"{len(tiles)} tiles, expected 1"
+        )
+    return tiles[0]
+
+
 def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     """All dual s-crossings: peel-ascending neighbour sequences from the last
     tile of strip s to the last tile of strip s+1, with a consistent strip
@@ -340,8 +352,8 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     if not 1 <= s <= T.n:
         raise ValueError(f"need 1 <= s <= {T.n}, got {s}")
     layer = peel_order(T, T.m + s).layer
-    start = strip(T, s).tiles[-1]
-    end = strip(T, s + 1).tiles[-1]
+    start = _last_tile(T, s)
+    end = _last_tile(T, s + 1)
 
     # tile id -> its ascending neighbours that reach the end tile, kept
     # only for tiles that reach it themselves

@@ -162,3 +162,65 @@ def ascending_neighbour_paths(T, layer, start, end):
 
     rec([start])
     return out
+
+
+def product_search(n, pts, cand, weights, is_crystal):
+    """The product-then-filter crystal search: every color's string
+    decompositions, combined by Cartesian product, each combination kept
+    when is_crystal(edges) holds.  Returns the distinct edge sets, sorted.
+
+    cand maps (vertex, color) to candidate moves with a ``target``; weights
+    maps each vertex to its weight.  A color-a decomposition picks at most
+    one candidate target per vertex, targets pairwise distinct; vertices go
+    by descending <wt, alpha_a^vee>, and a vertex at string position
+    (eps, phi) takes an edge iff phi = <wt, alpha_a^vee> + eps > 0.
+    """
+
+    def color_selections(a):
+        pairing = {v: weights[v][a - 1] - weights[v][a] for v in pts}
+        verts = sorted(pts, key=lambda v: (-pairing[v], v))
+        results = []
+        choice = {}
+        eps = {}
+        taken = set()
+
+        def rec(i):
+            if i == len(verts):
+                results.append(dict(choice))
+                return
+            v = verts[i]
+            ev = eps.get(v, 0)
+            phi = pairing[v] + ev
+            if phi < 0:
+                return
+            if phi == 0:
+                choice[v] = None
+                rec(i + 1)
+                del choice[v]
+                return
+            for ce in cand[(v, a)]:
+                t = ce.target
+                if t in taken:
+                    continue
+                taken.add(t)
+                eps[t] = ev + 1
+                choice[v] = t
+                rec(i + 1)
+                del choice[v]
+                del eps[t]
+                taken.discard(t)
+
+        rec(0)
+        return results
+
+    found = set()
+    for combo in itertools.product(*(color_selections(a) for a in range(1, n + 1))):
+        edges = frozenset(
+            (v, a, t)
+            for a, choice in enumerate(combo, start=1)
+            for v, t in choice.items()
+            if t is not None
+        )
+        if is_crystal(edges):
+            found.add(edges)
+    return sorted(found, key=sorted)

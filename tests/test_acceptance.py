@@ -146,9 +146,21 @@ def test_criterion_8_conjecture_explorer():
         assert sl3_bgt(*lam).edges in found, lam
         assert sl3_blt(*lam).edges in found, lam
         counts[lam] = len(res.graphs)
-    # exploratory: the count is reported for comparison with n! = 2,
-    # not asserted as a theorem
-    print(f"criterion 8: PASS (valid-crystal counts {counts} vs conjectured n! = 2)")
+    # n = 3 and the larger n = 2 weight: every returned graph must pass
+    # both validators, the search must be complete
+    for n, lam in ((2, (3, 3)), (3, (1, 1, 1))):
+        res = conjecture_search(n, lam)
+        assert res.complete, (n, lam)
+        for g in res.graphs:
+            assert check_local_axioms(g)["passed"], (n, lam)
+            assert check_oracle_iso(g, lam), (n, lam)
+        counts[lam] = len(res.graphs)
+    # exploratory: the counts are reported for comparison with n! (2 at
+    # n = 2, 6 at n = 3), not asserted as a theorem
+    print(
+        f"criterion 8: PASS (valid-crystal counts {counts} "
+        f"vs conjectured n! = 2 at n = 2, 6 at n = 3)"
+    )
 
 
 def test_criterion_9_negative_paths():

@@ -5,6 +5,8 @@ from collections import Counter
 
 from fflv.crystal import (
     CrystalGraph,
+    _candidate_map,
+    _is_crystal,
     candidate_edges,
     check_local_axioms,
     check_oracle_iso,
@@ -19,6 +21,9 @@ from fflv.crystal import (
     word_oracle,
 )
 from fflv.fflv import fflv_points, weyl_dim
+from fflv.roots import weight_of_point
+
+import oracles
 
 
 def edge_set(color, pairs):
@@ -373,7 +378,7 @@ EXHAUSTIVE_101 = [
 
 
 def test_conjecture_exhaustive_frozen():
-    for lam, selections, nodes in (((1, 1), 4, 38), ((2, 1), 16, 136), ((2, 2), 576, 1798)):
+    for lam, selections, nodes in (((1, 1), 2, 30), ((2, 1), 2, 66), ((2, 2), 2, 137)):
         res = conjecture_search(2, lam)
         assert res.complete
         assert [g.edges for g in res.graphs] == [sl3_blt(*lam).edges, sl3_bgt(*lam).edges]
@@ -381,7 +386,83 @@ def test_conjecture_exhaustive_frozen():
     res = conjecture_search(3, (1, 0, 1))
     assert res.complete
     assert [g.edges for g in res.graphs] == EXHAUSTIVE_101
-    assert (res.selections, res.nodes) == (512, 904)
+    assert (res.selections, res.nodes) == (2, 82)
+
+
+def _product_crystals(n, lam, cand, pts):
+    """Crystal edge sets by the product-then-filter oracle, validated by the
+    library's validators on graphs that carry no weight table."""
+    W = word_oracle(n, lam)
+    weights = {v: weight_of_point(lam, v) for v in pts}
+    return oracles.product_search(
+        n, pts, cand, weights,
+        lambda edges: _is_crystal(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W),
+    )
+
+
+def test_engine_matches_product_search():
+    for n, lam in [(2, lam) for lam in ((1, 1), (2, 1), (2, 2), (4, 1), (1, 4), (1, 3))] + [
+        (3, (1, 0, 0)), (3, (0, 1, 0)), (3, (0, 0, 1)), (3, (1, 0, 1)), (3, (2, 0, 0)),
+    ]:
+        pts = fflv_points(n, lam)
+        res = conjecture_search(n, lam)
+        assert res.complete
+        assert [g.edges for g in res.graphs] == _product_crystals(
+            n, lam, _candidate_map(n, pts), pts
+        ), (n, lam)
+
+
+def test_fixed_k_matches_product_search():
+    for n in (1, 2, 3):
+        for k in range(1, n + 1):
+            for r in (1, 2):
+                lam = tuple(r if t == k else 0 for t in range(1, n + 1))
+                pts = fflv_points(n, lam)
+                cand = {
+                    key: [ce for ce in ces if ce.k == k]
+                    for key, ces in _candidate_map(n, pts).items()
+                }
+                if all(len(ces) <= 1 for ces in cand.values()):
+                    forced = frozenset(
+                        (ces[0].source, ces[0].a, ces[0].target) for ces in cand.values() if ces
+                    )
+                    expected = _is_crystal(
+                        CrystalGraph(n=n, lam=lam, vertices=pts, edges=forced),
+                        word_oracle(n, lam),
+                    )
+                else:
+                    expected = bool(_product_crystals(n, lam, cand, pts))
+                assert fixed_k_check(n, k, r) == expected, (n, k, r)
+
+
+def test_conjecture_budget_counts_engine_nodes():
+    assert conjecture_search(2, (2, 2)).nodes == 137
+    assert conjecture_search(2, (2, 2), budget=137).complete
+    res = conjecture_search(2, (2, 2), budget=136)
+    assert not res.complete
+    assert res.nodes == 137
+
+
+def test_weights_computed_once_per_point(monkeypatch):
+    import fflv.crystal as crystal
+
+    calls = Counter()
+
+    def counted(lam, x):
+        calls[x] += 1
+        return weight_of_point(lam, x)
+
+    monkeypatch.setattr(crystal, "weight_of_point", counted)
+    for run, n, lam in (
+        (lambda: conjecture_search(2, (2, 2)), 2, (2, 2)),
+        (lambda: conjecture_search(3, (1, 0, 1)), 3, (1, 0, 1)),
+        (lambda: conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy"), 2, (1, 1)),
+        (lambda: fixed_k_check(2, 1, 2), 2, (2, 0)),
+        (lambda: fixed_k_check(3, 2, 1), 3, (0, 1, 0)),
+    ):
+        calls.clear()
+        run()
+        assert calls == Counter(fflv_points(n, lam)), (n, lam)
 
 
 def test_work_done_once_per_call(monkeypatch):
@@ -397,7 +478,7 @@ def test_work_done_once_per_call(monkeypatch):
 
     monkeypatch.setattr(crystal, "fflv_points", counted("points", crystal.fflv_points))
     monkeypatch.setattr(crystal, "word_oracle", counted("oracle", crystal.word_oracle))
-    # the exhaustive (2,2) search validates its 576 selections against one oracle
+    # the exhaustive (2,2) search validates every pairing against one oracle
     for run, oracles in (
         (lambda: crystal.pb_graph(2, (2, 2)), 0),
         (lambda: crystal.candidate_map(2, (2, 2)), 0),

@@ -24,6 +24,7 @@ from fflv.roots import (
 from fflv.tiling import (
     PeelStallError,
     _assemble_crossing,
+    _last_tile,
     build_tiling,
     check_rectangle_support,
     crossing_functional,
@@ -174,6 +175,18 @@ def test_strip_rejects_a_tile_without_the_label():
     T.incidence[exit_edge] = (first, alien)
     _expect_runtime_error(
         lambda: strip(T, 2), "strip 2", f"tile {alien.id}", "0 other edges labelled 2"
+    )
+
+
+def test_dual_crossings_reject_a_right_boundary_edge_with_two_tiles():
+    # the right-boundary edge labelled 3 also claims a tile of another strip
+    T = build_tiling(lexmin_word(3))
+    (exit_edge,) = [e for e in T.right_boundary if e.label == 3]
+    (last,) = T.incidence[exit_edge]
+    stray = next(x for x in T.tiles if 3 not in x.labels)
+    T.incidence[exit_edge] = (last, stray)
+    _expect_runtime_error(
+        lambda: dual_crossings(T, 2), "strip 3", "labelled 3 borders 2 tiles"
     )
 
 
@@ -414,9 +427,10 @@ def test_tiling_json_and_svg():
 
 
 def test_tiling_layers_match_the_unpruned_oracles():
-    """Incremental peeling, the pruned crossing search and the shared-label
-    table reproduce the recount-every-layer peeling and the full neighbour
-    path enumeration: same layers, crossings and H-rows, in the same order."""
+    """Incremental peeling, the pruned crossing search, the shared-label
+    table and the last-tile lookup reproduce the recount-every-layer
+    peeling, the full neighbour path enumeration and the strip walks: same
+    layers, end tiles, crossings and H-rows, in the same order."""
     rng = random.Random(20261018)
     words = [w for n in (1, 2, 3, 4) for w in all_reduced_words(n)]
     words += [random_reduced_word(n, rng) for n in (5, 6) for _ in range(20)]
@@ -437,6 +451,8 @@ def test_tiling_layers_match_the_unpruned_oracles():
             assert po.num_layers == max(po.layer.values())
         lam = tuple(range(1, n + 1))
         rows = []
+        for t in range(1, T.m + 1):
+            assert _last_tile(T, t) == strip(T, t).tiles[-1]
         for s in range(1, n + 1):
             start, end = strip(T, s).tiles[-1].id, strip(T, s + 1).tiles[-1].id
             candidates = [
