@@ -13,11 +13,45 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 Point = tuple[int, ...]
 RowT = tuple[tuple[int, ...], int]
+T = TypeVar("T")
+
+# The memo of the innermost open ``_one_run()``; None outside every run.
+_RUN: ContextVar[dict | None] = ContextVar("fflv_run", default=None)
+
+
+@contextmanager
+def _one_run() -> Iterator[None]:
+    """Within the block, ``_once`` computes each key once and shares it.
+
+    The memo lives only as long as the block, so calls outside any run
+    (library calls, the CLI's single commands) recompute every time.
+    """
+    token = _RUN.set({})
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _once(key: object, compute: Callable[[], T]) -> T:
+    """``compute()``, memoised on ``key`` inside ``_one_run()``.
+
+    The value must be immutable: every later caller in the run gets the
+    same object.  An exception propagates and nothing is stored.
+    """
+    memo = _RUN.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -172,46 +206,72 @@ def lattice_points(P: HPolytope) -> PointSet:
     """All integer points of P, or ``ValueError`` if P has no certified box.
 
     Depth-first over the coordinates in the order of ``certified_box``, each
-    inside its bound; at each level the feasible interval is propagated from
-    every row using coefficient signs and the worst case of the free suffix.
+    inside its bound.  Each level reads only the rows with a nonzero
+    coefficient there and propagates the feasible interval from them, using
+    coefficient signs and the worst case of the row's free suffix; the
+    chosen value updates those rows' budgets in place and the level restores
+    them when it is done.  A row is checked against its worst case once, at
+    the root; below that, a row a level does not touch cannot prune, because
+    its last chosen coordinate already kept its budget at or above the worst
+    case of what is left.
+
+    Inside ``_one_run()`` (``verify.run_suite`` opens one) the point set of
+    each distinct P is computed once and shared; a failure is not stored.
     """
+    return _once(("points", P), lambda: _enumerate(P))
+
+
+def _enumerate(P: HPolytope) -> PointSet:
     N = P.dim
     order, bound = certified_box(P)
-    coeffs = [[a[d] for d in order] for a, _ in P.rows]
     box = [bound[d] for d in order]
-    R = len(coeffs)
-    # suffix_min[r][k] = least possible value of the row over levels >= k
-    suffix_min = []
-    for a in coeffs:
-        sm = [0] * (N + 1)
+    # levels[k]: (row, coefficient, least value of the row over levels > k)
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
+    budget = []
+    for r, (a, b) in enumerate(P.rows):
+        suffix_min = 0
         for k in range(N - 1, -1, -1):
-            sm[k] = sm[k + 1] + min(a[k], 0) * box[k]
-        suffix_min.append(sm)
+            c = a[order[k]]
+            if c:
+                levels[k].append((r, c, suffix_min))
+                suffix_min += min(c, 0) * box[k]
+        if b < suffix_min:
+            return PointSet((), dim=N)
+        budget.append(b)
 
     out: list[Point] = []
     x = [0] * N
 
-    def rec(k: int, budget: list[int]) -> None:
+    def rec(k: int) -> None:
         if k == N:
             out.append(tuple(x))
             return
         lo, hi = 0, box[k]
-        for r in range(R):
-            c = coeffs[r][k]
-            slack = budget[r] - suffix_min[r][k + 1]
+        rows = levels[k]
+        for r, c, suffix_min in rows:
+            slack = budget[r] - suffix_min
+            # plain comparisons: min()/max() calls here cost about 30% of the search
             if c > 0:
-                hi = min(hi, slack // c)
-            elif c < 0:
-                if slack < 0:
-                    lo = max(lo, -(slack // -c))  # ceil(-slack / -c)
+                if slack < c * hi:
+                    hi = slack // c
             elif slack < 0:
-                return
+                need = -(slack // -c)  # ceil(-slack / -c)
+                if need > lo:
+                    lo = need
+        if lo > hi:
+            return
         d = order[k]
+        for r, c, _ in rows:
+            budget[r] -= c * lo
         for v in range(lo, hi + 1):
             x[d] = v
-            rec(k + 1, [budget[r] - coeffs[r][k] * v for r in range(R)])
+            rec(k + 1)
+            for r, c, _ in rows:
+                budget[r] -= c
+        for r, c, _ in rows:
+            budget[r] += c * (hi + 1)
 
-    rec(0, [b for _, b in P.rows])
+    rec(0)
     return PointSet(out, dim=N)
 
 

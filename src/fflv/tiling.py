@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, lattice_points
+from .polytope import HPolytope, PointSet, _once, lattice_points
 from .roots import (
     Root,
     ik_word,
@@ -459,7 +459,9 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     """The inequality system of the word's Lusztig polytope.
 
     One row per (s, filtered dual s-crossing) with rhs lambda_s, s in [1, n];
-    rows repeated with identical coefficients and rhs are kept once.
+    rows repeated with identical coefficients and rhs are kept once.  The
+    crossing rows do not depend on lambda: inside ``_one_run()`` they are
+    built once per (word, n).
     """
     word = tuple(word)
     if n is None:
@@ -469,18 +471,26 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):
         raise ValueError(f"weight must be dominant: {lam}")
+    rows: list[tuple[tuple[int, ...], int]] = []
+    seen: set[tuple] = set()
+    for s, coeffs in _once(("rows", word, n), lambda: _crossing_rows(word, n)):
+        key = (coeffs, lam[s - 1])
+        if key not in seen:
+            seen.add(key)
+            rows.append(key)
+    return HPolytope(dim=num_roots(n), rows=tuple(rows), nonneg=True)
+
+
+def _crossing_rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(s, coefficients) of every filtered dual s-crossing, s in [1, n]."""
     T = build_tiling(word, n)
     idx = root_index(n)
     dim = num_roots(n)
-    rows: list[tuple[tuple[int, ...], int]] = []
-    seen: set[tuple] = set()
-    for s in range(1, n + 1):
-        for cr in reineke_filter(dual_crossings(T, s)):
-            key = (_crossing_row(s, cr, idx, dim), lam[s - 1])
-            if key not in seen:
-                seen.add(key)
-                rows.append(key)
-    return HPolytope(dim=dim, rows=tuple(rows), nonneg=True)
+    return tuple(
+        (s, _crossing_row(s, cr, idx, dim))
+        for s in range(1, n + 1)
+        for cr in reineke_filter(dual_crossings(T, s))
+    )
 
 
 def lusztig_points(

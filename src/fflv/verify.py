@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
-from .polytope import PointSet, contains, sumset
+from .polytope import PointSet, _one_run, contains, sumset
 from .roots import Root, all_reduced_words, ik_word, num_roots, root_index
 from .tiling import (
     _crossing_row,
@@ -362,6 +362,11 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
     entry, ``words`` with n > 3, k outside [1, n], r < 1), a ``kinds`` filter
     naming nothing in the config and a selection without a single case all
     raise ``ValueError`` instead of failing mid-sweep or passing vacuously.
+
+    The claims run inside one ``polytope._one_run()``: the run builds each
+    word's crossing rows once and enumerates each distinct polytope once,
+    since ``main``, ``fundamental`` and ``words`` share summands and FFLV
+    sets.  Nothing is kept after the run returns or raises.
     """
     if config is None:
         config = default_sweep()
@@ -393,4 +398,5 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
                 selected.append((kind, case))
     if not selected:
         raise ValueError("suite selection holds no case")
-    return [claims[kind](*case) for kind, case in selected]
+    with _one_run():
+        return [claims[kind](*case) for kind, case in selected]

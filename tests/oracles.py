@@ -21,6 +21,52 @@ def brute_force_points(rows, dim, box):
     return out
 
 
+def dense_lattice_points(rows, order, bound):
+    """The enumerator ``lattice_points`` used before it went sparse.
+
+    Depth-first over the coordinates in ``order``, each in [0, bound]; every
+    level reads every row and passes a fresh copy of all row budgets to each
+    child.  ``order`` and ``bound`` come from the package's certified box.
+    """
+    N = len(order)
+    coeffs = [[a[d] for d in order] for a, _ in rows]
+    box = [bound[d] for d in order]
+    R = len(coeffs)
+    # suffix_min[r][k] = least possible value of the row over levels >= k
+    suffix_min = []
+    for a in coeffs:
+        sm = [0] * (N + 1)
+        for k in range(N - 1, -1, -1):
+            sm[k] = sm[k + 1] + min(a[k], 0) * box[k]
+        suffix_min.append(sm)
+
+    out = set()
+    x = [0] * N
+
+    def rec(k, budget):
+        if k == N:
+            out.add(tuple(x))
+            return
+        lo, hi = 0, box[k]
+        for r in range(R):
+            c = coeffs[r][k]
+            slack = budget[r] - suffix_min[r][k + 1]
+            if c > 0:
+                hi = min(hi, slack // c)
+            elif c < 0:
+                if slack < 0:
+                    lo = max(lo, -(slack // -c))  # ceil(-slack / -c)
+            elif slack < 0:
+                return
+        d = order[k]
+        for v in range(lo, hi + 1):
+            x[d] = v
+            rec(k + 1, [budget[r] - coeffs[r][k] * v for r in range(R)])
+
+    rec(0, [b for _, b in rows])
+    return out
+
+
 def naive_sumset(A, B):
     return {tuple(x + y for x, y in zip(a, b)) for a in A for b in B}
 

@@ -2,7 +2,8 @@
 
 import random
 
-from fflv.fflv import weyl_dim
+from fflv import polytope
+from fflv.fflv import fflv_hrep, weyl_dim
 from fflv.polytope import (
     HPolytope,
     PointSet,
@@ -12,7 +13,8 @@ from fflv.polytope import (
     sumset,
 )
 from fflv.roots import all_reduced_words, fundamental_weight
-from fflv.tiling import lusztig_points
+from fflv.tiling import lusztig_hrep, lusztig_points
+from fflv.verify import generate_default_sweep, run_suite
 
 import oracles
 
@@ -77,17 +79,20 @@ def test_lattice_points_row_order_invariant():
 def test_lattice_points_against_brute_force():
     # Certifiable polytopes must match brute force over a box well past the
     # certified one; the others must raise instead of guessing a box.
+    # Negative rhs and all-zero rows reach the root check of rows that touch
+    # no level: such a row with rhs < 0 makes the polytope empty.
     rng = random.Random(20260822)
-    certified = uncertified = 0
+    certified = uncertified = zero_row_empty = 0
     for _ in range(400):
         dim = rng.randrange(1, 4)
         nrows = rng.randrange(1, 4)
         rows = []
         for _ in range(nrows):
-            rows.append((
-                tuple(rng.randrange(-2, 3) for _ in range(dim)),
-                rng.randrange(0, 6),
-            ))
+            if rng.randrange(5):
+                coeffs = tuple(rng.randrange(-2, 3) for _ in range(dim))
+            else:
+                coeffs = (0,) * dim
+            rows.append((coeffs, rng.randrange(-2, 6)))
         P = HPolytope.make(dim, rows)
         try:
             _, bound = certified_box(P)
@@ -99,10 +104,57 @@ def test_lattice_points_against_brute_force():
                 continue
             raise AssertionError(f"expected ValueError for {rows}")
         certified += 1
+        zero_row_empty += any(not any(a) and b < 0 for a, b in rows)
         got = set(lattice_points(P))
         assert got == oracles.brute_force_points(rows, dim, 2 * max(bound) + 2)
         assert all(contains(P, p) for p in got)
-    assert certified > 100 and uncertified > 100
+    assert certified > 100 and uncertified > 100 and zero_row_empty > 3
+
+
+def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
+    # every polytope a default run_suite() enumerates, all n <= 3 words at
+    # the `words` weights, and FFLV n=4, lambda=(2,1,1,2)
+    seen = []
+    enumerate_ = polytope._enumerate
+    monkeypatch.setattr(
+        polytope, "_enumerate", lambda P: seen.append(P) or enumerate_(P)
+    )
+    run_suite()
+    monkeypatch.undo()
+    polytopes = set(seen)
+    sweep = generate_default_sweep()["words"] + [[1, [v]] for v in range(3)]
+    for n, lam in sweep:
+        for word in all_reduced_words(n):
+            polytopes.add(lusztig_hrep(word, lam))
+    big = fflv_hrep(4, (2, 1, 1, 2))
+    polytopes.add(big)
+    for P in polytopes:
+        dense = oracles.dense_lattice_points(P.rows, *certified_box(P))
+        assert set(lattice_points(P)) == dense, P
+    assert len(lattice_points(big)) == 6125
+
+
+def test_one_run_memoises_points_but_not_failures(monkeypatch):
+    calls = []
+    enumerate_ = polytope._enumerate
+    monkeypatch.setattr(
+        polytope, "_enumerate", lambda P: calls.append(P) or enumerate_(P)
+    )
+    good = fflv2(1, 1)
+    loose = HPolytope.make(2, [((1, -1), 0)])  # no certified box
+    with polytope._one_run():
+        assert lattice_points(good) is lattice_points(fflv2(1, 1))
+        for _ in range(3):
+            try:
+                lattice_points(loose)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError("an uncertifiable polytope must raise")
+    assert calls == [good, loose, loose, loose]
+    assert polytope._RUN.get() is None
+    lattice_points(good)
+    assert calls[-1] == good and len(calls) == 5  # no memo outside a run
 
 
 def test_certified_box_follows_capping_rows():

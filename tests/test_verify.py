@@ -157,6 +157,45 @@ def test_run_suite_validates_whole_config_before_running(monkeypatch):
     assert ran == []
 
 
+def test_run_suite_builds_rows_and_points_once(monkeypatch):
+    import fflv.polytope as polytope
+    import fflv.tiling as tiling
+    import fflv.verify as verify
+
+    counts = {"rows": 0, "points": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(tiling, "_crossing_rows", counted("rows", tiling._crossing_rows))
+    monkeypatch.setattr(polytope, "_enumerate", counted("points", polytope._enumerate))
+    run_suite()
+    # 264 lusztig_hrep calls on 23 words; 339 enumerations of 181 polytopes
+    assert counts == {"rows": 23, "points": 181}
+    assert polytope._RUN.get() is None
+
+    # outside run_suite nothing is shared between calls
+    for _ in range(2):
+        lusztig_points(ik_word(3, 2), (0, 1, 0))
+    assert counts == {"rows": 25, "points": 183}
+
+    def failing(*args):
+        assert polytope._RUN.get() is not None
+        raise RuntimeError("claim failed")
+
+    monkeypatch.setattr(verify, "verify_fundamental", failing)
+    try:
+        run_suite({"fundamental": [[2, 1, 1]]})
+    except RuntimeError:
+        pass
+    else:
+        assert False, "expected the claim's RuntimeError"
+    assert polytope._RUN.get() is None
+
+
 def test_report_str_has_status():
     line = str(verify_main(2, (1, 0)))
     assert line.startswith("[PASS] main(")
