@@ -32,13 +32,7 @@ from .tiling import (
     tiling_to_json,
     tiling_to_svg,
 )
-from .verify import (
-    run_suite,
-    verify_dyck_correspondence,
-    verify_fundamental,
-    verify_word_counts,
-    verify_main,
-)
+from .verify import CLAIMS, run_suite
 
 
 def _dumps(obj) -> str:
@@ -228,21 +222,18 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.what == "main":
-        reports = [verify_main(args.n, _parse_lambda(args.lam, args.n))]
-    elif args.what == "fundamental":
-        reports = [verify_fundamental(args.n, args.k, args.r)]
-    elif args.what == "words":
-        reports = [verify_word_counts(args.n, _parse_lambda(args.lam, args.n))]
-    elif args.what == "dyck":
-        reports = [verify_dyck_correspondence(args.n, args.k)]
-    else:  # suite
+    if args.what == "suite":
         config = None
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
         kinds = args.kinds.split(",") if args.kinds else None
         reports = run_suite(config, kinds=kinds)
+    else:
+        # a single claim is the one-case suite, validated like any suite case
+        case = [list(_parse_lambda(args.lam, args.n)) if name == "lam" else getattr(args, name)
+                for name in CLAIMS[args.what].params]
+        reports = run_suite({args.what: [case]})
     if args.json:
         _emit(_dumps([r.to_json() for r in reports]), args.out)
     else:
@@ -256,6 +247,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+# The flag of each claim parameter (see ``verify.Claim``), shared by ``common``.
+_PARAM_FLAGS = {
+    "n": ("--n", {"type": int, "required": True}),
+    "lam": ("--lambda", {"required": True,
+                         "help": "comma-separated weights; trailing zeros optional"}),
+    "k": ("--k", {"type": int, "required": True}),
+    "r": ("--r", {"type": int, "default": 1}),
+}
+
+
+def _add_param(p, name: str) -> None:
+    flag, kwargs = _PARAM_FLAGS[name]
+    p.add_argument(flag, dest=name, **kwargs)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -265,10 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, lam=False, fmt=None):
-        p.add_argument("--n", type=int, required=True)
+        _add_param(p, "n")
         if lam:
-            p.add_argument("--lambda", dest="lam", required=True,
-                           help="comma-separated weights; trailing zeros optional")
+            _add_param(p, "lam")
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out", default=None)
@@ -331,19 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay verification claims")
     vsub = p.add_subparsers(dest="what", required=True)
-    q = vsub.add_parser("main")
-    common(q, lam=True)
-    q = vsub.add_parser("fundamental")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--r", type=int, default=1)
-    q.add_argument("--out", default=None)
-    q = vsub.add_parser("words")
-    common(q, lam=True)
-    q = vsub.add_parser("dyck")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--out", default=None)
+    for kind, claim in CLAIMS.items():
+        q = vsub.add_parser(kind)
+        for name in claim.params:
+            _add_param(q, name)
+        q.add_argument("--out", default=None)
     q = vsub.add_parser("suite")
     q.add_argument("--config", default=None, help="JSON file overriding the default sweep")
     q.add_argument("--kinds", default=None, help="comma-separated claim kinds to run")

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fflv import fflv_points, weyl_dim
 from .polytope import PointSet
-from .roots import Root, root_index, weight_of_point
+from .roots import Root, fundamental_weight, root_index, weight_of_point
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
@@ -865,7 +865,7 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
     """
     if not (1 <= k <= n and r >= 1):
         raise ValueError(f"bad arguments n={n}, k={k}, r={r}")
-    lam = tuple(r if t == k else 0 for t in range(1, n + 1))
+    lam = fundamental_weight(n, k, r)
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = {

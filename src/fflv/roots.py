@@ -172,10 +172,11 @@ def random_reduced_word(n: int, rng: random.Random) -> Word:
     return tuple(acc)
 
 
-def fundamental_weight(n: int, k: int) -> tuple[int, ...]:
+def fundamental_weight(n: int, k: int, r: int = 1) -> tuple[int, ...]:
+    """The weight r * omega_k of rank n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return tuple(1 if t == k else 0 for t in range(1, n + 1))
+    return tuple(r if t == k else 0 for t in range(1, n + 1))
 
 
 def weight_mu(lam: Sequence[int]) -> tuple[int, ...]:

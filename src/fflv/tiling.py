@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .polytope import HPolytope, PointSet, _once, lattice_points
 from .roots import (
     Root,
+    fundamental_weight,
     ik_word,
     num_roots,
     positive_roots,
@@ -519,7 +520,7 @@ def check_rectangle_support(n: int, k: int, r: int) -> bool:
     head = set(root_enumeration(ik_word(n, k), n)[: k * (n - k + 1)])
     if head != rect:
         return False
-    lam = tuple(r if t == k else 0 for t in range(1, n + 1))
+    lam = fundamental_weight(n, k, r)
     pts = lusztig_points(ik_word(n, k), lam, n)
     outside = [d for d, rt in enumerate(roots) if rt not in rect]
     return all(all(p[d] == 0 for d in outside) for p in pts)

@@ -2,23 +2,22 @@
 
 Each ``verify_*`` function checks one claim for one parameter set and
 returns a :class:`VerificationReport`; a failing report always carries at
-least one concrete witness.  ``run_suite`` replays a whole sweep, by
-default the one shipped in ``data/sweep_default.json``.
+least one concrete witness.  ``run_suite`` replays a sweep of the claims
+registered in ``CLAIMS``, by default ``default_sweep()``.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-import json
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
 from .polytope import PointSet, _one_run, contains, sumset
-from .roots import Root, all_reduced_words, ik_word, num_roots, root_index
+from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, root_index
 from .tiling import (
     _crossing_row,
     build_tiling,
@@ -56,10 +55,6 @@ class VerificationReport:
         return line
 
 
-def _omega_vector(n: int, k: int, r: int = 1) -> tuple[int, ...]:
-    return tuple(r if t == k else 0 for t in range(1, n + 1))
-
-
 def verify_main(
     n: int,
     lam: Sequence[int],
@@ -81,14 +76,16 @@ def verify_main(
     for k in range(1, n + 1):
         if lam[k - 1] == 0:
             continue
-        S = lusztig_points(ik_word(n, k), _omega_vector(n, k, lam[k - 1]))
+        S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
         if summand_override and k in summand_override:
             S = summand_override[k]
         total = sumset(total, S)
 
-    hrep = fflv_hrep(n, lam)
+    hrep = None  # only an excess point's witness reads the H-description
     for p in total:
         if p not in F:
+            if hrep is None:
+                hrep = fflv_hrep(n, lam)
             inside = contains(hrep, p)
             witnesses.append(
                 {
@@ -121,7 +118,7 @@ def verify_fundamental(n: int, k: int, r: int) -> VerificationReport:
     """FFLV and i_k-Lusztig agree on r*w_k; for r = 1 both coincide with the
     explicitly indexed points, C(n+1, k) of them."""
     t0 = time.perf_counter()
-    lam = _omega_vector(n, k, r)
+    lam = fundamental_weight(n, k, r)
     witnesses: list = []
     F = fflv_points(n, lam)
     L = lusztig_points(ik_word(n, k), lam)
@@ -275,93 +272,107 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
     )
 
 
-def generate_default_sweep() -> dict:
-    """The shipped sweep, built in code so a checkout without the cached
-    JSON behaves identically."""
+def _weights(n: int, total: int) -> list[list[int]]:
+    """Dominant weights of rank n with entries summing to at most total."""
+    out = [
+        list(lam)
+        for lam in itertools.product(range(total + 1), repeat=n)
+        if sum(lam) <= total
+    ]
+    out.sort(key=lambda l: (sum(l), l))
+    return out
 
-    def weights(n: int, total: int) -> list[list[int]]:
-        out = [
-            list(lam)
-            for lam in itertools.product(range(total + 1), repeat=n)
-            if sum(lam) <= total
-        ]
-        out.sort(key=lambda l: (sum(l), l))
-        return out
 
-    return {
-        "main": [[2, lam] for lam in weights(2, 3)]
-        + [[3, lam] for lam in weights(3, 3)]
-        + [[4, lam] for lam in weights(4, 2)],
-        "fundamental": [
-            [n, k, r]
-            for n in (1, 2, 3, 4)
-            for k in range(1, n + 1)
-            for r in (1, 2, 3)
-        ],
-        "words": [[2, lam] for lam in weights(2, 2)]
-        + [[3, lam] for lam in weights(3, 2)],
-        "dyck": [[n, k] for n in (1, 2, 3, 4) for k in range(1, n + 1)],
-    }
+class Claim(NamedTuple):
+    """A claim kind: its ``verify_*`` function's name in this module (looked
+    up when a claim runs, so a rebinding of that global is what runs), its
+    parameters in order (``n``, then ``lam``, ``k`` or ``r``), default cases
+    and largest n."""
+
+    function: str
+    params: tuple[str, ...]
+    sweep: list
+    max_n: int | None = None
+
+
+CLAIMS = {
+    "main": Claim(
+        "verify_main", ("n", "lam"),
+        [[2, lam] for lam in _weights(2, 3)]
+        + [[3, lam] for lam in _weights(3, 3)]
+        + [[4, lam] for lam in _weights(4, 2)],
+    ),
+    "fundamental": Claim(
+        "verify_fundamental", ("n", "k", "r"),
+        [[n, k, r] for n in (1, 2, 3, 4) for k in range(1, n + 1) for r in (1, 2, 3)],
+    ),
+    "words": Claim(  # exhaustive over reduced words: desk scale
+        "verify_word_counts", ("n", "lam"),
+        [[2, lam] for lam in _weights(2, 2)] + [[3, lam] for lam in _weights(3, 2)],
+        max_n=3,
+    ),
+    "dyck": Claim(
+        "verify_dyck_correspondence", ("n", "k"),
+        [[n, k] for n in (1, 2, 3, 4) for k in range(1, n + 1)],
+    ),
+}
 
 
 def default_sweep() -> dict:
-    path = resources.files("fflv").joinpath("data/sweep_default.json")
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError:
-        return generate_default_sweep()
+    """The default sweep: every claim kind with its registered cases."""
+    return {kind: copy.deepcopy(claim.sweep) for kind, claim in CLAIMS.items()}
 
 
 def _ints(values) -> bool:
     return all(type(v) is int for v in values)  # bool is an int subclass
 
 
-def _valid_case(kind: str, case) -> bool:
-    if not isinstance(case, (list, tuple)):
-        return False
-    if kind in ("main", "words"):
-        return (
-            len(case) == 2
-            and _ints(case[:1])
-            and isinstance(case[1], (list, tuple))
-            and _ints(case[1])
-        )
-    arity = 3 if kind == "fundamental" else 2
-    return len(case) == arity and _ints(case)
-
-
-def _case_problem(kind: str, case) -> str | None:
-    """Why a well-formed case cannot run as a ``kind`` claim, or None."""
-    n = case[0]
-    if n < 1:
-        return f"n={n} must be >= 1"
-    if kind in ("main", "words"):
-        lam = case[1]
-        if len(lam) != n:
-            return f"lambda has {len(lam)} entries, expected {n}"
-        if any(v < 0 for v in lam):
-            return "lambda must be dominant (all entries >= 0)"
-        if kind == "words" and n > 3:
-            return "the word-exhaustive check is desk scale: n <= 3"
-        return None
-    k = case[1]
-    if not 1 <= k <= n:
-        return f"k={k} outside [1, {n}]"
-    if kind == "fundamental" and case[2] < 1:
-        return f"r={case[2]} must be >= 1"
+def _param_problem(name: str, value, n: int) -> str | None:
+    """Why ``value`` cannot be parameter ``name`` of a rank-n case, or None."""
+    if name == "n" and value < 1:
+        return f"n={value} must be >= 1"
+    if name == "lam" and len(value) != n:
+        return f"lambda has {len(value)} entries, expected {n}"
+    if name == "lam" and any(v < 0 for v in value):
+        return "lambda must be dominant (all entries >= 0)"
+    if name == "k" and not 1 <= value <= n:
+        return f"k={value} outside [1, {n}]"
+    if name == "r" and value < 1:
+        return f"r={value} must be >= 1"
     return None
 
 
-def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:
-    """Replay a sweep of claims.  ``config`` maps claim names to parameter
-    lists (default: the shipped sweep); ``kinds`` restricts which claims run.
+def check_case(kind: str, case) -> None:
+    """Raise ``ValueError`` unless ``case`` lists the parameters of a claim of
+    the registered ``kind``: integers (``bool`` is not one here) with n >= 1
+    and at most its ``max_n``, ``lam`` n of them >= 0, k in [1, n], r >= 1."""
+    claim = CLAIMS[kind]
+    if not (
+        isinstance(case, (list, tuple))
+        and len(case) == len(claim.params)
+        and all(
+            isinstance(v, (list, tuple)) and _ints(v) if name == "lam" else _ints([v])
+            for name, v in zip(claim.params, case)
+        )
+    ):
+        raise ValueError(f"malformed {kind} case {case!r}")
+    n = case[0]
+    problems = [_param_problem(name, value, n) for name, value in zip(claim.params, case)]
+    if claim.max_n is not None and n > claim.max_n:
+        problems.append(f"the {kind} check is desk scale: n <= {claim.max_n}")
+    problem = next((p for p in problems if p), None)
+    if problem:
+        raise ValueError(f"invalid {kind} case {case!r}: {problem}")
 
-    The whole config is validated before any claim runs: unknown kinds,
-    cases of the wrong shape (``bool`` is not an int here), cases without
-    meaning (n < 1, a lambda whose length is not n or with a negative
-    entry, ``words`` with n > 3, k outside [1, n], r < 1), a ``kinds`` filter
-    naming nothing in the config and a selection without a single case all
-    raise ``ValueError`` instead of failing mid-sweep or passing vacuously.
+
+def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:
+    """Replay a sweep of claims.  ``config`` maps claim kinds to case lists
+    (default: ``default_sweep()``); ``kinds`` restricts which claims run.
+
+    The whole config is validated before any claim runs: an unknown kind, a
+    case ``check_case`` rejects, a ``kinds`` filter naming nothing in the
+    config and a selection without a single case all raise ``ValueError``
+    instead of failing mid-sweep or passing vacuously.
 
     The claims run inside one ``polytope._one_run()``: the run builds each
     word's crossing rows once and enumerates each distinct polytope once,
@@ -376,27 +387,17 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
         bad = sorted(set(kinds) - set(config))
         if bad:
             raise ValueError(f"unknown suite kind(s): {', '.join(bad)}")
-    claims = {
-        "main": verify_main,
-        "fundamental": verify_fundamental,
-        "words": verify_word_counts,
-        "dyck": verify_dyck_correspondence,
-    }
     selected = []
     for kind, cases in config.items():
-        if kind not in claims:
+        if kind not in CLAIMS:
             raise ValueError(f"unknown claim kind {kind!r}")
         if not isinstance(cases, (list, tuple)):
             raise ValueError(f"{kind} cases must be a list, got {cases!r}")
         for case in cases:
-            if not _valid_case(kind, case):
-                raise ValueError(f"malformed {kind} case {case!r}")
-            problem = _case_problem(kind, case)
-            if problem:
-                raise ValueError(f"invalid {kind} case {case!r}: {problem}")
+            check_case(kind, case)
             if kinds is None or kind in kinds:
                 selected.append((kind, case))
     if not selected:
         raise ValueError("suite selection holds no case")
     with _one_run():
-        return [claims[kind](*case) for kind, case in selected]
+        return [globals()[CLAIMS[kind].function](*case) for kind, case in selected]

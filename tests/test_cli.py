@@ -10,6 +10,7 @@ from fflv.cli import dispatch
 from fflv.crystal import CrystalGraph, sl3_bgt
 from fflv.fflv import fflv_hrep, fflv_points
 from fflv.polytope import HPolytope, PointSet
+from fflv.verify import CLAIMS, run_suite
 
 
 def run_cli(*argv):
@@ -149,6 +150,57 @@ def test_verify_json_array():
     assert code == 0
     arr = json.loads(out)
     assert len(arr) == 1 and arr[0]["passed"] is True
+
+
+def test_verify_subcommands_are_the_registry_kinds():
+    code, out = run_cli("verify", "--help")
+    assert code == 0
+    assert "{" + ",".join([*CLAIMS, "suite"]) + "}" in out
+
+
+def test_verify_single_claim_is_the_one_case_suite():
+    single = {
+        "main": (["--n", "3", "--lambda", "1,0,1"], [3, [1, 0, 1]]),
+        "fundamental": (["--n", "3", "--k", "2"], [3, 2, 1]),  # --r defaults to 1
+        "words": (["--n", "2", "--lambda", "2"], [2, [2, 0]]),
+        "dyck": (["--n", "4", "--k", "2"], [4, 2]),
+    }
+    assert list(single) == list(CLAIMS)
+
+    def untimed(report):
+        return {key: v for key, v in report.items() if key != "seconds"}
+
+    for kind, (flags, case) in single.items():
+        code, out = run_cli("verify", kind, *flags, "--json")
+        assert code == 0
+        suite = [untimed(r.to_json()) for r in run_suite({kind: [case]})]
+        assert [untimed(r) for r in json.loads(out)] == suite
+
+
+def test_verify_single_claim_validated_like_suite_cases():
+    for argv in (
+        ("fundamental", "--n", "3", "--k", "1", "--r", "0"),  # used to pass vacuously
+        ("fundamental", "--n", "3", "--k", "5"),
+        ("words", "--n", "4", "--lambda", "1"),
+        ("main", "--n", "0", "--lambda", ""),
+    ):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert run_cli("verify", *argv) == (2, ""), argv
+        assert f"invalid {argv[0]} case" in err.getvalue()
+
+
+def test_verify_claims_resolve_through_the_verify_module(monkeypatch):
+    # perfbench/paced_cli.py times claims by rebinding these globals
+    import fflv.verify as verify
+
+    calls = []
+    real = verify.verify_dyck_correspondence
+    monkeypatch.setattr(
+        verify, "verify_dyck_correspondence", lambda *a: calls.append(a) or real(*a)
+    )
+    assert run_suite({"dyck": [[3, 2]]})[0].passed
+    assert run_cli("verify", "dyck", "--n", "3", "--k", "2")[0] == 0
+    assert calls == [(3, 2), (3, 2)]
 
 
 def test_verify_suite_restricted():

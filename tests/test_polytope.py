@@ -14,7 +14,7 @@ from fflv.polytope import (
 )
 from fflv.roots import all_reduced_words, fundamental_weight
 from fflv.tiling import lusztig_hrep, lusztig_points
-from fflv.verify import generate_default_sweep, run_suite
+from fflv.verify import default_sweep, run_suite
 
 import oracles
 
@@ -122,7 +122,7 @@ def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
     run_suite()
     monkeypatch.undo()
     polytopes = set(seen)
-    sweep = generate_default_sweep()["words"] + [[1, [v]] for v in range(3)]
+    sweep = default_sweep()["words"] + [[1, [v]] for v in range(3)]
     for n, lam in sweep:
         for word in all_reduced_words(n):
             polytopes.add(lusztig_hrep(word, lam))

@@ -152,6 +152,9 @@ def test_weight_mu():
 def test_fundamental_weight():
     assert fundamental_weight(3, 2) == (0, 1, 0)
     assert fundamental_weight(1, 1) == (1,)
+    assert fundamental_weight(3, 2, 0) == (0, 0, 0)
+    assert fundamental_weight(3, 2, 2) == (0, 2, 0)
+    assert fundamental_weight(4, 4, 3) == (0, 0, 0, 3)
 
 
 def test_weight_of_point_frozen():

@@ -3,7 +3,6 @@ from fflv.tiling import lusztig_points
 from fflv.roots import ik_word
 from fflv.verify import (
     default_sweep,
-    generate_default_sweep,
     run_suite,
     verify_dyck_correspondence,
     verify_fundamental,
@@ -34,12 +33,20 @@ def test_verify_main_detects_missing_points():
     assert any("missing from sum" in w["reason"] for w in report.witnesses)
 
 
-def test_verify_main_detects_excess_points():
+def test_verify_main_detects_excess_points(monkeypatch):
+    import fflv.verify as verify
+
+    built = []
+    hrep = verify.fflv_hrep
+    monkeypatch.setattr(verify, "fflv_hrep", lambda *a: built.append(a) or hrep(*a))
+    assert verify_main(2, (1, 1)).passed
+    assert built == []  # only an excess point's witness needs the H-description
     good = lusztig_points(ik_word(2, 1), (1, 0))
     fat = PointSet(list(good) + [(5, 0, 0)], dim=3)
     report = verify_main(2, (1, 1), summand_override={1: fat})
     assert not report.passed
     assert any("not an FFLV lattice point" in w["reason"] for w in report.witnesses)
+    assert built == [(2, (1, 1))]
 
 
 def test_verify_fundamental_sweep():
@@ -73,8 +80,6 @@ def test_default_sweep_shape():
     assert set(config) == {"main", "fundamental", "words", "dyck"}
     assert [2, [1, 1]] in config["main"]
     assert [4, 4, 3] in config["fundamental"]
-    # the cached JSON (when present) must not drift from the generator
-    assert config == generate_default_sweep()
 
 
 def test_run_suite_custom_config():
