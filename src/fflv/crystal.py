@@ -3,8 +3,9 @@
 Four layers:
 
 * candidate moves and the multi-edge graph PB_n(lambda) they form;
-* the explicit sl_3 crystals B^>(a, b) and B^<(a, b) built from clipped
-  path families, plus their critical points;
+* the explicit sl_3 crystals B^>(a, b) and B^<(a, b), each built from one
+  rule per color that gives f_c of a lattice point, plus their critical
+  points;
 * two validators -- a reconstructed Stembridge-style local-axiom check and
   the normative isomorphism check against an independent tensor-word
   oracle crystal;
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .fflv import fflv_points, weyl_dim
+from .fflv import _check_dominant, fflv_points
 from .polytope import PointSet
 from .roots import Root, fundamental_weight, root_index, weight_of_point
 
@@ -203,13 +204,14 @@ class WordCrystal:
     descending), and f_a / e_a act by the usual bracket cancellation --
     letters a count '+', letters a+1 count '-', a '-' cancels the nearest
     surviving '+' to its left; f_a flips the leftmost surviving '+',
-    e_a the rightmost surviving '-'.
+    e_a the rightmost surviving '-'.  lambda must be a dominant weight with
+    n entries, as for ``fflv_points``; anything else raises ValueError.
     """
 
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
         self.m = n + 1
-        self.lam = tuple(lam)
+        self.lam = _check_dominant(n, lam)
         hw: list[int] = []
         for k in range(n, 0, -1):
             hw.extend(list(range(1, k + 1)) * self.lam[k - 1])
@@ -498,99 +500,77 @@ def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # the explicit sl3 crystals
+#
+# Coordinates are (x1, x12, x2) = (x_{alpha_1}, x_{alpha_1+alpha_2},
+# x_{alpha_2}).  A rule maps a point to f_c of it, or to None where f_c is
+# undefined.
 
-UP1 = (1, 0, 0)
-UP2 = (0, 0, 1)
-DIAG_SKY = (0, 1, -1)     # -e2 + e12
-DIAG_GROUND = (-1, 1, 0)  # -e1 + e12
-
-
-def _walk(start: Point, moves: Iterable[Point]) -> list[Point]:
-    path = [start]
-    for mv in moves:
-        path.append(tuple(x + d for x, d in zip(path[-1], mv)))
-    return path
+_Rule = Callable[[int, int, int], Point | None]
 
 
-def _translate(path: list[Point], shift: Point, t: int) -> list[Point]:
-    return [tuple(x + t * d for x, d in zip(p, shift)) for p in path]
-
-
-class _EdgeCollector:
-    def __init__(self, inside: set[Point]):
-        self.inside = inside
-        self.edges: set[EdgeT] = set()
-        self.out: dict[tuple[Point, int], Point] = {}
-        self.inc: dict[tuple[Point, int], Point] = {}
-
-    def add_path(self, color: int, path: list[Point]) -> None:
-        for u, v in zip(path, path[1:]):
-            if u not in self.inside or v not in self.inside:
+def _sl3_crystal(a: int, b: int, f1: _Rule, f2: _Rule) -> CrystalGraph:
+    """The graph on FFLV_2(a w_1 + b w_2)_Z with an edge x -> f_c(x) of
+    color c wherever f_c is defined at x and lands on a lattice point.
+    Each vertex leaves by at most one edge per color; two edges of one
+    color entering a vertex raise RuntimeError."""
+    if a < 1 or b < 1:
+        raise ValueError("need a, b >= 1")
+    pts = fflv_points(2, (a, b))
+    inside = set(pts)
+    source: dict[tuple[Point, int], Point] = {}  # (target, color) -> source
+    for x in pts:
+        for color, rule in ((1, f1), (2, f2)):
+            y = rule(*x)
+            if y is None or y not in inside:
                 continue
-            if (u, color, v) in self.edges:
-                continue
-            if (u, color) in self.out and self.out[(u, color)] != v:
+            if (y, color) in source:
                 raise RuntimeError(
-                    f"two color-{color} paths leave {u}: {self.out[(u, color)]} and {v}"
+                    f"two color-{color} edges enter {y}: from {source[(y, color)]} and {x}"
                 )
-            if (v, color) in self.inc and self.inc[(v, color)] != u:
-                raise RuntimeError(
-                    f"two color-{color} paths enter {v}: {self.inc[(v, color)]} and {u}"
-                )
-            self.edges.add((u, color, v))
-            self.out[(u, color)] = v
-            self.inc[(v, color)] = u
+            source[(y, color)] = x
+    edges = frozenset((x, color, y) for (y, color), x in source.items())
+    return CrystalGraph(n=2, lam=(a, b), vertices=pts, edges=edges)
 
 
 def sl3_bgt(a: int, b: int) -> CrystalGraph:
-    """B^>(a, b): ''sky'' color-1 paths and ''ground'' color-2 paths, clipped.
+    """B^>(a, b).  f_1: x1 += 1 if x1 + x12 < a, else (x12, x2) += (1, -1)
+    if x2 > 0.  f_2: (x1, x12) += (-1, 1) if x1 > x2, else x2 += 1."""
 
-    Coordinates are (x_{alpha_1}, x_{alpha_1+alpha_2}, x_{alpha_2}).  Each
-    family is a fixed path shape plus all its translations; an edge is kept
-    iff both endpoints are lattice points of FFLV_2(a w_1 + b w_2).
-    """
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    pts = fflv_points(2, (a, b))
-    col = _EdgeCollector(set(pts))
-    span = a + b + 1
-    tail = a + b + 2
-    for mu in range(b + 1):
-        base = _walk((0, 0, mu), [UP1] * a + [DIAG_SKY] * mu)
-        for t in range(span + 1):
-            col.add_path(1, _translate(base, (-1, 1, 0), t))
-    for mu in range(a + 1):
-        base = _walk((mu, 0, 0), [DIAG_GROUND] * mu + [UP2] * tail)
-        for t in range(span + 1):
-            col.add_path(2, _translate(base, (1, 0, 1), t))
-    for j in range(1, b + 1):
-        base = _walk((a, j, 0), [DIAG_GROUND] * a + [UP2] * tail)
-        for t in range(span + 1):
-            col.add_path(2, _translate(base, (1, 0, 1), t))
-    return CrystalGraph(n=2, lam=(a, b), vertices=pts, edges=frozenset(col.edges))
+    def f1(x1: int, x12: int, x2: int) -> Point | None:
+        if x1 + x12 < a:
+            return (x1 + 1, x12, x2)
+        if x2 > 0:
+            return (x1, x12 + 1, x2 - 1)
+        return None
+
+    def f2(x1: int, x12: int, x2: int) -> Point | None:
+        if x1 > x2:
+            return (x1 - 1, x12 + 1, x2)
+        return (x1, x12, x2 + 1)
+
+    return _sl3_crystal(a, b, f1, f2)
 
 
 def sl3_blt(a: int, b: int) -> CrystalGraph:
-    """B^<(a, b): the mirrored construction (sky moves first for color 1,
-    wall paths for color 2)."""
-    if a < 1 or b < 1:
-        raise ValueError("need a, b >= 1")
-    pts = fflv_points(2, (a, b))
-    col = _EdgeCollector(set(pts))
-    span = a + b + 1
-    for mu in range(b + 1):
-        base = _walk((0, 0, mu), [DIAG_SKY] * mu + [UP1] * a)
-        for t in range(span + 1):
-            col.add_path(1, _translate(base, (1, 0, 1), t))
-    for j in range(1, span + 1):
-        base = _walk((0, j, b), [DIAG_SKY] * b + [UP1] * a)
-        for t in range(span + 1):
-            col.add_path(1, _translate(base, (1, 0, 1), t))
-    for mu in range(a + 1):
-        base = _walk((mu, 0, 0), [UP2] * b + [DIAG_GROUND] * mu)
-        for t in range(span + 1):
-            col.add_path(2, _translate(base, (0, 1, -1), t))
-    return CrystalGraph(n=2, lam=(a, b), vertices=pts, edges=frozenset(col.edges))
+    """B^<(a, b).  f_1: (x12, x2) += (1, -1) if x2 > x1, else x1 += 1 if
+    x1 - x2 < a.  f_2: x2 += 1 if x12 + x2 < b, else (x1, x12) += (-1, 1)
+    if x1 > 0."""
+
+    def f1(x1: int, x12: int, x2: int) -> Point | None:
+        if x2 > x1:
+            return (x1, x12 + 1, x2 - 1)
+        if x1 - x2 < a:
+            return (x1 + 1, x12, x2)
+        return None
+
+    def f2(x1: int, x12: int, x2: int) -> Point | None:
+        if x12 + x2 < b:
+            return (x1, x12, x2 + 1)
+        if x1 > 0:
+            return (x1 - 1, x12 + 1, x2)
+        return None
+
+    return _sl3_crystal(a, b, f1, f2)
 
 
 def critical_points(a: int, b: int) -> PointSet:
@@ -808,6 +788,8 @@ def conjecture_search(
         raise ValueError(f"sigma must be a permutation of [1, {n}]")
     if mode not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)

@@ -9,6 +9,7 @@ lambda_j, where the path runs from alpha_{i,i} to alpha_{j,j}.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, lattice_points
@@ -27,7 +28,7 @@ class FundamentalPoint(NamedTuple):
 
 
 def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
-    lam = tuple(int(v) for v in lam)
+    lam = tuple(map(index, lam))
     if len(lam) != n:
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):

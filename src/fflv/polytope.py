@@ -15,6 +15,7 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import index
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -69,10 +70,10 @@ class HPolytope:
     ) -> "HPolytope":
         norm = []
         for coeffs, rhs in rows:
-            coeffs = tuple(int(c) for c in coeffs)
+            coeffs = tuple(map(index, coeffs))
             if len(coeffs) != dim:
                 raise ValueError(f"row has {len(coeffs)} coefficients, dim is {dim}")
-            norm.append((coeffs, int(rhs)))
+            norm.append((coeffs, index(rhs)))
         return cls(dim=dim, rows=tuple(norm), nonneg=nonneg)
 
     def to_json(self) -> dict:
@@ -95,13 +96,14 @@ class PointSet:
     """A deduplicated set of integer points, stored sorted.
 
     Sorted storage gives deterministic iteration order everywhere a report
-    or a JSON dump walks the set; membership is binary search.
+    or a JSON dump walks the set; membership is binary search.  Coordinates
+    must be integers: a float or a string raises TypeError, never rounds.
     """
 
     __slots__ = ("dim", "_pts")
 
     def __init__(self, points: Iterable[Sequence[int]], dim: int | None = None):
-        pts = sorted({tuple(int(v) for v in p) for p in points})
+        pts = sorted({tuple(map(index, p)) for p in points})
         if pts:
             d = len(pts[0])
             if any(len(p) != d for p in pts):

@@ -138,6 +138,15 @@ def test_conjecture_greedy_json():
     assert obj["valid"] == 1
 
 
+def test_conjecture_rejects_budget_below_one():
+    for extra in (("--budget", "0"), ("--budget", "-3"), ("--mode", "greedy", "--budget", "0")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli("conjecture", "--n", "2", "--lambda", "1,1", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "budget must be at least 1" in err.getvalue()
+
+
 def test_verify_main_exit_zero():
     code, out = run_cli("verify", "main", "--n", "2", "--lambda", "1,1")
     assert code == 0

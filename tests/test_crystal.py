@@ -7,6 +7,7 @@ from fflv.crystal import (
     CrystalGraph,
     _candidate_map,
     _is_crystal,
+    _sl3_crystal,
     candidate_edges,
     check_local_axioms,
     check_oracle_iso,
@@ -132,6 +133,21 @@ def test_word_oracle_counts_match_weyl_dim():
     assert len(word_oracle(2, (2, 2)).vertices) == weyl_dim(2, (2, 2)) == 27
 
 
+def test_word_oracle_checks_its_weight():
+    g = sl3_bgt(1, 1)
+    for name, bad in (
+        ("extra entry", lambda: check_oracle_iso(g, (1, 1, 7))),
+        ("missing entry", lambda: oracle_iso_report(g, (1,))),
+        ("negative entry", lambda: word_oracle(2, (1, -1))),
+    ):
+        try:
+            bad()
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"{name} should be rejected")
+
+
 def test_word_oracle_vector_rep_is_a_chain():
     for n in (1, 2, 3, 4):
         lam = (1,) + (0,) * (n - 1)
@@ -242,6 +258,29 @@ def test_sl3_blt_adjoint_frozen():
             ((1, 1, 0), (0, 2, 0)),
         ])
     )
+
+
+def test_sl3_edges_frozen_digest():
+    # edge sets for a, b <= 8, pinned from the path-family construction
+    for build, want in (
+        (sl3_bgt, "f0e579997c2bba4c3f483556648d447c21094ffb1818706d72d88ce2e64505f9"),
+        (sl3_blt, "c6ca50288ff5876efbb310c2ce0bae65b117002f52a049c51fb4e288c9f96c28"),
+    ):
+        edges = [
+            [build.__name__, a, b, sorted(build(a, b).edges)]
+            for a in range(1, 9)
+            for b in range(1, 9)
+        ]
+        assert hashlib.sha256(json.dumps(edges).encode()).hexdigest() == want
+
+
+def test_sl3_builder_rejects_two_edges_into_one_vertex():
+    try:
+        _sl3_crystal(1, 1, lambda *x: (0, 0, 1), lambda *x: None)
+    except RuntimeError as exc:
+        assert "two color-1 edges enter (0, 0, 1)" in str(exc)
+    else:
+        raise AssertionError("expected RuntimeError")
 
 
 def test_sl3_spot_paths():
@@ -378,11 +417,15 @@ EXHAUSTIVE_101 = [
 
 
 def test_conjecture_exhaustive_frozen():
-    for lam, selections, nodes in (((1, 1), 2, 30), ((2, 1), 2, 66), ((2, 2), 2, 137)):
+    # the search engine knows nothing of the sl3 rules: at n = 2 its two
+    # crystals are exactly B^<(a, b) and B^>(a, b)
+    counts = {(1, 1): (2, 30), (2, 1): (2, 66), (2, 2): (2, 137)}
+    for lam in itertools.product(range(1, 5), repeat=2):
         res = conjecture_search(2, lam)
         assert res.complete
-        assert [g.edges for g in res.graphs] == [sl3_blt(*lam).edges, sl3_bgt(*lam).edges]
-        assert (res.selections, res.nodes) == (selections, nodes)
+        assert [g.edges for g in res.graphs] == [sl3_blt(*lam).edges, sl3_bgt(*lam).edges], lam
+        if lam in counts:
+            assert (res.selections, res.nodes) == counts[lam]
     res = conjecture_search(3, (1, 0, 1))
     assert res.complete
     assert [g.edges for g in res.graphs] == EXHAUSTIVE_101
@@ -494,6 +537,14 @@ def test_work_done_once_per_call(monkeypatch):
 def test_conjecture_budget_flag():
     res = conjecture_search(2, (1, 1), budget=3)
     assert not res.complete
+    for mode in ("exhaustive", "greedy"):
+        for budget in (0, -5):
+            try:
+                conjecture_search(2, (1, 1), mode=mode, budget=budget)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"budget {budget} accepted in {mode} mode")
 
 
 def test_conjecture_greedy_recovers_sl3_graphs():

@@ -163,3 +163,13 @@ def test_rejects_non_dominant():
             pass
         else:
             raise AssertionError(f"fflv_hrep(2, {bad}) should have raised")
+
+
+def test_rejects_non_integer_weight():
+    for bad in [(1.5, 1), ("1", 1)]:
+        try:
+            fflv_points(2, bad)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"fflv_points(2, {bad}) should have raised")

@@ -269,6 +269,24 @@ def test_pointset_basics():
         raise AssertionError("empty set needs explicit dim")
 
 
+def test_non_integer_input_is_rejected():
+    # operator.index semantics: a float or a string is an error, never
+    # truncated to an integer row or point
+    for name, bad in (
+        ("float coefficient", lambda: HPolytope.make(2, [((0.5, 1), 2)])),
+        ("float rhs", lambda: HPolytope.make(2, [((1, 1), 2.9)])),
+        ("string coefficient", lambda: HPolytope.make(2, [(("3", 1), 2)])),
+        ("float coordinate", lambda: PointSet([(1.5, 0)])),
+        ("string coordinate", lambda: PointSet([("1", 0)])),
+    ):
+        try:
+            bad()
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"{name} should be rejected")
+
+
 def test_json_round_trips():
     P = fflv2(2, 1)
     assert HPolytope.from_json(P.to_json()) == P

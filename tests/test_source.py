@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import fflv
 
@@ -17,4 +18,23 @@ def test_library_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}:{name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"fflv"}
+            ]
     assert found == []
