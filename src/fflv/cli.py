@@ -5,6 +5,9 @@ One subcommand per module: ``roots``, ``word``, ``fflv``, ``tiling``,
 stdout unless ``--out FILE`` is given; serialization is canonical, so
 identical invocations produce byte-identical output.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on bad flags or bad input.
+
+Each subcommand imports the layers it runs when it runs, so start-up loads
+only this module, ``fflv.roots`` and the claim registry ``fflv.claims``.
 """
 
 from __future__ import annotations
@@ -12,27 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .crystal import (
-    CrystalGraph,
-    conjecture_search,
-    crystal_to_dot,
-    pb_graph,
-    sl3_bgt,
-    sl3_blt,
+from .claims import CLAIMS
+from .roots import (
+    ik_word,
+    is_reduced,
+    lexmax_word,
+    lexmin_word,
+    positive_roots,
+    root_enumeration,
 )
-from .fflv import fflv_hrep, fflv_points
-from .polytope import HPolytope
-from .roots import ik_word, lexmax_word, lexmin_word, positive_roots, root_enumeration
-from .tiling import (
-    build_tiling,
-    lusztig_hrep,
-    lusztig_points,
-    tiling_to_json,
-    tiling_to_svg,
-)
-from .verify import CLAIMS, run_suite
+
+if TYPE_CHECKING:
+    from .crystal import CrystalGraph
+    from .polytope import HPolytope
 
 
 def _dumps(obj) -> str:
@@ -127,6 +124,8 @@ def cmd_word(args) -> int:
         word = _parse_word(args.word, args.n)
     else:
         word = lexmin_word(args.n)
+    if not is_reduced(word, args.n):
+        raise ValueError(f"not a reduced word for the longest element: {word}")
     lines = [_word_str(word)]
     if args.enumerate:
         lines.append(" ".join(str(r) for r in root_enumeration(word, n=args.n)))
@@ -135,6 +134,8 @@ def cmd_word(args) -> int:
 
 
 def cmd_fflv(args) -> int:
+    from .fflv import fflv_hrep, fflv_points
+
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":
         _emit_hrep(fflv_hrep(args.n, lam), args)
@@ -144,6 +145,8 @@ def cmd_fflv(args) -> int:
 
 
 def cmd_tiling(args) -> int:
+    from .tiling import build_tiling, tiling_to_json, tiling_to_svg
+
     word = _parse_word(args.word, args.n)
     T = build_tiling(word, n=args.n)
     if args.format == "svg":
@@ -158,6 +161,8 @@ def cmd_tiling(args) -> int:
 
 
 def cmd_lusztig(args) -> int:
+    from .tiling import lusztig_hrep, lusztig_points
+
     word = _parse_word(args.word, args.n)
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":
@@ -168,6 +173,8 @@ def cmd_lusztig(args) -> int:
 
 
 def _emit_crystal(g: CrystalGraph, args) -> None:
+    from .crystal import crystal_to_dot
+
     if args.format == "dot":
         _emit(crystal_to_dot(g), args.out)
     elif args.format == "json":
@@ -182,18 +189,24 @@ def _emit_crystal(g: CrystalGraph, args) -> None:
 
 
 def cmd_crystal_sl3(args) -> int:
+    from .crystal import sl3_bgt, sl3_blt
+
     build = sl3_blt if args.lt else sl3_bgt
     _emit_crystal(build(args.a, args.b), args)
     return 0
 
 
 def cmd_crystal_pb(args) -> int:
+    from .crystal import pb_graph
+
     lam = _parse_lambda(args.lam, args.n)
     _emit_crystal(pb_graph(args.n, lam), args)
     return 0
 
 
 def cmd_conjecture(args) -> int:
+    from .crystal import conjecture_search
+
     lam = _parse_lambda(args.lam, args.n)
     sigma = None
     if args.sigma:
@@ -222,12 +235,14 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     if args.what == "suite":
         config = None
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
-        kinds = args.kinds.split(",") if args.kinds else None
+        kinds = args.kinds.split(",") if args.kinds is not None else None
         reports = run_suite(config, kinds=kinds)
     else:
         # a single claim is the one-case suite, validated like any suite case
@@ -247,7 +262,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# The flag of each claim parameter (see ``verify.Claim``), shared by ``common``.
+# The flag of each claim parameter (see ``claims.Claim``), shared by ``common``.
 _PARAM_FLAGS = {
     "n": ("--n", {"type": int, "required": True}),
     "lam": ("--lambda", {"required": True,

@@ -8,7 +8,6 @@ lambda_j, where the path runs from alpha_{i,i} to alpha_{j,j}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -111,10 +110,12 @@ def weyl_dim(n: int, lam: Sequence[int]) -> int:
     lam = _check_dominant(n, lam)
     mu = weight_mu(lam)
     m = n + 1
-    total = Fraction(1)
+    num = den = 1
     for i in range(m):
         for j in range(i + 1, m):
-            total *= Fraction(mu[i] - mu[j] + j - i, j - i)
-    if total.denominator != 1:
-        raise RuntimeError(f"Weyl product for {lam} is not an integer: {total}")
-    return total.numerator
+            num *= mu[i] - mu[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise RuntimeError(f"Weyl product for {lam} is not an integer: {num}/{den}")
+    return dim

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import fflv
 from fflv.cli import dispatch
 from fflv.crystal import CrystalGraph, sl3_bgt
 from fflv.fflv import fflv_hrep, fflv_points
@@ -255,6 +256,20 @@ def test_bad_flags_exit_two():
         assert dispatch(["tiling", "--n", "2", "--word", "1,1"]) == 2  # not reduced
         assert dispatch(["fflv", "--n", "2", "--lambda", "1,-1"]) == 2
         assert dispatch(["--help"]) == 0
+        for argv in (  # words that are not reduced for the longest element
+            ("--n", "2", "--word", "1,1"),
+            ("--n", "1", "--word", "7"),
+            ("--n", "0"),
+            ("--n", "-3"),
+        ):
+            assert run_cli("word", *argv) == (2, ""), argv
+    assert run_cli("word", "--n", "1") == (0, "(1)\n")
+
+
+def test_verify_suite_empty_kinds_is_an_unknown_kind():
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run_cli("verify", "suite", "--kinds", "") == (2, "")
+    assert "unknown suite kind" in err.getvalue()
 
 
 def test_module_entrypoint_subprocess():
@@ -265,3 +280,44 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(2,1,3,2,3,1)\n"
+
+
+def _fresh(*args):
+    """Run a new interpreter, which imports the package under test, on ``args``."""
+    src = os.path.dirname(os.path.dirname(fflv.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
+
+
+_LOADED = (
+    "import sys; print(sorted(m for m in sys.modules"
+    " if m.split('.')[0] in ('fflv', 'fractions', 'dataclasses')))"
+)
+
+
+def test_cli_import_loads_only_the_registry_and_roots():
+    proc = _fresh("-c", "import fflv.cli; " + _LOADED)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['fflv', 'fflv.claims', 'fflv.cli', 'fflv.roots']\n"
+
+
+def test_verify_suite_never_loads_the_crystal_layer():
+    proc = _fresh(
+        "-c",
+        "import contextlib, io; from fflv.cli import dispatch\n"
+        "with contextlib.redirect_stdout(io.StringIO()): code = dispatch(['verify', 'suite'])\n"
+        "print(code); " + _LOADED,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()
+    assert code == "0" and "'fflv.verify'" in loaded
+    assert "'fflv.crystal'" not in loaded and "'fractions'" not in loaded
+
+
+def test_crystal_command_imports_its_layer():
+    argv = ("crystal", "sl3", "--gt", "--a", "1", "--b", "1")
+    proc = _fresh("-m", "fflv.cli", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(*argv)[1]
