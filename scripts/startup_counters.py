@@ -5,8 +5,10 @@
 Runs each command below once in a fresh interpreter and reports what it
 loaded: the ``fflv.*`` modules, the total source bytes of those modules
 (each one is compiled again at every start when no bytecode cache is
-written), and how many modules of any kind were loaded.  Prints one JSON
-object; the counts repeat exactly for a given checkout and Python.
+written), how many modules of any kind were loaded, and which of the
+costly stdlib modules below it loaded (``dataclasses`` imports ``inspect``,
+which imports ``ast``, ``dis`` and ``tokenize``).  Prints one JSON object;
+the counts repeat exactly for a given checkout and Python.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ COMMANDS = {
     "verify suite": ["verify", "suite"],
 }
 
+COSTLY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
 PROBE = """
 import contextlib, io, json, os, sys
 from fflv.cli import dispatch
@@ -39,8 +43,9 @@ print(json.dumps({
     "fflv_modules": mods,
     "fflv_source_bytes": sum(os.path.getsize(sys.modules[m].__file__) for m in mods),
     "modules_loaded": len(sys.modules),
+    "costly_modules": [m for m in %r if m in sys.modules],
 }))
-"""
+""" % (COSTLY,)
 
 
 def main() -> None:

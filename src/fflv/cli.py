@@ -7,7 +7,8 @@ identical invocations produce byte-identical output.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on bad flags or bad input.
 
 Each subcommand imports the layers it runs when it runs, so start-up loads
-only this module, ``fflv.roots`` and the claim registry ``fflv.claims``.
+only this module, ``fflv.roots`` and the claim registry ``fflv.claims``;
+``dispatch`` adds arguments only to the parser of the command it runs.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# The flag of each claim parameter (see ``claims.Claim``), shared by ``common``.
+# The flag of each claim parameter (see ``claims.Claim``), shared by ``_common``.
 _PARAM_FLAGS = {
     "n": ("--n", {"type": int, "required": True}),
     "lam": ("--lambda", {"required": True,
@@ -277,26 +278,21 @@ def _add_param(p, name: str) -> None:
     p.add_argument(flag, dest=name, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fflv",
-        description="FFLV and Lusztig polytopes, rhombic tilings, and crystal graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, lam=False, fmt=None) -> None:
+    _add_param(p, "n")
+    if lam:
+        _add_param(p, "lam")
+    if fmt:
+        p.add_argument("--format", choices=fmt, default=fmt[0])
+    p.add_argument("--out", default=None)
 
-    def common(p, lam=False, fmt=None):
-        _add_param(p, "n")
-        if lam:
-            _add_param(p, "lam")
-        if fmt:
-            p.add_argument("--format", choices=fmt, default=fmt[0])
-        p.add_argument("--out", default=None)
 
-    p = sub.add_parser("roots", help="positive roots in canonical order")
-    common(p, fmt=("text", "json"))
+def _args_roots(p, argv) -> None:
+    _common(p, fmt=("text", "json"))
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("word", help="reduced words of the longest element")
+
+def _args_word(p, argv) -> None:
     p.add_argument("--n", type=int, required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--lexmin", action="store_true")
@@ -308,27 +304,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_word)
 
-    p = sub.add_parser("fflv", help="FFLV polytope of a weight")
-    common(p, lam=True, fmt=("text", "json"))
+
+def _args_fflv(p, argv) -> None:
+    _common(p, lam=True, fmt=("text", "json"))
     p.add_argument("--mode", choices=("points", "hrep", "count"), default="points")
     p.set_defaults(func=cmd_fflv)
 
-    p = sub.add_parser("tiling", help="rhombic tiling of a reduced word")
-    common(p, fmt=("text", "json", "svg"))
+
+def _args_tiling(p, argv) -> None:
+    _common(p, fmt=("text", "json", "svg"))
     p.add_argument("--word", required=True,
                    help="lexmin | lexmax | ik:K | comma-separated letters")
     p.set_defaults(func=cmd_tiling)
 
-    p = sub.add_parser("lusztig", help="Lusztig polytope of a reduced word")
-    common(p, lam=True, fmt=("text", "json"))
+
+def _args_lusztig(p, argv) -> None:
+    _common(p, lam=True, fmt=("text", "json"))
     p.add_argument("--word", required=True,
                    help="lexmin | lexmax | ik:K | comma-separated letters")
     p.add_argument("--mode", choices=("points", "hrep", "count"), default="points")
     p.set_defaults(func=cmd_lusztig)
 
-    p = sub.add_parser("crystal", help="crystal graphs on FFLV lattice points")
-    csub = p.add_subparsers(dest="which", required=True)
-    q = csub.add_parser("sl3", help="the explicit crystals B^>(a,b) / B^<(a,b)")
+
+def _args_crystal_sl3(q, argv) -> None:
     grp = q.add_mutually_exclusive_group(required=True)
     grp.add_argument("--gt", action="store_true")
     grp.add_argument("--lt", action="store_true")
@@ -337,39 +335,104 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--format", choices=("dot", "json", "text"), default="dot")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_crystal_sl3)
-    q = csub.add_parser("pb", help="all candidate moves (usually a multigraph)")
-    common(q, lam=True, fmt=("dot", "json", "text"))
+
+
+def _args_crystal_pb(q, argv) -> None:
+    _common(q, lam=True, fmt=("dot", "json", "text"))
     q.set_defaults(func=cmd_crystal_pb)
 
-    p = sub.add_parser("conjecture", help="search for crystal structures")
-    common(p, lam=True, fmt=("text", "json"))
+
+def _args_crystal(p, argv) -> None:
+    _add_commands(p, "which", {
+        "sl3": ("the explicit crystals B^>(a,b) / B^<(a,b)", _args_crystal_sl3),
+        "pb": ("all candidate moves (usually a multigraph)", _args_crystal_pb),
+    }, argv)
+
+
+def _args_conjecture(p, argv) -> None:
+    _common(p, lam=True, fmt=("text", "json"))
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--sigma", default=None, help="color preference, e.g. 2,1")
     p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("verify", help="replay verification claims")
-    vsub = p.add_subparsers(dest="what", required=True)
-    for kind, claim in CLAIMS.items():
-        q = vsub.add_parser(kind)
-        for name in claim.params:
+
+def _args_json(q) -> None:
+    q.add_argument("--json", action="store_true", help="emit the JSON report array")
+    q.set_defaults(func=cmd_verify)
+
+
+def _args_claim(kind: str):
+    def add(q, argv) -> None:
+        for name in CLAIMS[kind].params:
             _add_param(q, name)
         q.add_argument("--out", default=None)
-    q = vsub.add_parser("suite")
+        _args_json(q)
+
+    return add
+
+
+def _args_suite(q, argv) -> None:
     q.add_argument("--config", default=None, help="JSON file overriding the default sweep")
     q.add_argument("--kinds", default=None, help="comma-separated claim kinds to run")
     q.add_argument("--out", default=None)
-    for q in vsub.choices.values():
-        q.add_argument("--json", action="store_true", help="emit the JSON report array")
-        q.set_defaults(func=cmd_verify)
+    _args_json(q)
 
+
+def _args_verify(p, argv) -> None:
+    kinds = {kind: (None, _args_claim(kind)) for kind in CLAIMS}
+    _add_commands(p, "what", {**kinds, "suite": (None, _args_suite)}, argv)
+
+
+# name -> (help, function(parser, the arguments after the name) adding the
+# command's arguments; only the nested ``crystal`` and ``verify`` read the
+# second argument, to pick their own subcommand)
+_COMMANDS = {
+    "roots": ("positive roots in canonical order", _args_roots),
+    "word": ("reduced words of the longest element", _args_word),
+    "fflv": ("FFLV polytope of a weight", _args_fflv),
+    "tiling": ("rhombic tiling of a reduced word", _args_tiling),
+    "lusztig": ("Lusztig polytope of a reduced word", _args_lusztig),
+    "crystal": ("crystal graphs on FFLV lattice points", _args_crystal),
+    "conjecture": ("search for crystal structures", _args_conjecture),
+    "verify": ("replay verification claims", _args_verify),
+}
+
+
+def _add_commands(parser, dest: str, commands: dict, argv: Sequence[str] | None) -> None:
+    """Register each command's name and help under a required subcommand.
+
+    Only the command that parsing ``argv`` picks gets its arguments: the
+    first of ``argv`` that is not an option, since no parser here has an
+    option that takes a value before its subcommand.  Usage and help text
+    read only the names and helps, so every ``--help`` and every error
+    prints what the full tree prints.  ``argv=None`` builds the full tree.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    i = next((i for i, a in enumerate(argv or ()) if not a.startswith("-")), None)
+    for name, (text, add_args) in commands.items():
+        q = sub.add_parser(name) if text is None else sub.add_parser(name, help=text)
+        if argv is None:
+            add_args(q, None)
+        elif i is not None and argv[i] == name:
+            add_args(q, argv[i + 1:])
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The ``fflv`` parser: the full tree, or with ``argv`` only the parsers
+    that parsing ``argv`` reaches (see ``_add_commands``)."""
+    parser = argparse.ArgumentParser(
+        prog="fflv",
+        description="FFLV and Lusztig polytopes, rhombic tilings, and crystal graphs.",
+    )
+    _add_commands(parser, "command", _COMMANDS, argv)
     return parser
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

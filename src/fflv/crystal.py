@@ -20,7 +20,6 @@ Four layers:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fflv import _check_dominant, fflv_points
@@ -43,18 +42,45 @@ class CandidateEdge(NamedTuple):
     pivot: int | None   # the j (a<k) or i (a>k) of the moved box; None on a=k
 
 
-@dataclass(frozen=True)
 class CrystalGraph:
-    n: int
-    lam: tuple[int, ...]
-    vertices: PointSet
-    edges: frozenset[EdgeT]
-    # optional explicit weights: the oracle's words (not lattice points) or
-    # a search's table computed once per point; default is the weight of
-    # the point
-    weights: dict[Point, tuple[int, ...]] | None = field(
-        default=None, compare=False, repr=False
-    )
+    """A colored graph on lattice points.  Equality and hash read n, lam,
+    vertices and edges, never ``weights``."""
+
+    __slots__ = ("n", "lam", "vertices", "edges", "weights")
+
+    def __init__(
+        self,
+        n: int,
+        lam: tuple[int, ...],
+        vertices: PointSet,
+        edges: frozenset[EdgeT],
+        # optional explicit weights: the oracle's words (not lattice points)
+        # or a search's table computed once per point; default is the weight
+        # of the point
+        weights: dict[Point, tuple[int, ...]] | None = None,
+    ) -> None:
+        self.n = n
+        self.lam = lam
+        self.vertices = vertices
+        self.edges = edges
+        self.weights = weights
+
+    def _fields(self) -> tuple:
+        return (self.n, self.lam, self.vertices, self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"CrystalGraph(n={self.n!r}, lam={self.lam!r}, "
+            f"vertices={self.vertices!r}, edges={self.edges!r})"
+        )
 
     def weight_of(self, v: Point) -> tuple[int, ...]:
         if self.weights is not None:
@@ -585,14 +611,22 @@ def critical_points(a: int, b: int) -> PointSet:
 # conjecture search
 
 
-@dataclass
 class SearchResult:
-    graphs: list[CrystalGraph]
-    complete: bool
-    mode: str
-    nodes: int          # search-engine nodes visited
-    selections: int     # complete pairings assembled and validated
-    budget: int
+    def __init__(
+        self,
+        graphs: list[CrystalGraph],
+        complete: bool,
+        mode: str,
+        nodes: int,       # search-engine nodes visited
+        selections: int,  # complete pairings assembled and validated
+        budget: int,
+    ) -> None:
+        self.graphs = graphs
+        self.complete = complete
+        self.mode = mode
+        self.nodes = nodes
+        self.selections = selections
+        self.budget = budget
 
 
 class _Budget:

@@ -15,9 +15,8 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import index
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from operator import add, index
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 Point = tuple[int, ...]
 RowT = tuple[tuple[int, ...], int]
@@ -55,8 +54,7 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     return memo[key]
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(NamedTuple):
     dim: int
     rows: tuple[RowT, ...]
     nonneg: bool = True
@@ -115,6 +113,16 @@ class PointSet:
             raise ValueError("empty PointSet needs an explicit dim")
         self.dim = dim
         self._pts: tuple[Point, ...] = tuple(pts)
+
+    @classmethod
+    def _trusted(cls, points: Iterable[Point], dim: int) -> "PointSet":
+        """The set of ``points``, which must be distinct tuples of ints of
+        length ``dim``: the library's own enumerator and ``sumset`` build
+        exactly that, so this only sorts."""
+        self = cls.__new__(cls)
+        self.dim = dim
+        self._pts = tuple(sorted(points))
+        return self
 
     def __len__(self) -> int:
         return len(self._pts)
@@ -238,7 +246,7 @@ def _enumerate(P: HPolytope) -> PointSet:
                 levels[k].append((r, c, suffix_min))
                 suffix_min += min(c, 0) * box[k]
         if b < suffix_min:
-            return PointSet((), dim=N)
+            return PointSet._trusted((), N)
         budget.append(b)
 
     out: list[Point] = []
@@ -274,14 +282,12 @@ def _enumerate(P: HPolytope) -> PointSet:
             budget[r] += c * (hi + 1)
 
     rec(0)
-    return PointSet(out, dim=N)
+    return PointSet._trusted(out, N)
 
 
 def sumset(A: PointSet, B: PointSet) -> PointSet:
     """Minkowski sum {a + b : a in A, b in B}, deduplicated."""
     if A.dim != B.dim:
         raise ValueError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    return PointSet(
-        (tuple(u + v for u, v in zip(a, b)) for a in A for b in B), dim=A.dim
-    )
+    return PointSet._trusted({tuple(map(add, a, b)) for a in A for b in B}, A.dim)
 

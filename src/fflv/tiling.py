@@ -20,7 +20,7 @@ for pictures only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, _once, lattice_points
@@ -49,14 +49,43 @@ class Edge(NamedTuple):
         return self.bottom | {self.label}
 
 
-@dataclass(frozen=True)
 class Tile:
-    id: int
-    s: int  # smaller label
-    t: int  # larger label
-    lower: tuple[Edge, Edge]  # border edges consumed, bottom then top
-    upper: tuple[Edge, Edge]  # border edges created, bottom then top
-    root: Root
+    """A rhombic tile; equal, and equally hashed, when all fields are."""
+
+    __slots__ = ("id", "s", "t", "lower", "upper", "root")
+
+    def __init__(
+        self,
+        id: int,
+        s: int,  # smaller label
+        t: int,  # larger label
+        lower: tuple[Edge, Edge],  # border edges consumed, bottom then top
+        upper: tuple[Edge, Edge],  # border edges created, bottom then top
+        root: Root,
+    ) -> None:
+        self.id = id
+        self.s = s
+        self.t = t
+        self.lower = lower
+        self.upper = upper
+        self.root = root
+
+    def _fields(self) -> tuple:
+        return (self.id, self.s, self.t, self.lower, self.upper, self.root)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Tile(id={self.id!r}, s={self.s!r}, t={self.t!r}, lower={self.lower!r}, "
+            f"upper={self.upper!r}, root={self.root!r})"
+        )
 
     @property
     def labels(self) -> tuple[int, int]:
@@ -74,27 +103,37 @@ class Tile:
         raise ValueError(f"tile {self.labels} does not carry label {a}")
 
 
-@dataclass
 class Tiling:
-    n: int
-    m: int
-    word: tuple[int, ...]
-    tiles: tuple[Tile, ...]
-    edges: tuple[Edge, ...]
-    left_boundary: tuple[Edge, ...]   # L_1 .. L_m, bottom to top
-    right_boundary: tuple[Edge, ...]  # R_1 .. R_m, top to bottom of the final border
-    borders: tuple[tuple[Edge, ...], ...]  # B^(0) .. B^(N), each bottom to top
-    incidence: dict[Edge, tuple[Tile, ...]] = field(repr=False)
+    """The tiles and edges of a word's tiling, with the adjacency derived from
+    ``incidence`` (edge -> the tiles it borders); the constructor raises
+    ``RuntimeError`` when two tiles share more than one edge."""
 
-    def tile_for_root(self, r: Root) -> Tile:
-        return self._by_root[r]
-
-    def __post_init__(self) -> None:
-        self._by_root = {tile.root: tile for tile in self.tiles}
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        word: tuple[int, ...],
+        tiles: tuple[Tile, ...],
+        edges: tuple[Edge, ...],
+        left_boundary: tuple[Edge, ...],   # L_1 .. L_m, bottom to top
+        right_boundary: tuple[Edge, ...],  # R_1 .. R_m, top to bottom of the final border
+        borders: tuple[tuple[Edge, ...], ...],  # B^(0) .. B^(N), each bottom to top
+        incidence: dict[Edge, tuple[Tile, ...]],
+    ) -> None:
+        self.n = n
+        self.m = m
+        self.word = word
+        self.tiles = tiles
+        self.edges = edges
+        self.left_boundary = left_boundary
+        self.right_boundary = right_boundary
+        self.borders = borders
+        self.incidence = incidence
+        self._by_root = {tile.root: tile for tile in tiles}
         # (a, b) -> label of the one edge tiles a and b share, both orders
         self.shared_label: dict[tuple[int, int], int] = {}
-        nbrs: dict[int, set[int]] = {tile.id: set() for tile in self.tiles}
-        for e, inc in self.incidence.items():
+        nbrs: dict[int, set[int]] = {tile.id: set() for tile in tiles}
+        for e, inc in incidence.items():
             for a in inc:
                 for b in inc:
                     if a.id == b.id:
@@ -102,13 +141,16 @@ class Tiling:
                     if (a.id, b.id) in self.shared_label:
                         raise RuntimeError(
                             f"tiles {a.id} and {b.id} share more than one edge "
-                            f"(word {self.word})"
+                            f"(word {word})"
                         )
                     self.shared_label[(a.id, b.id)] = e.label
                     nbrs[a.id].add(b.id)
         self.neighbors = {
-            tid: tuple(self.tiles[j] for j in sorted(ids)) for tid, ids in nbrs.items()
+            tid: tuple(tiles[j] for j in sorted(ids)) for tid, ids in nbrs.items()
         }
+
+    def tile_for_root(self, r: Root) -> Tile:
+        return self._by_root[r]
 
 
 class Strip(NamedTuple):
@@ -116,21 +158,48 @@ class Strip(NamedTuple):
     tiles: tuple[Tile, ...]
 
 
-@dataclass(frozen=True)
-class PeelOrder:
+class PeelOrder(NamedTuple):
     s: int
     layer: dict[int, int]  # tile id -> layer (1-based)
     num_layers: int
 
 
-@dataclass(frozen=True)
 class DualCrossing:
-    tiles: tuple[Tile, ...]
-    s: int
-    strip_sequence: tuple[int, ...]
-    # per tile: the strip label it is entered / left through; equal entries
-    # mean an interior tile of that strip, distinct entries a turning tile
-    entering_leaving: tuple[tuple[int, int], ...]
+    """A dual s-crossing; equal, and equally hashed, when all fields are."""
+
+    __slots__ = ("tiles", "s", "strip_sequence", "entering_leaving")
+
+    def __init__(
+        self,
+        tiles: tuple[Tile, ...],
+        s: int,
+        strip_sequence: tuple[int, ...],
+        # per tile: the strip label it is entered / left through; equal entries
+        # mean an interior tile of that strip, distinct entries a turning tile
+        entering_leaving: tuple[tuple[int, int], ...],
+    ) -> None:
+        self.tiles = tiles
+        self.s = s
+        self.strip_sequence = strip_sequence
+        self.entering_leaving = entering_leaving
+
+    def _fields(self) -> tuple:
+        return (self.tiles, self.s, self.strip_sequence, self.entering_leaving)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"DualCrossing(tiles={self.tiles!r}, s={self.s!r}, "
+            f"strip_sequence={self.strip_sequence!r}, "
+            f"entering_leaving={self.entering_leaving!r})"
+        )
 
 
 def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
@@ -139,8 +208,9 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     Letter a replaces the border edges at heights a-1 and a (labels s < t)
     by the opposite sides of the tile {s, t}; the recorded root is
     alpha_{s, t-1}, matching the word's root enumeration step for step.
+    Letters must be integers: a float or a string raises TypeError.
     """
-    word = tuple(word)
+    word = tuple(map(index, word))
     if n is None:
         n = max(word, default=0)
     enum = root_enumeration(word, n)  # raises on a non-reduced word
@@ -399,6 +469,12 @@ def reineke_filter(crossings: list[DualCrossing]) -> list[DualCrossing]:
     An interior tile of strip a with other label b must satisfy: a > b when
     b <= s, and a < b when b >= s+1.  Turning tiles are unconstrained, so
     the dual s-comb always survives.
+
+    In every case measured the filter drops only rows the point set does
+    not need: the polytope of the unfiltered rows has the same lattice
+    points for every word at n <= 3 on every weight of 0/1 entries, for all
+    768 words at n = 4 on (1,1,1,1), and for one word of each of the 908
+    commutation classes at n = 5 on (1,0,1,0,1).  It only saves rows.
     """
     kept: list[DualCrossing] = []
     for cr in crossings:
@@ -462,12 +538,13 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     One row per (s, filtered dual s-crossing) with rhs lambda_s, s in [1, n];
     rows repeated with identical coefficients and rhs are kept once.  The
     crossing rows do not depend on lambda: inside ``_one_run()`` they are
-    built once per (word, n).
+    built once per (word, n).  The word's letters and lambda must be
+    integers: a float or a string raises TypeError, never truncates.
     """
-    word = tuple(word)
+    word = tuple(map(index, word))
     if n is None:
         n = max(word, default=0)
-    lam = tuple(int(v) for v in lam)
+    lam = tuple(map(index, lam))
     if len(lam) != n:
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):

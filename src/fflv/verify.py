@@ -9,7 +9,6 @@ registered in ``fflv.claims.CLAIMS``, by default ``default_sweep()``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -28,13 +27,20 @@ from .tiling import (
 MAX_WITNESSES = 5
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    params: dict
-    passed: bool
-    witnesses: list = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(
+        self,
+        claim: str,
+        params: dict,
+        passed: bool,
+        witnesses: list | None = None,
+        seconds: float = 0.0,
+    ) -> None:
+        self.claim = claim
+        self.params = params
+        self.passed = passed
+        self.witnesses = [] if witnesses is None else witnesses
+        self.seconds = seconds
 
     def to_json(self) -> dict:
         return {

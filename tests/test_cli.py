@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import tempfile
 
 import fflv
-from fflv.cli import dispatch
+from fflv.cli import build_parser, dispatch
 from fflv.crystal import CrystalGraph, sl3_bgt
 from fflv.fflv import fflv_hrep, fflv_points
 from fflv.polytope import HPolytope, PointSet
@@ -266,6 +267,63 @@ def test_bad_flags_exit_two():
     assert run_cli("word", "--n", "1") == (0, "(1)\n")
 
 
+_HELP_ARGVS = (
+    [["--help"]]
+    + [[c, "--help"] for c in ("roots", "word", "fflv", "tiling", "lusztig",
+                               "crystal", "conjecture", "verify")]
+    + [["crystal", c, "--help"] for c in ("sl3", "pb")]
+    + [["verify", c, "--help"] for c in ("main", "fundamental", "words", "dyck", "suite")]
+)
+
+
+def _parsed(parser, argv):
+    """(exit code or None, stdout, stderr, parsed namespace or None)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+def test_help_output_unchanged(monkeypatch):
+    # argparse wraps help at the terminal width: sha256 of the 16 help texts
+    # at 80 columns as the full parser tree prints them
+    monkeypatch.setenv("COLUMNS", "80")
+    text = ""
+    for argv in _HELP_ARGVS:
+        code, out = run_cli(*argv)
+        assert code == 0 and out, argv
+        text += out
+    assert len(text) == 5010
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1563a2b1eb117acfbab9c26ddb2d5706d974aa5db47036941398be3698ce0c6a"
+    )
+
+
+def test_dispatch_parser_parses_like_the_full_tree(monkeypatch):
+    # dispatch gives arguments only to the parsers its argv reaches; every
+    # help, error and parse result must be that of the full tree
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = _HELP_ARGVS + [
+        [], ["bogus"], ["-1", "word"], ["--bogus", "word", "--n", "2"], ["--", "word", "--n", "2"],
+        ["word"], ["word", "--n", "x"], ["word", "--n", "2", "--lexmin", "--lexmax"],
+        ["word", "--n", "2", "--ik", "1", "--enumerate"], ["roots", "--n", "2", "--format", "xml"],
+        ["fflv", "--n", "2", "--lambda", "1,1", "--mode", "hrep"], ["tiling", "--n", "2"],
+        ["lusztig", "--n", "3", "--word", "lexmin", "--lambda", "1", "--bogus"],
+        ["crystal"], ["crystal", "xx"], ["crystal", "--format", "dot", "sl3"],
+        ["crystal", "sl3", "--a", "1", "--b", "1"], ["crystal", "sl3", "--lt", "--a", "1", "--b", "2"],
+        ["crystal", "pb", "--n", "2", "--lambda", "1"], ["conjecture", "--n", "2", "--lambda", "1,1"],
+        ["verify"], ["verify", "nope"], ["verify", "main"], ["verify", "suite", "--bogus"],
+        ["verify", "suite", "--kinds", "main", "--json"], ["verify", "fundamental", "--n", "3", "--k", "2"],
+    ]
+    for argv in argvs:
+        lazy = _parsed(build_parser(argv), argv)
+        assert lazy == _parsed(build_parser(), argv), argv
+        assert lazy[0] in (None, 0, 2) and (lazy[0] is None) == (lazy[3] is not None)
+
+
 def test_verify_suite_empty_kinds_is_an_unknown_kind():
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert run_cli("verify", "suite", "--kinds", "") == (2, "")
@@ -293,7 +351,7 @@ def _fresh(*args):
 
 _LOADED = (
     "import sys; print(sorted(m for m in sys.modules"
-    " if m.split('.')[0] in ('fflv', 'fractions', 'dataclasses')))"
+    " if m.split('.')[0] in ('fflv', 'fractions', 'dataclasses', 'inspect')))"
 )
 
 
@@ -314,6 +372,7 @@ def test_verify_suite_never_loads_the_crystal_layer():
     code, loaded = proc.stdout.splitlines()
     assert code == "0" and "'fflv.verify'" in loaded
     assert "'fflv.crystal'" not in loaded and "'fractions'" not in loaded
+    assert "'dataclasses'" not in loaded and "'inspect'" not in loaded
 
 
 def test_crystal_command_imports_its_layer():

@@ -182,6 +182,18 @@ def test_axioms_fail_with_witness_on_deleted_edge():
     assert all("vertex" in v for v in report["violations"])
 
 
+def test_crystal_graph_equality_ignores_weights():
+    g = word_oracle(2, (1, 1)).export_graph()
+    same = CrystalGraph(g.n, g.lam, g.vertices, g.edges)
+    assert same.weights is None and g.weights is not None
+    assert same == g and hash(same) == hash(g) and {g: 1}[same] == 1
+    assert CrystalGraph(g.n, g.lam, g.vertices, g.edges, weights={}) == g
+    fewer = CrystalGraph(g.n, g.lam, g.vertices, frozenset(list(g.edges)[1:]), g.weights)
+    assert fewer != g
+    assert CrystalGraph(g.n, (1, 2), g.vertices, g.edges, g.weights) != g
+    assert sl3_bgt(2, 1) == sl3_bgt(2, 1) and sl3_bgt(2, 1) != sl3_blt(2, 1)
+
+
 def test_axioms_catch_color_cycle():
     g = word_oracle(2, (1, 1)).export_graph()
     closed = CrystalGraph(

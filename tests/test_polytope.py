@@ -3,7 +3,7 @@
 import random
 
 from fflv import polytope
-from fflv.fflv import fflv_hrep, weyl_dim
+from fflv.fflv import fflv_hrep, fflv_points, weyl_dim
 from fflv.polytope import (
     HPolytope,
     PointSet,
@@ -12,7 +12,7 @@ from fflv.polytope import (
     lattice_points,
     sumset,
 )
-from fflv.roots import all_reduced_words, fundamental_weight
+from fflv.roots import all_reduced_words, fundamental_weight, ik_word, num_roots
 from fflv.tiling import lusztig_hrep, lusztig_points
 from fflv.verify import default_sweep, run_suite
 
@@ -155,6 +155,52 @@ def test_one_run_memoises_points_but_not_failures(monkeypatch):
     assert polytope._RUN.get() is None
     lattice_points(good)
     assert calls[-1] == good and len(calls) == 5  # no memo outside a run
+
+
+def test_hpolytope_is_a_value_and_a_memo_key(monkeypatch):
+    P, Q = fflv_hrep(3, (1, 0, 2)), fflv_hrep(3, (1, 0, 2))
+    assert P is not Q and P == Q and hash(P) == hash(Q)
+    assert HPolytope.make(P.dim, P.rows) == P
+    assert HPolytope.make(P.dim, P.rows, nonneg=False) != P
+    assert fflv_hrep(3, (1, 0, 1)) != P
+    calls = []
+    enumerate_ = polytope._enumerate
+    monkeypatch.setattr(polytope, "_enumerate", lambda R: calls.append(R) or enumerate_(R))
+    with polytope._one_run():
+        assert lattice_points(P) is lattice_points(Q)
+    assert calls == [P]
+
+
+def test_trusted_point_sets_equal_checked_ones():
+    # the enumerator and sumset build their sets without PointSet's
+    # per-coordinate check; on the default sweep they equal the checked sets
+    def same_as_checked(A):
+        B = PointSet(list(A), dim=A.dim)
+        assert A == B and hash(A) == hash(B) and list(A) == sorted(A)
+        assert all(type(v) is int for p in A for v in p)
+
+    cases = 0
+    for n, lam in default_sweep()["main"]:
+        dim = num_roots(n)
+        total = PointSet([(0,) * dim], dim=dim)
+        for k in range(1, n + 1):
+            if lam[k - 1]:
+                S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
+                total = sumset(total, S)
+                same_as_checked(S)
+                same_as_checked(total)
+        same_as_checked(fflv_points(n, lam))
+        assert total == fflv_points(n, lam)
+        cases += 1
+    assert cases == len(default_sweep()["main"]) > 0
+    same_as_checked(lattice_points(HPolytope.make(2, [((1, 1), -1)])))  # empty
+    for bad in ([[1.0, 0]], [["1", 0]]):  # outside input is still checked
+        try:
+            PointSet.from_json(bad)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"PointSet.from_json({bad}) should have raised")
 
 
 def test_certified_box_follows_capping_rows():

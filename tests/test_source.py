@@ -38,3 +38,16 @@ def test_library_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names | {"fflv"}
             ]
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # importing dataclasses loads inspect, and each class execs generated
+    # code at import: value types here are NamedTuples or __slots__ classes
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []

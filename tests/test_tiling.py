@@ -4,9 +4,8 @@ The small frozen cases ((1,2,1), (2,1,2), i^2 at n=3) were worked out by
 hand; they pin every orientation convention in the module.
 """
 
-import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from fflv.fflv import fflv_points, weyl_dim
 from fflv.roots import (
@@ -21,8 +20,14 @@ from fflv.roots import (
     random_reduced_word,
     root_index,
 )
+from fflv.polytope import HPolytope, _one_run, lattice_points
 from fflv.tiling import (
+    DualCrossing,
     PeelStallError,
+    Tile,
+    Tiling,
+    _assemble_crossing,
+    _crossing_row,
     _assemble_crossing,
     _last_tile,
     build_tiling,
@@ -197,9 +202,32 @@ def test_tiles_sharing_two_edges_are_rejected():
     incidence = dict(T.incidence)
     incidence[second] = (a, b)
     _expect_runtime_error(
-        lambda: dataclasses.replace(T, incidence=incidence),
+        lambda: Tiling(
+            T.n, T.m, T.word, T.tiles, T.edges,
+            T.left_boundary, T.right_boundary, T.borders, incidence,
+        ),
         f"tiles {a.id} and {b.id} share more than one edge",
     )
+
+
+def test_tiles_and_crossings_are_values():
+    # equal fields give equal, equally hashed objects, whatever their identity
+    one, two = build_tiling((1, 2, 1)), build_tiling((1, 2, 1))
+    assert all(a is not b for a, b in zip(one.tiles, two.tiles))
+    assert one.tiles == two.tiles and set(one.tiles) == set(two.tiles)
+    assert len(set(one.tiles + two.tiles)) == 3
+    t = one.tiles[0]
+    twin = Tile(t.id, t.s, t.t, t.lower, t.upper, t.root)
+    assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+    assert Tile(t.id + 1, t.s, t.t, t.lower, t.upper, t.root) != t
+    assert t != tuple(t.labels) and t.__eq__(t.labels) is NotImplemented
+
+    crs, again = dual_crossings(one, 1), dual_crossings(two, 1)
+    assert crs == again and {hash(c) for c in crs} == {hash(c) for c in again}
+    cr = crs[0]
+    twin = DualCrossing(cr.tiles, cr.s, cr.strip_sequence, cr.entering_leaving)
+    assert twin == cr and hash(twin) == hash(cr) and {twin: 1}[cr] == 1
+    assert DualCrossing(cr.tiles, cr.s + 1, cr.strip_sequence, cr.entering_leaving) != cr
 
 
 def test_peel_frozen_121():
@@ -391,6 +419,68 @@ def test_lusztig_counts_small():
     for word in [lexmin_word(3), lexmax_word(3), ik_word(3, 2)]:
         for lam in [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 2, 0)]:
             assert len(lusztig_points(word, lam)) == weyl_dim(3, lam)
+
+
+def test_lusztig_rejects_non_integer_input():
+    # operator.index semantics: never truncated to 1 or parsed from "1"
+    for word, lam in [
+        ((1, 2, 1), (1.7, 0)),
+        ((1, 2, 1), ("1", 0)),
+        ((1.0, 2, 1), (1, 0)),
+        (("1", 2, 1), (1, 0)),
+    ]:
+        for build in (lusztig_hrep, lusztig_points):
+            try:
+                build(word, lam)
+            except TypeError:
+                pass
+            else:
+                raise AssertionError(f"{build.__name__}({word}, {lam}) should have raised")
+    try:
+        build_tiling((2.0, 1, 2))
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("a float letter should have raised")
+    with _one_run():  # (1.0, 2, 1) == (1, 2, 1): the memo must not answer it
+        lusztig_points((1, 2, 1), (1, 0))
+        try:
+            lusztig_points((1.0, 2, 1), (1, 0))
+        except TypeError:
+            pass
+        else:
+            raise AssertionError("a float letter should have raised inside a run")
+
+
+def test_reineke_filter_changes_no_point_set():
+    # the filter only saves rows: every word at n <= 3 on every 0/1 weight,
+    # and all 768 words at n = 4 on (1,1,1,1), give the points of all rows
+    cases = [
+        (word, lam)
+        for n in (1, 2, 3)
+        for word in all_reduced_words(n)
+        for lam in product((0, 1), repeat=n)
+        if any(lam)
+    ]
+    cases += [(word, (1, 1, 1, 1)) for word in all_reduced_words(4)]
+    assert len(cases) == 1 + 2 * 3 + 16 * 7 + 768
+    checked, dropped = set(), 0
+    for word, lam in cases:
+        n = len(lam)
+        idx, dim = root_index(n), num_roots(n)
+        T = build_tiling(word, n)
+        every = [cr for s in range(1, n + 1) for cr in dual_crossings(T, s)]
+        kept = reineke_filter(every)
+        dropped += len(every) - len(kept)
+        key = tuple(
+            frozenset((_crossing_row(cr.s, cr, idx, dim), lam[cr.s - 1]) for cr in crs)
+            for crs in (kept, every)
+        )
+        if key not in checked:  # the words of a commutation class repeat rows
+            checked.add(key)
+            filtered, unfiltered = (lattice_points(HPolytope.make(dim, rows)) for rows in key)
+            assert filtered == unfiltered, (word, lam)
+    assert dropped > 0
 
 
 def test_ik_lusztig_equals_fflv_on_its_weight():
