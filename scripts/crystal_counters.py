@@ -3,9 +3,10 @@
 
     python3 scripts/crystal_counters.py [--seed 1]
 
-Runs every case of ``perfbench/workloads.py``'s ``crystal`` list once, with
-a profile hook on ``fflv/crystal.py`` and ``fflv/roots.py`` that counts,
-without touching the library:
+Runs every case of ``perfbench/workloads.py``'s ``crystal`` list once and
+checks its output, as a benchmark pass does, with a profile hook on
+``fflv/crystal.py`` and ``fflv/roots.py`` that counts, without touching the
+library:
 
 * ``search_nodes``: ticks of the exhaustive search's budget (``tick``
   calls);
@@ -16,7 +17,8 @@ without touching the library:
   own checks;
 * ``weight_calls``: ``weight_of_point`` calls.
 
-Prints one JSON object.  The counts repeat exactly for a given seed.
+Prints one JSON object.  The counts repeat exactly for a given seed.  A case
+whose check fails is an error: its counts would describe a broken pass.
 """
 
 from __future__ import annotations
@@ -57,12 +59,17 @@ def count(seed: int) -> dict:
             counts["weight_calls"] += 1
 
     cases = workloads.crystal_cases(seed)
+    failures = []
     sys.setprofile(hook)
     try:
         for case in cases:
-            case.run()
+            message = case.check(case.run())
+            if message is not None:
+                failures.append(f"{case.name}: {message}")
     finally:
         sys.setprofile(None)
+    if failures:
+        raise RuntimeError(f"{len(failures)} crystal case(s) failed: {failures[0]}")
     return {"seed": seed, "cases": len(cases), **counts}
 
 

@@ -20,6 +20,7 @@ Four layers:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fflv import _check_dominant, fflv_points
@@ -87,18 +88,6 @@ class CrystalGraph:
             return self.weights[v]
         return weight_of_point(self.lam, v)
 
-    def out_map(self) -> dict[tuple[Point, int], list[Point]]:
-        out: dict[tuple[Point, int], list[Point]] = {}
-        for u, a, v in sorted(self.edges):
-            out.setdefault((u, a), []).append(v)
-        return out
-
-    def in_map(self) -> dict[tuple[Point, int], list[Point]]:
-        inc: dict[tuple[Point, int], list[Point]] = {}
-        for u, a, v in sorted(self.edges):
-            inc.setdefault((v, a), []).append(u)
-        return inc
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -144,22 +133,13 @@ def crystal_to_dot(G: CrystalGraph) -> str:
 # candidate moves and PB_n(lambda)
 
 
-def candidate_edges(n: int, lam: Sequence[int], x: Sequence[int]) -> list[CandidateEdge]:
+def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
     """All feasible lowering moves f_{a,k} at the point x, for every a and k.
 
     Which single k (and which j or i) the canonical-basis structure actually
     selects is decided downstream; this emits every move that stays inside
-    FFLV_n(lambda)_Z.
+    the lattice points pts.
     """
-    pts = fflv_points(n, tuple(lam))
-    x = tuple(x)
-    if x not in pts:
-        raise ValueError(f"{x} is not a lattice point of the polytope")
-    return _moves(n, pts, x)
-
-
-def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
-    """candidate_edges at x, given the lattice points pts it must stay in."""
     idx = root_index(n)
     out: list[CandidateEdge] = []
 
@@ -200,11 +180,6 @@ def pb_graph(n: int, lam: Sequence[int]) -> CrystalGraph:
         (ce.source, ce.a, ce.target) for x in pts for ce in _moves(n, inside, x)
     )
     return CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges)
-
-
-def candidate_map(n: int, lam: Sequence[int]) -> dict[tuple[Point, int], list[CandidateEdge]]:
-    """Candidates grouped by (vertex, color), in deterministic order."""
-    return _candidate_map(n, fflv_points(n, tuple(lam)))
 
 
 def _candidate_map(n: int, pts: PointSet) -> dict[tuple[Point, int], list[CandidateEdge]]:
@@ -321,9 +296,51 @@ def _pairing(wt: Sequence[int], a: int) -> int:
     return wt[a - 1] - wt[a]
 
 
-def check_local_axioms(G: CrystalGraph) -> dict:
+class _Index(NamedTuple):
+    """A graph on vertex ids: i is ``verts[i]``, in ``G.vertices`` order;
+    ``f[a][i]`` / ``e[a][i]`` is the id of the color-a target / source at
+    i, or -1; ``wt[i]`` is its weight.  ``stray`` holds (source, detail)
+    of each edge with a color outside [1, n] or an end outside
+    ``G.vertices``, in edge order; ``multi`` marks two edges of one color
+    into or out of a vertex."""
+
+    verts: list[Point]
+    f: list[list[int]]
+    e: list[list[int]]
+    wt: list[tuple[int, ...]]
+    stray: list[tuple[Point, str]]
+    multi: bool
+
+
+def _index(G: CrystalGraph) -> _Index:
+    verts = list(G.vertices)
+    vid = {v: i for i, v in enumerate(verts)}
+    f = [[-1] * len(verts) for _ in range(G.n + 1)]
+    e = [[-1] * len(verts) for _ in range(G.n + 1)]
+    stray: list[EdgeT] = []
+    multi = False
+    for u, a, v in G.edges:
+        i, j = vid.get(u), vid.get(v)
+        if i is None or j is None or not 1 <= a <= G.n:
+            stray.append((u, a, v))
+        elif f[a][i] != -1 or e[a][j] != -1:
+            multi = True
+        else:
+            f[a][i] = j
+            e[a][j] = i
+    stray_report = [
+        (u, f"color-{a} edge {u} -> {v}: "
+            + ("endpoint not a vertex" if 1 <= a <= G.n else f"color outside [1, {G.n}]"))
+        for u, a, v in sorted(stray)
+    ]
+    return _Index(verts, f, e, [G.weight_of(v) for v in verts], stray_report, multi)
+
+
+def check_local_axioms(G: CrystalGraph, ix: _Index | None = None) -> dict:
     """Stembridge-style local check; returns {"passed": bool, "violations": [...]}.
 
+    (0)   every edge has a color in [1, n] and both ends in G.vertices;
+          if not, only the stray edges are reported ("edge-range");
     (i)   per color: at most one in- and one out-edge per vertex, no
           monochromatic cycles;
     (ii)  every edge lowers the content by e_a - e_{a+1}, and the
@@ -338,135 +355,115 @@ def check_local_axioms(G: CrystalGraph) -> dict:
 
     Every violation carries its witness vertex.  The isomorphism check
     against the word oracle stays the normative criterion; this one exists
-    to localize failures.
+    to localize failures.  ``ix`` is an index of G already built:
+    ``_is_crystal`` shares one between both validators.
     """
     violations: list[dict] = []
 
     def flag(axiom: str, vertex, detail: str) -> None:
         violations.append({"axiom": axiom, "vertex": vertex, "detail": detail})
 
-    colors = list(range(1, G.n + 1))
-    f: dict[tuple[Point, int], Point] = {}
-    e: dict[tuple[Point, int], Point] = {}
-    for (u, a), targets in G.out_map().items():
-        if len(targets) > 1:
-            flag("partial-function", u, f"{len(targets)} outgoing color-{a} edges")
-        else:
-            f[(u, a)] = targets[0]
-    for (v, a), sources in G.in_map().items():
-        if len(sources) > 1:
-            flag("partial-function", v, f"{len(sources)} incoming color-{a} edges")
-        else:
-            e[(v, a)] = sources[0]
+    ix = ix or _index(G)
+    for u, detail in ix.stray:
+        flag("edge-range", u, detail)
+    if not violations and ix.multi:  # sort and count only here, where something is flagged
+        edges = sorted(G.edges)
+        for ends, way in (([(u, a) for u, a, _ in edges], "outgoing"),
+                          ([(v, a) for _, a, v in edges], "incoming")):
+            for (x, a), k in Counter(ends).items():
+                if k > 1:
+                    flag("partial-function", x, f"{k} {way} color-{a} edges")
     if violations:
         return {"passed": False, "violations": violations}
 
-    # (eps_a, phi_a) of every node with a color-a edge, from one walk along
-    # each color-a string starting at its head.  With partial functions a
-    # walk from a head cannot loop, and nodes on a cycle get no entry.
-    strings: dict[tuple[Point, int], tuple[int, int]] = {}
-    for u, a in f:
-        if (u, a) in e:
-            continue
-        chain = [u]
-        while (chain[-1], a) in f:
-            chain.append(f[(chain[-1], a)])
-        for pos, v in enumerate(chain):
-            strings[(v, a)] = (pos, len(chain) - 1 - pos)
-
-    verts = list(G.vertices)
+    # (eps_a, phi_a) of every vertex, from one walk along each color-a string
+    # from its head.  With partial functions a walk from a head cannot loop,
+    # so a vertex with an out-edge that no walk reaches lies on a cycle.
+    verts, f, e, wt = ix.verts, ix.f, ix.e, ix.wt
+    colors = range(1, G.n + 1)
+    eps: list[list[int]] = [[]]  # per color; color 0 unused
+    phi: list[list[int]] = [[]]
     for a in colors:
-        for v in verts:
-            # a string longer than the vertex count is reported as a cycle too
-            if (v, a) in f and ((v, a) not in strings or strings[(v, a)][1] > len(verts)):
-                flag("acyclic", v, f"color-{a} cycle")
+        fa, ea, pa = f[a], [0] * len(verts), [0] * len(verts)
+        for i, j in enumerate(fa):
+            if j != -1 and e[a][i] == -1:
+                chain = [i]
+                while j != -1:
+                    chain.append(j)
+                    j = fa[j]
+                for pos, v in enumerate(chain):
+                    ea[v], pa[v] = pos, len(chain) - 1 - pos
+        for i, j in enumerate(fa):
+            if j != -1 and pa[i] == 0:
+                flag("acyclic", verts[i], f"color-{a} cycle")
                 return {"passed": False, "violations": violations}
+        eps.append(ea)
+        phi.append(pa)
 
-    def eps(v: Point, a: int) -> int:
-        return strings.get((v, a), (0, 0))[0]
-
-    def phi(v: Point, a: int) -> int:
-        return strings.get((v, a), (0, 0))[1]
-
-    nodes = set(verts)
-    for u, _, v in G.edges:
-        nodes.update((u, v))
-    wt = {v: G.weight_of(v) for v in nodes}
-    for u, a, v in sorted(G.edges):
-        drop = [x - y for x, y in zip(wt[u], wt[v])]
+    steps = []  # read unsorted, flagged in edge order
+    for a in colors:
         want = [0] * (G.n + 1)
         want[a - 1], want[a] = 1, -1
-        if drop != want:
-            flag("weight-step", u, f"color-{a} edge changes weight by {drop}")
-    for v in verts:
+        for i, j in enumerate(f[a]):
+            if j != -1 and (drop := [x - y for x, y in zip(wt[i], wt[j])]) != want:
+                steps.append((verts[i], a, verts[j], drop))
+    for u, a, _, drop in sorted(steps):
+        flag("weight-step", u, f"color-{a} edge changes weight by {drop}")
+    for i, v in enumerate(verts):
         for a in colors:
-            if phi(v, a) - eps(v, a) != _pairing(wt[v], a):
-                flag(
-                    "weight-string",
-                    v,
-                    f"phi-eps={phi(v, a) - eps(v, a)} but <wt,a{a}^>={_pairing(wt[v], a)}",
-                )
+            d, p = phi[a][i] - eps[a][i], _pairing(wt[i], a)
+            if d != p:
+                flag("weight-string", v, f"phi-eps={d} but <wt,a{a}^>={p}")
     if violations:
         return {"passed": False, "violations": violations}
 
     for a, b in itertools.combinations(colors, 2):
         if b - a >= 2:
-            for v in verts:
+            for i, v in enumerate(verts):
                 for op, name in ((e, "e"), (f, "f")):
-                    if (v, a) in op:
-                        w = op[(v, a)]
-                        if eps(w, b) != eps(v, b) or phi(w, b) != phi(v, b):
-                            flag("distant-strings", v, f"{name}_{a} moves color-{b} stats")
+                    w = op[a][i]
+                    if w != -1 and (eps[b][w] != eps[b][i] or phi[b][w] != phi[b][i]):
+                        flag("distant-strings", v, f"{name}_{a} moves color-{b} stats")
                 for op in (e, f):
-                    if (v, a) in op and (v, b) in op:
-                        if op.get((op[(v, a)], b)) != op.get((op[(v, b)], a)):
-                            flag("distant-commute", v, f"colors {a},{b}")
+                    x, y = op[a][i], op[b][i]
+                    if x != -1 and y != -1 and op[b][x] != op[a][y]:
+                        flag("distant-commute", v, f"colors {a},{b}")
         else:
             for x, y in ((a, b), (b, a)):
-                for v in verts:
-                    if (v, x) in e:
-                        w = e[(v, x)]
-                        d = (eps(w, y) - eps(v, y), phi(w, y) - phi(v, y))
+                for i, v in enumerate(verts):
+                    w = e[x][i]
+                    if w != -1:
+                        d = (eps[y][w] - eps[y][i], phi[y][w] - phi[y][i])
                         if d not in {(1, 0), (0, -1)}:
                             flag("adjacent-raise-delta", v, f"e_{x} gives {d} on color {y}")
-                    if (v, x) in f:
-                        w = f[(v, x)]
-                        d = (eps(w, y) - eps(v, y), phi(w, y) - phi(v, y))
+                    w = f[x][i]
+                    if w != -1:
+                        d = (eps[y][w] - eps[y][i], phi[y][w] - phi[y][i])
                         if d not in {(-1, 0), (0, 1)}:
                             flag("adjacent-lower-delta", v, f"f_{x} gives {d} on color {y}")
-            for v in verts:
-                if (v, a) in e and (v, b) in e:
-                    d1 = eps(e[(v, a)], b) - eps(v, b)
-                    d2 = eps(e[(v, b)], a) - eps(v, a)
+            for i, v in enumerate(verts):
+                for op, name, stat in ((e, "e", eps), (f, "f", phi)):
+                    x, y = op[a][i], op[b][i]
+                    if x == -1 or y == -1:
+                        continue
+                    d1, d2 = stat[b][x] - stat[b][i], stat[a][y] - stat[a][i]
                     if d1 == 0 or d2 == 0:
-                        if e.get((e[(v, a)], b)) != e.get((e[(v, b)], a)):
-                            flag("adjacent-commute", v, f"e_{a} e_{b}")
+                        if op[b][x] != op[a][y]:
+                            flag("adjacent-commute", v, f"{name}_{a} {name}_{b}")
                     elif d1 == 1 and d2 == 1:
-                        left = _apply_chain(e, v, (a, b, b, a))
-                        right = _apply_chain(e, v, (b, a, a, b))
-                        if left is None or left != right:
-                            flag("adjacent-braid", v, f"e_{a} e_{b} braid")
-                if (v, a) in f and (v, b) in f:
-                    d1 = phi(f[(v, a)], b) - phi(v, b)
-                    d2 = phi(f[(v, b)], a) - phi(v, a)
-                    if d1 == 0 or d2 == 0:
-                        if f.get((f[(v, a)], b)) != f.get((f[(v, b)], a)):
-                            flag("adjacent-commute", v, f"f_{a} f_{b}")
-                    elif d1 == 1 and d2 == 1:
-                        left = _apply_chain(f, v, (a, b, b, a))
-                        right = _apply_chain(f, v, (b, a, a, b))
-                        if left is None or left != right:
-                            flag("adjacent-braid", v, f"f_{a} f_{b} braid")
+                        left = _apply_chain(op, i, (a, b, b, a))
+                        if left == -1 or left != _apply_chain(op, i, (b, a, a, b)):
+                            flag("adjacent-braid", v, f"{name}_{a} {name}_{b} braid")
 
     return {"passed": not violations, "violations": violations}
 
 
-def _apply_chain(op: dict, v: Point, colors: Iterable[int]) -> Point | None:
+def _apply_chain(op: list[list[int]], i: int, colors: Iterable[int]) -> int:
     for a in colors:
-        if (v, a) not in op:
-            return None
-        v = op[(v, a)]
-    return v
+        i = op[a][i]
+        if i == -1:
+            break
+    return i
 
 
 def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
@@ -474,49 +471,49 @@ def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
     return _iso_report(G, word_oracle(G.n, lam))
 
 
-def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
-    out: dict[tuple[Point, int], Point] = {}
-    inc: dict[tuple[Point, int], Point] = {}
-    for u, a, v in G.edges:
-        if (u, a) in out or (v, a) in inc:
-            return False, "multi-edges: not a partial permutation per color"
-        out[(u, a)] = v
-        inc[(v, a)] = u
-    targets = {v for (v, a) in inc if 1 <= a <= G.n}
-    sources = [v for v in G.vertices if v not in targets]
+def _iso_report(G: CrystalGraph, W: WordCrystal, ix: _Index | None = None) -> tuple[bool, str]:
+    ix = ix or _index(G)
+    if ix.stray:
+        return False, ix.stray[0][1]
+    if ix.multi:
+        return False, "multi-edges: not a partial permutation per color"
+    verts, f, wt = ix.verts, ix.f, ix.wt
+    entered = set(itertools.chain.from_iterable(f[1:]))
+    sources = [i for i in range(len(verts)) if i not in entered]
     if len(sources) != 1:
         return False, f"{len(sources)} sources, expected 1"
     src = sources[0]
-    if G.weight_of(src) != W.content(W.highest):
-        return False, f"source weight {G.weight_of(src)} != highest weight"
-    pair: dict[Point, tuple[int, ...]] = {src: W.highest}
+    if wt[src] != W.content(W.highest):
+        return False, f"source weight {wt[src]} != highest weight"
+    word: list[tuple[int, ...] | None] = [None] * len(verts)  # id -> paired word
+    word[src] = W.highest
     used: set[tuple[int, ...]] = {W.highest}
     queue = [src]
     while queue:
-        v = queue.pop()
-        w = pair[v]
+        i = queue.pop()
+        w = word[i]
         for a in range(1, G.n + 1):
-            gv = out.get((v, a))
+            j = f[a][i]
             gw = W._f.get((w, a))
-            if (gv is None) != (gw is None):
-                return False, f"color-{a} edge mismatch at {v} / word {w}"
-            if gv is None:
+            if (j == -1) != (gw is None):
+                return False, f"color-{a} edge mismatch at {verts[i]} / word {w}"
+            if j == -1:
                 continue
-            if gv in pair:
-                if pair[gv] != gw:
-                    return False, f"inconsistent pairing at {gv}"
+            if word[j] is not None:
+                if word[j] != gw:
+                    return False, f"inconsistent pairing at {verts[j]}"
             else:
                 if gw in used:
                     return False, f"two vertices map to word {gw}"
-                if G.weight_of(gv) != W.content(gw):
-                    return False, f"weight mismatch at {gv}"
-                pair[gv] = gw
+                if wt[j] != W.content(gw):
+                    return False, f"weight mismatch at {verts[j]}"
+                word[j] = gw
                 used.add(gw)
-                queue.append(gv)
-    if len(pair) != len(G.vertices):
-        return False, f"only {len(pair)} of {len(G.vertices)} vertices reached"
-    if len(pair) != len(W.vertices):
-        return False, f"oracle has {len(W.vertices)} vertices, matched {len(pair)}"
+                queue.append(j)
+    if len(used) != len(verts):
+        return False, f"only {len(used)} of {len(verts)} vertices reached"
+    if len(used) != len(W.vertices):
+        return False, f"oracle has {len(W.vertices)} vertices, matched {len(used)}"
     return True, ""
 
 
@@ -699,9 +696,10 @@ def _graph_from_choices(
 
 
 def _is_crystal(g: CrystalGraph, W: WordCrystal) -> bool:
-    """Both validators; the oracle pairing runs first because it is the
-    cheaper of the two."""
-    return _iso_report(g, W)[0] and check_local_axioms(g)["passed"]
+    """Both validators on one index of g; the oracle pairing runs first
+    because it is the cheaper of the two."""
+    ix = _index(g)
+    return _iso_report(g, W, ix)[0] and check_local_axioms(g, ix)["passed"]
 
 
 def _crystals(

@@ -498,7 +498,9 @@ def reineke_filter(crossings: list[DualCrossing]) -> list[DualCrossing]:
 def _crossing_row(
     s: int, cr: DualCrossing, idx: Mapping[Root, int], dim: int
 ) -> tuple[int, ...]:
-    """The coefficient vector of ``crossing_functional``, without its structure."""
+    """The coefficient vector (canonical root order) of the crossing's
+    inequality: +1 on tiles {a, b} with a <= s < s+1 <= b, -1 on the other
+    non-turning tiles, 0 on the other turning ones."""
     coeffs = [0] * dim
     for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving):
         if tile.s <= s < tile.t:
@@ -506,30 +508,6 @@ def _crossing_row(
         elif enter == leave:
             coeffs[idx[tile.root]] = -1
     return tuple(coeffs)
-
-
-def crossing_functional(
-    T: Tiling, s: int, cr: DualCrossing
-) -> tuple[tuple[int, ...], list[dict]]:
-    """Coefficient vector (canonical root order) of the crossing's inequality.
-
-    epsilon_s of a tile {a, b} is +1 iff a <= s < s+1 <= b.  Coefficients:
-    +1 on tiles with epsilon +1, -1 on non-turning tiles with epsilon -1,
-    0 on turning tiles with epsilon -1.
-    """
-    idx = root_index(T.n)
-    coeffs = _crossing_row(s, cr, idx, num_roots(T.n))
-    structure = [
-        {
-            "labels": tile.labels,
-            "root": tuple(tile.root),
-            "epsilon": 1 if tile.s <= s < tile.t else -1,
-            "turning": enter != leave,
-            "coeff": coeffs[idx[tile.root]],
-        }
-        for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving)
-    ]
-    return coeffs, structure
 
 
 def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) -> HPolytope:

@@ -1,7 +1,8 @@
 """Independent reference computations used to pin down expected values.
 
 Everything in here is deliberately naive and self-contained: straight loops
-over boxes, textbook recursions, no imports from the package under test.
+over boxes, textbook recursions, no imports from the package under test --
+except for the package's former public wrappers in the last section.
 If a test disagrees with one of these, the package is wrong (or the frozen
 expectation is, which is worse).
 """
@@ -270,3 +271,258 @@ def product_search(n, pts, cand, weights, is_crystal):
         if is_crystal(edges):
             found.add(edges)
     return sorted(found, key=sorted)
+
+
+# ---------------------------------------------------------------------------
+# Crystal validators on dicts keyed by (vertex, color): the package's
+# validators before they moved to integer vertex ids, kept as the reference
+# they must match.  They read a CrystalGraph (n, vertices, edges,
+# weight_of) and a WordCrystal (highest, content, _f) by attribute only.
+
+
+def _out_map(G):
+    out = {}
+    for u, a, v in sorted(G.edges):
+        out.setdefault((u, a), []).append(v)
+    return out
+
+
+def _in_map(G):
+    inc = {}
+    for u, a, v in sorted(G.edges):
+        inc.setdefault((v, a), []).append(u)
+    return inc
+
+
+def _pairing(wt, a):
+    return wt[a - 1] - wt[a]
+
+
+def dict_local_axioms(G):
+    """check_local_axioms as it was: {"passed": bool, "violations": [...]}."""
+    violations = []
+
+    def flag(axiom, vertex, detail):
+        violations.append({"axiom": axiom, "vertex": vertex, "detail": detail})
+
+    colors = list(range(1, G.n + 1))
+    f = {}
+    e = {}
+    for (u, a), targets in _out_map(G).items():
+        if len(targets) > 1:
+            flag("partial-function", u, f"{len(targets)} outgoing color-{a} edges")
+        else:
+            f[(u, a)] = targets[0]
+    for (v, a), sources in _in_map(G).items():
+        if len(sources) > 1:
+            flag("partial-function", v, f"{len(sources)} incoming color-{a} edges")
+        else:
+            e[(v, a)] = sources[0]
+    if violations:
+        return {"passed": False, "violations": violations}
+
+    # (eps_a, phi_a) of every node with a color-a edge, from one walk along
+    # each color-a string starting at its head.  With partial functions a
+    # walk from a head cannot loop, and nodes on a cycle get no entry.
+    strings = {}
+    for u, a in f:
+        if (u, a) in e:
+            continue
+        chain = [u]
+        while (chain[-1], a) in f:
+            chain.append(f[(chain[-1], a)])
+        for pos, v in enumerate(chain):
+            strings[(v, a)] = (pos, len(chain) - 1 - pos)
+
+    verts = list(G.vertices)
+    for a in colors:
+        for v in verts:
+            # a string longer than the vertex count is reported as a cycle too
+            if (v, a) in f and ((v, a) not in strings or strings[(v, a)][1] > len(verts)):
+                flag("acyclic", v, f"color-{a} cycle")
+                return {"passed": False, "violations": violations}
+
+    def eps(v, a):
+        return strings.get((v, a), (0, 0))[0]
+
+    def phi(v, a):
+        return strings.get((v, a), (0, 0))[1]
+
+    nodes = set(verts)
+    for u, _, v in G.edges:
+        nodes.update((u, v))
+    wt = {v: G.weight_of(v) for v in nodes}
+    for u, a, v in sorted(G.edges):
+        drop = [x - y for x, y in zip(wt[u], wt[v])]
+        want = [0] * (G.n + 1)
+        want[a - 1], want[a] = 1, -1
+        if drop != want:
+            flag("weight-step", u, f"color-{a} edge changes weight by {drop}")
+    for v in verts:
+        for a in colors:
+            if phi(v, a) - eps(v, a) != _pairing(wt[v], a):
+                flag(
+                    "weight-string",
+                    v,
+                    f"phi-eps={phi(v, a) - eps(v, a)} but <wt,a{a}^>={_pairing(wt[v], a)}",
+                )
+    if violations:
+        return {"passed": False, "violations": violations}
+
+    for a, b in itertools.combinations(colors, 2):
+        if b - a >= 2:
+            for v in verts:
+                for op, name in ((e, "e"), (f, "f")):
+                    if (v, a) in op:
+                        w = op[(v, a)]
+                        if eps(w, b) != eps(v, b) or phi(w, b) != phi(v, b):
+                            flag("distant-strings", v, f"{name}_{a} moves color-{b} stats")
+                for op in (e, f):
+                    if (v, a) in op and (v, b) in op:
+                        if op.get((op[(v, a)], b)) != op.get((op[(v, b)], a)):
+                            flag("distant-commute", v, f"colors {a},{b}")
+        else:
+            for x, y in ((a, b), (b, a)):
+                for v in verts:
+                    if (v, x) in e:
+                        w = e[(v, x)]
+                        d = (eps(w, y) - eps(v, y), phi(w, y) - phi(v, y))
+                        if d not in {(1, 0), (0, -1)}:
+                            flag("adjacent-raise-delta", v, f"e_{x} gives {d} on color {y}")
+                    if (v, x) in f:
+                        w = f[(v, x)]
+                        d = (eps(w, y) - eps(v, y), phi(w, y) - phi(v, y))
+                        if d not in {(-1, 0), (0, 1)}:
+                            flag("adjacent-lower-delta", v, f"f_{x} gives {d} on color {y}")
+            for v in verts:
+                if (v, a) in e and (v, b) in e:
+                    d1 = eps(e[(v, a)], b) - eps(v, b)
+                    d2 = eps(e[(v, b)], a) - eps(v, a)
+                    if d1 == 0 or d2 == 0:
+                        if e.get((e[(v, a)], b)) != e.get((e[(v, b)], a)):
+                            flag("adjacent-commute", v, f"e_{a} e_{b}")
+                    elif d1 == 1 and d2 == 1:
+                        left = _apply_chain(e, v, (a, b, b, a))
+                        right = _apply_chain(e, v, (b, a, a, b))
+                        if left is None or left != right:
+                            flag("adjacent-braid", v, f"e_{a} e_{b} braid")
+                if (v, a) in f and (v, b) in f:
+                    d1 = phi(f[(v, a)], b) - phi(v, b)
+                    d2 = phi(f[(v, b)], a) - phi(v, a)
+                    if d1 == 0 or d2 == 0:
+                        if f.get((f[(v, a)], b)) != f.get((f[(v, b)], a)):
+                            flag("adjacent-commute", v, f"f_{a} f_{b}")
+                    elif d1 == 1 and d2 == 1:
+                        left = _apply_chain(f, v, (a, b, b, a))
+                        right = _apply_chain(f, v, (b, a, a, b))
+                        if left is None or left != right:
+                            flag("adjacent-braid", v, f"f_{a} f_{b} braid")
+
+    return {"passed": not violations, "violations": violations}
+
+
+def _apply_chain(op, v, colors):
+    for a in colors:
+        if (v, a) not in op:
+            return None
+        v = op[(v, a)]
+    return v
+
+
+def dict_iso_report(G, W):
+    """_iso_report as it was: (ok, message) of the pairing of G with W."""
+    out = {}
+    inc = {}
+    for u, a, v in G.edges:
+        if (u, a) in out or (v, a) in inc:
+            return False, "multi-edges: not a partial permutation per color"
+        out[(u, a)] = v
+        inc[(v, a)] = u
+    targets = {v for (v, a) in inc if 1 <= a <= G.n}
+    sources = [v for v in G.vertices if v not in targets]
+    if len(sources) != 1:
+        return False, f"{len(sources)} sources, expected 1"
+    src = sources[0]
+    if G.weight_of(src) != W.content(W.highest):
+        return False, f"source weight {G.weight_of(src)} != highest weight"
+    pair = {src: W.highest}
+    used = {W.highest}
+    queue = [src]
+    while queue:
+        v = queue.pop()
+        w = pair[v]
+        for a in range(1, G.n + 1):
+            gv = out.get((v, a))
+            gw = W._f.get((w, a))
+            if (gv is None) != (gw is None):
+                return False, f"color-{a} edge mismatch at {v} / word {w}"
+            if gv is None:
+                continue
+            if gv in pair:
+                if pair[gv] != gw:
+                    return False, f"inconsistent pairing at {gv}"
+            else:
+                if gw in used:
+                    return False, f"two vertices map to word {gw}"
+                if G.weight_of(gv) != W.content(gw):
+                    return False, f"weight mismatch at {gv}"
+                pair[gv] = gw
+                used.add(gw)
+                queue.append(gv)
+    if len(pair) != len(G.vertices):
+        return False, f"only {len(pair)} of {len(G.vertices)} vertices reached"
+    if len(pair) != len(W.vertices):
+        return False, f"oracle has {len(W.vertices)} vertices, matched {len(pair)}"
+    return True, ""
+
+
+# ---------------------------------------------------------------------------
+# Former public wrappers of the package, kept for the tests that read them.
+# Unlike everything above, they call into the package.
+
+
+def candidate_edges(n, lam, x):
+    """All feasible lowering moves f_{a,k} at the lattice point x of
+    FFLV_n(lambda); ValueError when x is not one."""
+    from fflv.crystal import _moves
+    from fflv.fflv import fflv_points
+
+    pts = fflv_points(n, tuple(lam))
+    x = tuple(x)
+    if x not in pts:
+        raise ValueError(f"{x} is not a lattice point of the polytope")
+    return _moves(n, pts, x)
+
+
+def candidate_map(n, lam):
+    """Candidates grouped by (vertex, color), in deterministic order."""
+    from fflv.crystal import _candidate_map
+    from fflv.fflv import fflv_points
+
+    return _candidate_map(n, fflv_points(n, tuple(lam)))
+
+
+def crossing_functional(T, s, cr):
+    """Coefficient vector (canonical root order) of the crossing's
+    inequality, and per tile its labels, root, epsilon, turning and coeff.
+
+    epsilon_s of a tile {a, b} is +1 iff a <= s < s+1 <= b.  Coefficients:
+    +1 on tiles with epsilon +1, -1 on non-turning tiles with epsilon -1,
+    0 on turning tiles with epsilon -1.
+    """
+    from fflv.roots import num_roots, root_index
+    from fflv.tiling import _crossing_row
+
+    idx = root_index(T.n)
+    coeffs = _crossing_row(s, cr, idx, num_roots(T.n))
+    structure = [
+        {
+            "labels": tile.labels,
+            "root": tuple(tile.root),
+            "epsilon": 1 if tile.s <= s < tile.t else -1,
+            "turning": enter != leave,
+            "coeff": coeffs[idx[tile.root]],
+        }
+        for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving)
+    ]
+    return coeffs, structure

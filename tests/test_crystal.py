@@ -1,14 +1,18 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import pathlib
+import random
+import sys
 from collections import Counter
 
 from fflv.crystal import (
     CrystalGraph,
     _candidate_map,
     _is_crystal,
+    _iso_report,
     _sl3_crystal,
-    candidate_edges,
     check_local_axioms,
     check_oracle_iso,
     conjecture_search,
@@ -40,7 +44,7 @@ def weights_up_to(n, total):
 def test_candidate_edges_two_moves_one_color():
     # at (0,0,1) color 1 has one move per k: the diagonal bump (k=1) and
     # the box slide into x12 (k=2)
-    ces = [ce for ce in candidate_edges(2, (1, 1), (0, 0, 1)) if ce.a == 1]
+    ces = [ce for ce in oracles.candidate_edges(2, (1, 1), (0, 0, 1)) if ce.a == 1]
     assert {(ce.k, ce.target) for ce in ces} == {
         (1, (1, 0, 1)),
         (2, (0, 1, 0)),
@@ -48,7 +52,7 @@ def test_candidate_edges_two_moves_one_color():
 
 
 def test_candidate_edges_origin():
-    ces = candidate_edges(2, (1, 1), (0, 0, 0))
+    ces = oracles.candidate_edges(2, (1, 1), (0, 0, 0))
     assert {(ce.a, ce.k, ce.target) for ce in ces} == {
         (1, 1, (1, 0, 0)),
         (2, 2, (0, 0, 1)),
@@ -57,7 +61,7 @@ def test_candidate_edges_origin():
 
 def test_candidate_edges_outside_point_rejected():
     try:
-        candidate_edges(2, (1, 1), (5, 0, 0))
+        oracles.candidate_edges(2, (1, 1), (5, 0, 0))
     except ValueError:
         pass
     else:
@@ -211,29 +215,136 @@ def test_axioms_catch_color_cycle():
     }
 
 
+def single_changes(g):
+    """Every single-edge deletion and recoloring of g."""
+    for u, a, v in sorted(g.edges):
+        yield CrystalGraph(g.n, g.lam, g.vertices, g.edges - {(u, a, v)}, g.weights)
+        for b in range(1, g.n + 1):
+            if b != a:
+                edges = (g.edges - {(u, a, v)}) | {(u, b, v)}
+                yield CrystalGraph(g.n, g.lam, g.vertices, edges, g.weights)
+
+
 def test_axiom_violations_frozen():
     # every single-edge deletion and recoloring of two crystals; the
     # violation lists (axiom, witness, detail, order) are frozen by digest
-    lists = []
-    for g in (word_oracle(2, (2, 1)).export_graph(), sl3_bgt(2, 2)):
-        for u, a, v in sorted(g.edges):
-            variants = [g.edges - {(u, a, v)}]
-            variants += [
-                (g.edges - {(u, a, v)}) | {(u, b, v)}
-                for b in range(1, g.n + 1)
-                if b != a
-            ]
-            for edges in variants:
-                broken = CrystalGraph(
-                    n=g.n, lam=g.lam, vertices=g.vertices,
-                    edges=frozenset(edges), weights=g.weights,
-                )
-                lists.append(check_local_axioms(broken)["violations"])
+    lists = [
+        check_local_axioms(broken)["violations"]
+        for g in (word_oracle(2, (2, 1)).export_graph(), sl3_bgt(2, 2))
+        for broken in single_changes(g)
+    ]
     assert len(lists) == 108 and all(lists)
     axioms = Counter(v["axiom"] for vs in lists for v in vs)
     assert axioms == {"partial-function": 56, "weight-step": 8, "weight-string": 248}
     digest = hashlib.sha256(json.dumps(lists, sort_keys=True).encode()).hexdigest()
     assert digest == "1c5f71e9d43b781753090bc57782d6098247384301881da56c64164603c79d2a"
+
+
+def target_swaps():
+    """Oracle crystals at n = 3 with the targets of two same-color edges
+    swapped, where both targets have the same weight: every weight step
+    still holds, so only the string and commutation axioms can object."""
+    for lam in ((1, 0, 1), (1, 1, 1), (2, 1, 0)):
+        g = word_oracle(3, lam).export_graph()
+        for (u1, a, v1), (u2, b, v2) in itertools.combinations(sorted(g.edges), 2):
+            if a == b and g.weights[v1] == g.weights[v2]:
+                swapped = (g.edges - {(u1, a, v1), (u2, a, v2)}) | {(u1, a, v2), (u2, a, v1)}
+                yield CrystalGraph(g.n, g.lam, g.vertices, swapped, g.weights)
+
+
+def test_axiom_violations_on_target_swaps_frozen():
+    lists = [check_local_axioms(g)["violations"] for g in target_swaps()]
+    assert len(lists) == 66 and all(lists)
+    axioms = Counter(v["axiom"] for vs in lists for v in vs)
+    assert axioms == {
+        "distant-strings": 48, "distant-commute": 136, "adjacent-raise-delta": 12,
+        "adjacent-lower-delta": 12, "adjacent-commute": 132, "adjacent-braid": 96,
+        "weight-string": 144,
+    }
+    digest = hashlib.sha256(json.dumps(lists, sort_keys=True).encode()).hexdigest()
+    assert digest == "9e7f58ec3c5beddfd995ef7af4f8da74995aff5d87bd0f5ef80ad68d514a1196"
+
+
+def random_corruptions(g, count, seed):
+    """count copies of g, each with one to three random edge deletions,
+    recolorings, retargetings or additions."""
+    rng = random.Random(seed)
+    verts = list(g.vertices)
+    for _ in range(count):
+        edges = set(g.edges)
+        for _ in range(rng.randint(1, 3)):
+            u, a, v = rng.choice(sorted(edges))
+            kind = rng.randrange(4)
+            if kind < 3:
+                edges.discard((u, a, v))
+            if kind == 1:
+                edges.add((u, rng.randint(1, g.n), v))
+            elif kind == 2:
+                edges.add((u, a, rng.choice(verts)))
+            elif kind == 3:
+                edges.add((rng.choice(verts), rng.randint(1, g.n), rng.choice(verts)))
+        yield CrystalGraph(g.n, g.lam, g.vertices, frozenset(edges), g.weights)
+
+
+def test_validators_match_dict_oracles():
+    # the validators on vertex ids report exactly what the dict-keyed ones
+    # did: the same violations in the same order, the same (ok, message)
+    cycle = word_oracle(2, (1, 1)).export_graph()
+    graphs = [CrystalGraph(
+        cycle.n, cycle.lam, cycle.vertices, cycle.edges | {((1, 2, 2), 1, (1, 2, 1))},
+        cycle.weights,
+    )]
+    graphs += target_swaps()
+    graphs += single_changes(word_oracle(2, (2, 1)).export_graph())
+    graphs += single_changes(sl3_bgt(2, 2))
+    graphs += [build(a, b) for build in (sl3_bgt, sl3_blt) for a in range(1, 6) for b in range(1, 6)]
+    graphs += [pb_graph(2, (1, 1)), pb_graph(3, (1, 0, 1))]
+    for g in (word_oracle(3, (1, 1, 1)).export_graph(), word_oracle(3, (1, 0, 1)).export_graph(),
+              sl3_blt(2, 3), sl3_bgt(3, 1)):
+        graphs += random_corruptions(g, 100, seed=1)
+    oracle = {}
+    for g in graphs:
+        W = oracle.setdefault((g.n, g.lam), word_oracle(g.n, g.lam))
+        report, iso = oracles.dict_local_axioms(g), oracles.dict_iso_report(g, W)
+        assert check_local_axioms(g) == report
+        assert _iso_report(g, W) == iso
+        assert _is_crystal(g, W) == (iso[0] and report["passed"])
+    assert len(graphs) == 1 + 66 + 108 + 50 + 2 + 400
+
+
+def with_edge(g, edge):
+    return CrystalGraph(g.n, g.lam, g.vertices, g.edges | {edge}, g.weights)
+
+
+def test_validators_reject_edges_that_leave_the_graph():
+    g = sl3_bgt(1, 1)
+    for color in (0, -1, 3):
+        bad = with_edge(g, ((0, 0, 0), color, (1, 0, 0)))
+        detail = f"color-{color} edge (0, 0, 0) -> (1, 0, 0): color outside [1, 2]"
+        assert check_local_axioms(bad) == {
+            "passed": False,
+            "violations": [{"axiom": "edge-range", "vertex": (0, 0, 0), "detail": detail}],
+        }
+        assert oracle_iso_report(bad, (1, 1)) == (False, detail)
+        assert not check_oracle_iso(bad, (1, 1))
+    # an end outside the vertex set, on a graph with and one without weights
+    for h, u in ((word_oracle(2, (1, 1)).export_graph(), (1, 2, 1)), (g, (0, 0, 0))):
+        bad = with_edge(h, (u, 2, (9, 9, 9)))
+        detail = f"color-2 edge {u} -> (9, 9, 9): endpoint not a vertex"
+        assert check_local_axioms(bad)["violations"] == [
+            {"axiom": "edge-range", "vertex": u, "detail": detail}
+        ]
+        assert oracle_iso_report(bad, (1, 1)) == (False, detail)
+        # a stray source is flagged at itself
+        bad = with_edge(h, ((9, 9, 9), 1, u))
+        assert check_local_axioms(bad)["violations"][0]["vertex"] == (9, 9, 9)
+        assert not check_oracle_iso(bad, (1, 1))
+    # every stray edge is reported, in edge order, and nothing else
+    bad = with_edge(with_edge(g, ((1, 0, 0), 5, (0, 0, 0))), ((0, 0, 0), 0, (0, 0, 0)))
+    report = check_local_axioms(with_edge(bad, ((0, 0, 0), 1, (0, 0, 1))))
+    assert [(v["axiom"], v["vertex"]) for v in report["violations"]] == [
+        ("edge-range", (0, 0, 0)), ("edge-range", (1, 0, 0)),
+    ]
 
 
 def test_sl3_bgt_adjoint_frozen():
@@ -536,7 +647,7 @@ def test_work_done_once_per_call(monkeypatch):
     # the exhaustive (2,2) search validates every pairing against one oracle
     for run, oracles in (
         (lambda: crystal.pb_graph(2, (2, 2)), 0),
-        (lambda: crystal.candidate_map(2, (2, 2)), 0),
+        (lambda: crystal._candidate_map(2, crystal.fflv_points(2, (2, 2))), 0),
         (lambda: crystal.conjecture_search(2, (2, 2)), 1),
         (lambda: crystal.conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy"), 1),
         (lambda: crystal.fixed_k_check(2, 1, 2), 1),
@@ -544,6 +655,20 @@ def test_work_done_once_per_call(monkeypatch):
         calls.clear()
         run()
         assert calls == Counter(points=1, oracle=oracles)
+
+
+def test_crystal_counters_pinned(monkeypatch):
+    # scripts/crystal_counters.py counts by function name: a renamed
+    # validator or search step must fail here, not read 0
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "crystal_counters.py"
+    spec = importlib.util.spec_from_file_location("crystal_counters", path)
+    counters = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec.loader.exec_module(counters)
+    assert counters.count(1) == {
+        "seed": 1, "cases": 125, "search_nodes": 1018, "pairings": 26,
+        "iso_report_calls": 105, "local_axiom_calls": 105, "weight_calls": 4061,
+    }
 
 
 def test_conjecture_budget_flag():

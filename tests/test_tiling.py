@@ -32,7 +32,6 @@ from fflv.tiling import (
     _last_tile,
     build_tiling,
     check_rectangle_support,
-    crossing_functional,
     dual_crossings,
     lusztig_hrep,
     lusztig_points,
@@ -279,12 +278,12 @@ def test_dual_crossings_frozen_121():
     assert [t.labels for t in by_seq[(1, 3, 2)].tiles] == [(1, 3), (2, 3)]
     assert [t.labels for t in by_seq[(1, 2)].tiles] == [(1, 3), (1, 2), (2, 3)]
     # x12 <= lam_1 and x11 + x12 - x22 <= lam_1, in canonical order
-    fns = {crossing_functional(T, 1, cr)[0] for cr in g1}
+    fns = {oracles.crossing_functional(T, 1, cr)[0] for cr in g1}
     assert fns == {(0, 1, 0), (1, 1, -1)}
 
     g2 = dual_crossings(T, 2)
     assert len(g2) == 1 and g2[0].tiles[0].labels == (2, 3)
-    assert crossing_functional(T, 2, g2[0])[0] == (0, 0, 1)
+    assert oracles.crossing_functional(T, 2, g2[0])[0] == (0, 0, 1)
     assert reineke_filter(g1) == g1 and reineke_filter(g2) == g2
 
 
@@ -292,9 +291,9 @@ def test_dual_crossings_frozen_212():
     T = build_tiling((2, 1, 2))
     g1 = dual_crossings(T, 1)
     assert len(g1) == 1 and g1[0].strip_sequence == (1, 2)
-    assert crossing_functional(T, 1, g1[0])[0] == (1, 0, 0)
+    assert oracles.crossing_functional(T, 1, g1[0])[0] == (1, 0, 0)
     g2 = reineke_filter(dual_crossings(T, 2))
-    fns = {crossing_functional(T, 2, cr)[0] for cr in g2}
+    fns = {oracles.crossing_functional(T, 2, cr)[0] for cr in g2}
     assert fns == {(0, 1, 0), (-1, 1, 1)}
     seqs = {cr.strip_sequence for cr in g2}
     assert seqs == {(2, 1, 3), (2, 3)}
@@ -305,7 +304,7 @@ def test_dual_crossings_frozen_ik2_n3():
     T = build_tiling(ik_word(3, 2))
     g2 = dual_crossings(T, 2)
     assert reineke_filter(g2) == g2  # Reineke removes nothing at s=k
-    fns = {crossing_functional(T, 2, cr)[0] for cr in g2}
+    fns = {oracles.crossing_functional(T, 2, cr)[0] for cr in g2}
     assert fns == {
         (-1, 1, 0, 1, 1, -1),
         (-1, 1, 1, 0, 1, -1),
@@ -313,10 +312,10 @@ def test_dual_crossings_frozen_ik2_n3():
         (0, 1, 1, 0, 0, -1),
         (0, 0, 1, 0, 0, 0),
     }
-    assert {crossing_functional(T, 1, cr)[0] for cr in dual_crossings(T, 1)} == {
+    assert {oracles.crossing_functional(T, 1, cr)[0] for cr in dual_crossings(T, 1)} == {
         (1, 0, 0, 0, 0, 0)
     }
-    assert {crossing_functional(T, 3, cr)[0] for cr in dual_crossings(T, 3)} == {
+    assert {oracles.crossing_functional(T, 3, cr)[0] for cr in dual_crossings(T, 3)} == {
         (0, 0, 0, 0, 0, 1)
     }
 
@@ -354,7 +353,7 @@ def test_crossing_coefficients_in_range():
         T = build_tiling(word)
         for s in range(1, n + 1):
             for cr in dual_crossings(T, s):
-                coeffs, structure = crossing_functional(T, s, cr)
+                coeffs, structure = oracles.crossing_functional(T, s, cr)
                 assert set(coeffs) <= {-1, 0, 1}
                 assert cr.strip_sequence[0] == s
                 assert cr.strip_sequence[-1] == s + 1
@@ -389,7 +388,7 @@ def test_restricted_functionals_are_dyck_supports():
             rect = [r for r in positive_roots(n) if r.i <= k <= r.j]
             paths = oracles.grid_path_supports(k, n)
             for cr in reineke_filter(dual_crossings(T, k)):
-                coeffs, _ = crossing_functional(T, k, cr)
+                coeffs, _ = oracles.crossing_functional(T, k, cr)
                 restr = {(r.i, r.j) for r in rect if coeffs[idx[r]] != 0}
                 assert all(coeffs[idx[r]] == 1 for r in rect if coeffs[idx[r]])
                 assert any(restr <= p for p in paths)
@@ -552,7 +551,7 @@ def test_tiling_layers_match_the_unpruned_oracles():
             crossings = [cr for cr in candidates if cr is not None]
             assert dual_crossings(T, s) == crossings
             for cr in reineke_filter(crossings):
-                row = (crossing_functional(T, s, cr)[0], lam[s - 1])
+                row = (oracles.crossing_functional(T, s, cr)[0], lam[s - 1])
                 if row not in rows:
                     rows.append(row)
         assert list(lusztig_hrep(word, lam).rows) == rows
