@@ -8,12 +8,11 @@ profile hook on ``fflv/tiling.py`` that counts, without touching the library:
 
 * ``dfs_nodes``: calls of the crossing search's node function (one per tile
   a path enters; ``--node-function`` names it);
-* ``candidate_paths``: paths that reached the end tile (``_assemble_crossing``
-  calls), ``crossings_found`` / ``crossings_kept``: what ``dual_crossings``
-  and ``reineke_filter`` return;
+* ``crossings_found`` / ``crossings_kept``: what ``dual_crossings`` and
+  ``reineke_filter`` return;
 * ``peel_calls``, ``peel_layers``: ``peel_order`` calls and the layers they
-  return; ``tile_recounts``: full border-edge counts of one tile, i.e.
-  generator-expression calls made by ``peel_order`` itself.
+  return;
+* ``hrep_rows``: the rows ``lusztig_hrep`` returns.
 
 Prints one JSON object.  The counts repeat exactly for a given seed.
 """
@@ -32,18 +31,10 @@ from fflv import tiling  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _enclosing(frame) -> str:
-    """Name of the function a comprehension or generator frame belongs to."""
-    frame = frame.f_back
-    while frame.f_code.co_name.startswith("<"):
-        frame = frame.f_back
-    return frame.f_code.co_name
-
-
 def count(seed: int, node_function: str) -> dict:
     counts = dict.fromkeys(
-        ("dfs_nodes", "candidate_paths", "crossings_found", "crossings_kept",
-         "peel_calls", "peel_layers", "tile_recounts", "hrep_rows"), 0
+        ("dfs_nodes", "crossings_found", "crossings_kept", "peel_calls",
+         "peel_layers", "hrep_rows"), 0
     )
     source = tiling.__file__
 
@@ -55,12 +46,8 @@ def count(seed: int, node_function: str) -> dict:
         if event == "call":
             if name == node_function:
                 counts["dfs_nodes"] += 1
-            elif name == "_assemble_crossing":
-                counts["candidate_paths"] += 1
             elif name == "peel_order":
                 counts["peel_calls"] += 1
-            elif name == "<genexpr>" and _enclosing(frame) == "peel_order":
-                counts["tile_recounts"] += 1
         elif event == "return" and arg is not None:
             if name == "dual_crossings":
                 counts["crossings_found"] += len(arg)

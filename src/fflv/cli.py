@@ -243,6 +243,8 @@ def cmd_verify(args) -> int:
         if args.config:
             with open(args.config) as fh:
                 config = json.load(fh)
+            if not isinstance(config, dict):  # run_suite reads None as the default sweep
+                raise ValueError("suite config must map claim kinds to case lists")
         kinds = args.kinds.split(",") if args.kinds is not None else None
         reports = run_suite(config, kinds=kinds)
     else:

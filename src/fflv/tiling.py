@@ -8,9 +8,10 @@ edges (labels s < t, read upward) by the opposite sides of a new rhombic
 tile with label pair {s, t}; tiles correspond to positive roots via
 {s, t} <-> alpha_{s, t-1}.
 
-On top of the tiling: strips (the m-1 tiles carrying a fixed label),
-peeling partial orders for each of the 2m boundary windows, dual Reineke
-s-crossings with their strip sequences, and the resulting inequality
+On top of the tiling: strips (the m-1 tiles carrying a fixed label, read
+in fold order), peeling partial orders for each of the 2m boundary
+windows, dual Reineke s-crossings with their strip sequences, assembled
+inside the one search that finds them, and the resulting inequality
 system for the Lusztig polytope of the word.
 
 No planar coordinates are stored; the optional SVG renderer assigns them
@@ -43,10 +44,6 @@ class Edge(NamedTuple):
     id: int
     label: int
     bottom: frozenset[int]
-
-    @property
-    def top(self) -> frozenset[int]:
-        return self.bottom | {self.label}
 
 
 class Tile:
@@ -129,7 +126,6 @@ class Tiling:
         self.right_boundary = right_boundary
         self.borders = borders
         self.incidence = incidence
-        self._by_root = {tile.root: tile for tile in tiles}
         # (a, b) -> label of the one edge tiles a and b share, both orders
         self.shared_label: dict[tuple[int, int], int] = {}
         nbrs: dict[int, set[int]] = {tile.id: set() for tile in tiles}
@@ -148,14 +144,6 @@ class Tiling:
         self.neighbors = {
             tid: tuple(tiles[j] for j in sorted(ids)) for tid, ids in nbrs.items()
         }
-
-    def tile_for_root(self, r: Root) -> Tile:
-        return self._by_root[r]
-
-
-class Strip(NamedTuple):
-    t: int
-    tiles: tuple[Tile, ...]
 
 
 class PeelOrder(NamedTuple):
@@ -226,7 +214,7 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     tiles: list[Tile] = []
     for a, root in zip(word, enum):
         lo, hi = border[a - 1], border[a]
-        if lo.label >= hi.label or hi.bottom != lo.top:
+        if lo.label >= hi.label or hi.bottom != lo.bottom | {lo.label}:
             raise ValueError(
                 f"border inconsistent at letter {a} of {word}: "
                 f"{lo.label} above {hi.label}"
@@ -279,41 +267,17 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     )
 
 
-def strip(T: Tiling, t: int) -> Strip:
-    """The m-1 tiles carrying label t, chained from the left boundary."""
+def strip(T: Tiling, t: int) -> tuple[Tile, ...]:
+    """The m-1 tiles carrying label t, from the left boundary to the right.
+
+    Every border holds one edge labelled t, and a tile carrying t replaces
+    it by the tile's other edge labelled t, so the fold creates the tiles of
+    strip t in the order the strip runs: they are the tiles carrying t in
+    ``T.tiles`` order.
+    """
     if not 1 <= t <= T.m:
         raise ValueError(f"label {t} out of range [1, {T.m}]")
-    e = T.left_boundary[t - 1]
-    chain: list[Tile] = []
-    prev: Tile | None = None
-    while True:
-        nxt = [x for x in T.incidence[e] if x is not prev]
-        if not nxt:
-            break
-        if len(nxt) != 1:
-            after = "the left boundary" if prev is None else f"tile {prev.id}"
-            raise RuntimeError(
-                f"strip {t}: edge {e.id} after {after} borders "
-                f"{len(nxt)} further tiles, expected 1"
-            )
-        tile = nxt[0]
-        chain.append(tile)
-        ahead = [d for d in tile.all_edges if d.label == t and d != e]
-        if len(ahead) != 1:
-            raise RuntimeError(
-                f"strip {t}: tile {tile.id} has {len(ahead)} other edges "
-                f"labelled {t}, expected 1"
-            )
-        e = ahead[0]
-        prev = tile
-    if len(chain) != T.m - 1:
-        raise RuntimeError(f"strip {t} has {len(chain)} tiles, expected {T.m - 1}")
-    return Strip(t, tuple(chain))
-
-
-def boundary_cycle(T: Tiling) -> list[Edge]:
-    """b_1 .. b_{2m}: the left boundary bottom-up, then the right boundary."""
-    return list(T.left_boundary) + list(T.right_boundary)
+    return tuple(tile for tile in T.tiles if tile.s == t or tile.t == t)
 
 
 def peel_order(T: Tiling, s: int) -> PeelOrder:
@@ -328,7 +292,7 @@ def peel_order(T: Tiling, s: int) -> PeelOrder:
     m = T.m
     if not 1 <= s <= 2 * m:
         raise ValueError(f"peel index {s} out of range [1, {2 * m}]")
-    cyc = boundary_cycle(T)
+    cyc = T.left_boundary + T.right_boundary  # b_1 .. b_{2m}
     B = {cyc[(m + s + j - 1) % (2 * m)] for j in range(1, m + 1)}
     on_border = [0] * len(T.tiles)
     for e in B:
@@ -359,57 +323,6 @@ def peel_order(T: Tiling, s: int) -> PeelOrder:
     return PeelOrder(s=s, layer=layer, num_layers=level)
 
 
-def _assemble_crossing(
-    T: Tiling, s: int, tiles: tuple[Tile, ...]
-) -> DualCrossing | None:
-    """Attach strip bookkeeping to a candidate tile sequence.
-
-    The label of the shared edge between consecutive tiles says which strip
-    the sequence is travelling in at that moment; a tile entered and left
-    through the same label a must carry a (interior tile of strip a), and a
-    tile switching labels must be exactly the turning tile {a, b}.  A
-    sequence violating either is not a crossing.
-    """
-    between = [s]
-    for g1, g2 in zip(tiles, tiles[1:]):
-        label = T.shared_label.get((g1.id, g2.id))
-        if label is None:
-            raise RuntimeError(
-                f"consecutive tiles {g1.id} and {g2.id} share 0 edges, not 1"
-            )
-        between.append(label)
-    between.append(s + 1)
-
-    roles: list[tuple[int, int]] = []
-    for tile, enter, leave in zip(tiles, between, between[1:]):
-        if enter == leave:
-            if enter != tile.s and enter != tile.t:
-                return None
-        elif (enter, leave) != (tile.s, tile.t) and (leave, enter) != (tile.s, tile.t):
-            return None
-        roles.append((enter, leave))
-
-    seq = [between[0]]
-    for x in between[1:]:
-        if x != seq[-1]:
-            seq.append(x)
-    return DualCrossing(
-        tiles=tiles, s=s, strip_sequence=tuple(seq), entering_leaving=tuple(roles)
-    )
-
-
-def _last_tile(T: Tiling, t: int) -> Tile:
-    """The last tile of strip t: strip t leaves the tiling through the
-    right-boundary edge labelled t, so that edge borders exactly this tile."""
-    tiles = [tile for e in T.right_boundary if e.label == t for tile in T.incidence[e]]
-    if len(tiles) != 1:
-        raise RuntimeError(
-            f"strip {t}: the right-boundary edge labelled {t} borders "
-            f"{len(tiles)} tiles, expected 1"
-        )
-    return tiles[0]
-
-
 def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     """All dual s-crossings: peel-ascending neighbour sequences from the last
     tile of strip s to the last tile of strip s+1, with a consistent strip
@@ -418,13 +331,15 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     The depth-first search enters only tiles from which the end tile is
     reachable along ascending layers, found by one backward pass over the
     peel layers; every pruned subtree holds no path to the end tile, so the
-    crossings and their order are those of the full search.
+    crossings and their order are those of the full search.  The search
+    carries the labels of the edges it crosses and assembles each crossing
+    as it reaches the end tile.
     """
     if not 1 <= s <= T.n:
         raise ValueError(f"need 1 <= s <= {T.n}, got {s}")
     layer = peel_order(T, T.m + s).layer
-    start = _last_tile(T, s)
-    end = _last_tile(T, s + 1)
+    start = strip(T, s)[-1]
+    end = strip(T, s + 1)[-1]
 
     # tile id -> its ascending neighbours that reach the end tile, kept
     # only for tiles that reach it themselves
@@ -438,8 +353,17 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
             steps[tid] = ahead
     out: list[DualCrossing] = []
     if start.id in steps:
-        _extend_paths(T, s, steps, end.id, [start], out)
+        _extend_paths(T, s, steps, end.id, [start], [], s, out)
     return out
+
+
+def _fits(tile: Tile, enter: int, leave: int) -> bool:
+    """The role rule: a tile entered and left through the same label a must
+    carry a (an interior tile of strip a), and a tile switching labels must
+    be exactly the turning tile {a, b}."""
+    if enter == leave:
+        return enter == tile.s or enter == tile.t
+    return (enter, leave) == (tile.s, tile.t) or (leave, enter) == (tile.s, tile.t)
 
 
 def _extend_paths(
@@ -448,18 +372,31 @@ def _extend_paths(
     steps: dict[int, list[Tile]],
     end_id: int,
     path: list[Tile],
+    roles: list[tuple[int, int]],
+    enter: int,
     out: list[DualCrossing],
 ) -> None:
-    """One node of the crossing search: close the path at the end tile, or
-    extend it by every step in order."""
-    if path[-1].id == end_id:
-        cr = _assemble_crossing(T, s, tuple(path))
-        if cr is not None:
-            out.append(cr)
+    """One node of the crossing search.  ``roles`` holds the (entering,
+    leaving) labels of every tile of ``path`` but the last, which was
+    entered through label ``enter``.  Close the path at the end tile, left
+    through s+1, or extend it by every step whose shared label the last
+    tile may be left through."""
+    tile = path[-1]
+    if tile.id == end_id:
+        if _fits(tile, enter, s + 1):
+            roles.append((enter, s + 1))
+            seq = (s,) + tuple(b for a, b in roles if a != b)  # the turns
+            out.append(DualCrossing(tuple(path), s, seq, tuple(roles)))
+            roles.pop()
         return
-    for nb in steps[path[-1].id]:
+    for nb in steps[tile.id]:
+        leave = T.shared_label[tile.id, nb.id]
+        if not _fits(tile, enter, leave):
+            continue
         path.append(nb)
-        _extend_paths(T, s, steps, end_id, path, out)
+        roles.append((enter, leave))
+        _extend_paths(T, s, steps, end_id, path, roles, leave, out)
+        roles.pop()
         path.pop()
 
 
@@ -586,7 +523,7 @@ def check_rectangle_support(n: int, k: int, r: int) -> bool:
 
 
 def tiling_to_json(T: Tiling) -> dict:
-    strips = {t: [tile.id for tile in strip(T, t).tiles] for t in range(1, T.m + 1)}
+    strips = {t: [tile.id for tile in strip(T, t)] for t in range(1, T.m + 1)}
     peels = {
         s: {tid: lv for tid, lv in sorted(peel_order(T, s).layer.items())}
         for s in range(1, 2 * T.m + 1)
@@ -615,9 +552,10 @@ def tiling_to_json(T: Tiling) -> dict:
 
 
 _PALETTE = ("#e6a3a3", "#a3c6e6", "#a8d8b0", "#e6cfa3", "#cdb0e0", "#d5b8a6")
+_SCALE = 60.0  # pixels per unit edge
 
 
-def tiling_to_svg(T: Tiling, scale: float = 60.0) -> str:
+def tiling_to_svg(T: Tiling) -> str:
     """A picture of the tiling; coordinates exist only in this function.
 
     Vertex V (a label subset) sits at the subset sum of unit vectors
@@ -652,11 +590,11 @@ def tiling_to_svg(T: Tiling, scale: float = 60.0) -> str:
 
     def fmt(p: tuple[float, float]) -> str:
         # y flipped so "up" in the construction is up on screen
-        return f"{(p[0] - x0) * scale:.2f},{(h - (p[1] - y0)) * scale:.2f}"
+        return f"{(p[0] - x0) * _SCALE:.2f},{(h - (p[1] - y0)) * _SCALE:.2f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{w * scale:.0f}" height="{h * scale:.0f}">'
+        f'width="{w * _SCALE:.0f}" height="{h * _SCALE:.0f}">'
     ]
     for tile, cs in corners_of:
         fill = _PALETTE[(tile.s + tile.t) % len(_PALETTE)]
@@ -668,8 +606,8 @@ def tiling_to_svg(T: Tiling, scale: float = 60.0) -> str:
         cx = sum(c[0] for c in cs) / 4
         cy = sum(c[1] for c in cs) / 4
         parts.append(
-            f'<text x="{(cx - x0) * scale:.2f}" y="{(h - (cy - y0)) * scale:.2f}" '
-            f'font-size="{scale / 5:.0f}" text-anchor="middle">'
+            f'<text x="{(cx - x0) * _SCALE:.2f}" y="{(h - (cy - y0)) * _SCALE:.2f}" '
+            f'font-size="{_SCALE / 5:.0f}" text-anchor="middle">'
             f"{tile.s},{tile.t}</text>"
         )
     parts.append("</svg>")

@@ -211,6 +211,33 @@ def ascending_neighbour_paths(T, layer, start, end):
     return out
 
 
+def walk_strip(T, t):
+    """The tiles of strip t, walked through the incidence from the left
+    boundary edge labelled t: each tile is entered through one edge labelled
+    t and left through its other one.  RuntimeError on a fork, a tile
+    without a second t-edge or a strip of other than m-1 tiles.
+    """
+    e = T.left_boundary[t - 1]
+    chain = []
+    prev = None
+    while True:
+        nxt = [x for x in T.incidence[e] if x is not prev]
+        if not nxt:
+            break
+        if len(nxt) != 1:
+            raise RuntimeError(f"strip {t}: edge {e.id} borders {len(nxt)} further tiles")
+        tile = nxt[0]
+        chain.append(tile)
+        ahead = [d for d in tile.all_edges if d.label == t and d != e]
+        if len(ahead) != 1:
+            raise RuntimeError(f"strip {t}: tile {tile.id} has {len(ahead)} other t-edges")
+        e = ahead[0]
+        prev = tile
+    if len(chain) != T.m - 1:
+        raise RuntimeError(f"strip {t} has {len(chain)} tiles, expected {T.m - 1}")
+    return tuple(chain)
+
+
 def product_search(n, pts, cand, weights, is_crystal):
     """The product-then-filter crystal search: every color's string
     decompositions, combined by Cartesian product, each combination kept
@@ -526,3 +553,36 @@ def crossing_functional(T, s, cr):
         for tile, (enter, leave) in zip(cr.tiles, cr.entering_leaving)
     ]
     return coeffs, structure
+
+
+def assemble_crossing(T, s, tiles):
+    """The crossing a found tile sequence makes, or None: the package's
+    per-path assembly before it moved into the crossing search.
+
+    The label of the edge consecutive tiles share says which strip the
+    sequence travels in; a tile entered and left through the same label a
+    must carry a, and a tile switching labels must be exactly the turning
+    tile {a, b}.  RuntimeError when consecutive tiles share no edge.
+    """
+    from fflv.tiling import DualCrossing
+
+    between = [s]
+    for g1, g2 in zip(tiles, tiles[1:]):
+        label = T.shared_label.get((g1.id, g2.id))
+        if label is None:
+            raise RuntimeError(f"consecutive tiles {g1.id} and {g2.id} share 0 edges, not 1")
+        between.append(label)
+    between.append(s + 1)
+    roles = []
+    for tile, enter, leave in zip(tiles, between, between[1:]):
+        if enter == leave:
+            if enter not in (tile.s, tile.t):
+                return None
+        elif {enter, leave} != {tile.s, tile.t}:
+            return None
+        roles.append((enter, leave))
+    seq = [between[0]]
+    for x in between[1:]:
+        if x != seq[-1]:
+            seq.append(x)
+    return DualCrossing(tuple(tiles), s, tuple(seq), tuple(roles))

@@ -238,6 +238,12 @@ def test_verify_suite_custom_config():
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert run_cli("verify", "suite", "--config", cfg) == (2, "")
         assert "no case" in err.getvalue()
+        for doc in (None, [], 3):  # a config that is not a JSON object
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run_cli("verify", "suite", "--config", cfg) == (2, ""), doc
+            assert "must map claim kinds" in err.getvalue(), doc
 
 
 def test_out_flag_writes_file():
