@@ -15,7 +15,9 @@ library:
 * ``iso_report_calls``, ``local_axiom_calls``: ``_iso_report`` and
   ``check_local_axioms`` calls, from the searches and from the workload's
   own checks;
-* ``weight_calls``: ``weight_of_point`` calls.
+* ``weight_calls``: ``weight_of_point`` calls;
+* ``move_calls``: ``_moves`` calls (the PB candidate moves at one point);
+* ``candidates``: the ``CandidateEdge``s those calls return.
 
 Prints one JSON object.  The counts repeat exactly for a given seed.  A case
 whose check fails is an error: its counts would describe a broken pass.
@@ -38,15 +40,21 @@ import workloads  # noqa: E402
 def count(seed: int) -> dict:
     counts = dict.fromkeys(
         ("search_nodes", "pairings", "iso_report_calls", "local_axiom_calls",
-         "weight_calls"), 0
+         "weight_calls", "move_calls", "candidates"), 0
     )
     sources = {crystal.__file__, roots.__file__}
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if event != "call" or code.co_filename not in sources:
+        if code.co_filename not in sources:
             return
         name = code.co_name
+        if event == "return":
+            if name == "_moves":
+                counts["candidates"] += len(arg)
+            return
+        if event != "call":
+            return
         if name == "tick":
             counts["search_nodes"] += 1
         elif name == "_is_crystal" and frame.f_back.f_code.co_name == "_crystals":
@@ -57,6 +65,8 @@ def count(seed: int) -> dict:
             counts["local_axiom_calls"] += 1
         elif name == "weight_of_point":
             counts["weight_calls"] += 1
+        elif name == "_moves":
+            counts["move_calls"] += 1
 
     cases = workloads.crystal_cases(seed)
     failures = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fflv import _check_dominant, fflv_points
@@ -133,6 +134,28 @@ def crystal_to_dot(G: CrystalGraph) -> str:
 # candidate moves and PB_n(lambda)
 
 
+@cache
+def _move_table(n: int) -> tuple[tuple[int, int, int, int, int | None], ...]:
+    """Every move f_{a,k} of rank n as a row (a, k, minus, plus, pivot).
+
+    ``minus`` is the position of the root that loses a box (-1 when a = k),
+    ``plus`` the position of the root that gains one, and ``pivot`` the j
+    (a < k) or i (a > k) of the move, None when a = k.  Rows run by a, then
+    k, then the pivot.
+    """
+    idx = root_index(n)
+    rows: list[tuple[int, int, int, int, int | None]] = []
+    for a in range(1, n + 1):
+        for k in range(1, n + 1):
+            if a < k:
+                rows += [(a, k, idx[Root(a + 1, j)], idx[Root(a, j)], j) for j in range(k, n + 1)]
+            elif a > k:
+                rows += [(a, k, idx[Root(i, a - 1)], idx[Root(i, a)], i) for i in range(1, k + 1)]
+            else:
+                rows.append((a, k, -1, idx[Root(k, k)], None))
+    return tuple(rows)
+
+
 def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
     """All feasible lowering moves f_{a,k} at the point x, for every a and k.
 
@@ -140,34 +163,19 @@ def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
     selects is decided downstream; this emits every move that stays inside
     the lattice points pts.
     """
-    idx = root_index(n)
     out: list[CandidateEdge] = []
-
-    def shifted(minus: Root | None, plus: Root) -> Point:
-        y = list(x)
-        if minus is not None:
-            y[idx[minus]] -= 1
-        y[idx[plus]] += 1
-        return tuple(y)
-
-    for a in range(1, n + 1):
-        for k in range(1, n + 1):
-            if a < k:
-                for j in range(k, n + 1):
-                    if x[idx[Root(a + 1, j)]] >= 1:
-                        y = shifted(Root(a + 1, j), Root(a, j))
-                        if y in pts:
-                            out.append(CandidateEdge(x, a, k, y, j))
-            elif a > k:
-                for i in range(1, k + 1):
-                    if x[idx[Root(i, a - 1)]] >= 1:
-                        y = shifted(Root(i, a - 1), Root(i, a))
-                        if y in pts:
-                            out.append(CandidateEdge(x, a, k, y, i))
-            else:
-                y = shifted(None, Root(k, k))
-                if y in pts:
-                    out.append(CandidateEdge(x, a, k, y, None))
+    for a, k, minus, plus, pivot in _move_table(n):
+        if minus < 0:
+            shift = list(x)
+        elif x[minus] >= 1:
+            shift = list(x)
+            shift[minus] -= 1
+        else:
+            continue
+        shift[plus] += 1
+        y = tuple(shift)
+        if y in pts:
+            out.append(CandidateEdge(x, a, k, y, pivot))
     return out
 
 

@@ -27,6 +27,8 @@ class FundamentalPoint(NamedTuple):
 
 
 def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
+    if n < 1:
+        raise ValueError("rank must be >= 1")
     lam = tuple(map(index, lam))
     if len(lam) != n:
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")

@@ -281,7 +281,12 @@ def _enumerate(P: HPolytope) -> PointSet:
         for r, c, _ in rows:
             budget[r] += c * (hi + 1)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        # rec refers to itself; without this the cycle keeps out, x, budget
+        # and levels alive until the cyclic collector runs
+        del rec
     return PointSet._trusted(out, N)
 
 

@@ -508,6 +508,44 @@ def dict_iso_report(G, W):
 # Unlike everything above, they call into the package.
 
 
+def root_moves(n, pts, x):
+    """All feasible lowering moves f_{a,k} at the point x, as the package
+    built them before its per-rank move table: Root keys and a shifted copy
+    of x for every move, in the order a, k, then j or i."""
+    from fflv.crystal import CandidateEdge
+    from fflv.roots import Root, root_index
+
+    idx = root_index(n)
+    out = []
+
+    def shifted(minus, plus):
+        y = list(x)
+        if minus is not None:
+            y[idx[minus]] -= 1
+        y[idx[plus]] += 1
+        return tuple(y)
+
+    for a in range(1, n + 1):
+        for k in range(1, n + 1):
+            if a < k:
+                for j in range(k, n + 1):
+                    if x[idx[Root(a + 1, j)]] >= 1:
+                        y = shifted(Root(a + 1, j), Root(a, j))
+                        if y in pts:
+                            out.append(CandidateEdge(x, a, k, y, j))
+            elif a > k:
+                for i in range(1, k + 1):
+                    if x[idx[Root(i, a - 1)]] >= 1:
+                        y = shifted(Root(i, a - 1), Root(i, a))
+                        if y in pts:
+                            out.append(CandidateEdge(x, a, k, y, i))
+            else:
+                y = shifted(None, Root(k, k))
+                if y in pts:
+                    out.append(CandidateEdge(x, a, k, y, None))
+    return out
+
+
 def candidate_edges(n, lam, x):
     """All feasible lowering moves f_{a,k} at the lattice point x of
     FFLV_n(lambda); ValueError when x is not one."""

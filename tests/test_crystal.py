@@ -9,9 +9,11 @@ from collections import Counter
 
 from fflv.crystal import (
     CrystalGraph,
+    WordCrystal,
     _candidate_map,
     _is_crystal,
     _iso_report,
+    _moves,
     _sl3_crystal,
     check_local_axioms,
     check_oracle_iso,
@@ -26,6 +28,7 @@ from fflv.crystal import (
     word_oracle,
 )
 from fflv.fflv import fflv_points, weyl_dim
+from fflv.polytope import PointSet
 from fflv.roots import weight_of_point
 
 import oracles
@@ -68,6 +71,17 @@ def test_candidate_edges_outside_point_rejected():
         assert False, "expected ValueError"
 
 
+def test_move_table_matches_root_moves():
+    # the per-rank move table gives the Root-keyed moves, order included
+    cases = [(n, lam) for n in (1, 2, 3) for lam in weights_up_to(n, 2)]
+    cases += [(4, (1, 1, 1, 1)), (4, (2, 0, 0, 1))]
+    for n, lam in cases:
+        pts = fflv_points(n, lam)
+        inside = set(pts)
+        for x in pts:
+            assert _moves(n, inside, x) == oracles.root_moves(n, inside, x), (n, lam, x)
+
+
 def test_pb_graph_adjoint_frozen():
     g = pb_graph(2, (1, 1))
     assert len(g.vertices) == 8
@@ -103,6 +117,22 @@ def test_pb_graph_is_not_a_crystal():
     assert not report["passed"]
     assert any(v["axiom"] == "partial-function" for v in report["violations"])
     assert not check_oracle_iso(g, (1, 1))
+
+
+def test_rank_zero_is_rejected():
+    # as fflv_points(0, ()) does: no one-vertex crystal of rank 0
+    point = CrystalGraph(n=0, lam=(), vertices=PointSet([()], dim=0), edges=frozenset())
+    for name, bad in (
+        ("WordCrystal", lambda: WordCrystal(0, ())),
+        ("word_oracle", lambda: word_oracle(0, ())),
+        ("check_oracle_iso", lambda: check_oracle_iso(point, ())),
+    ):
+        try:
+            bad()
+        except ValueError as e:
+            assert str(e) == "rank must be >= 1", name
+        else:
+            raise AssertionError(f"{name} accepted rank 0")
 
 
 def test_word_oracle_adjoint_frozen():
@@ -668,6 +698,7 @@ def test_crystal_counters_pinned(monkeypatch):
     assert counters.count(1) == {
         "seed": 1, "cases": 125, "search_nodes": 1018, "pairings": 26,
         "iso_report_calls": 105, "local_axiom_calls": 105, "weight_calls": 4061,
+        "move_calls": 2123, "candidates": 6208,
     }
 
 

@@ -165,6 +165,17 @@ def test_rejects_non_dominant():
             raise AssertionError(f"fflv_hrep(2, {bad}) should have raised")
 
 
+def test_rejects_rank_below_one():
+    for n in (0, -1):
+        for name, call in (("weyl_dim", weyl_dim), ("fflv_points", fflv_points)):
+            try:
+                call(n, ())
+            except ValueError as e:
+                assert str(e) == "rank must be >= 1", name
+            else:
+                raise AssertionError(f"{name}({n}, ()) should have raised")
+
+
 def test_rejects_non_integer_weight():
     for bad in [(1.5, 1), ("1", 1)]:
         try:

@@ -1,8 +1,10 @@
 """H-polytope enumeration, sumsets, and the support function of a sumset."""
 
+import gc
 import random
 
 from fflv import polytope
+from fflv.crystal import conjecture_search
 from fflv.fflv import fflv_hrep, fflv_points, weyl_dim
 from fflv.polytope import (
     HPolytope,
@@ -109,6 +111,27 @@ def test_lattice_points_against_brute_force():
         assert got == oracles.brute_force_points(rows, dim, 2 * max(bound) + 2)
         assert all(contains(P, p) for p in got)
     assert certified > 100 and uncertified > 100 and zero_row_empty > 3
+
+
+def test_library_calls_leave_no_reference_cycles():
+    # a self-referencing closure in the enumerator would keep each
+    # enumeration's lists alive until the cyclic collector runs
+    calls = (
+        ("fflv_points", lambda: fflv_points(3, (1, 1, 1))),
+        ("lusztig_points", lambda: lusztig_points(ik_word(3, 2), (1, 1, 1))),
+        ("conjecture_search", lambda: conjecture_search(2, (1, 1))),
+        ("run_suite", run_suite),
+    )
+    for name, call in calls:
+        call()  # the first call fills the per-rank caches
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0, name
 
 
 def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
