@@ -8,10 +8,10 @@ checks its output, as a benchmark pass does, with a profile hook on
 ``fflv/crystal.py`` and ``fflv/roots.py`` that counts, without touching the
 library:
 
-* ``search_nodes``: ticks of the exhaustive search's budget (``tick``
-  calls);
-* ``pairings``: complete selections the exhaustive search assembled and
-  sent to the validators (``_is_crystal`` calls made from ``_crystals``);
+* ``search_nodes``, ``pairings``: the nodes the exhaustive search engine
+  visited and the complete selections it assembled and sent to the
+  validators, summed over the ``(graphs, nodes, selections, complete)``
+  tuples that ``_crystals`` returns;
 * ``iso_report_calls``, ``local_axiom_calls``: ``_iso_report`` and
   ``check_local_axioms`` calls, from the searches and from the workload's
   own checks;
@@ -52,14 +52,13 @@ def count(seed: int) -> dict:
         if event == "return":
             if name == "_moves":
                 counts["candidates"] += len(arg)
+            elif name == "_crystals":
+                counts["search_nodes"] += arg[1]
+                counts["pairings"] += arg[2]
             return
         if event != "call":
             return
-        if name == "tick":
-            counts["search_nodes"] += 1
-        elif name == "_is_crystal" and frame.f_back.f_code.co_name == "_crystals":
-            counts["pairings"] += 1
-        elif name == "_iso_report":
+        if name == "_iso_report":
             counts["iso_report_calls"] += 1
         elif name == "check_local_axioms":
             counts["local_axiom_calls"] += 1
@@ -89,7 +88,7 @@ def main() -> None:
     args = ap.parse_args()
     result = count(args.seed)
     if result["search_nodes"] == 0:
-        raise SystemExit(f"error: no search-node ticks in {crystal.__file__}")
+        raise SystemExit(f"error: no search nodes counted in {crystal.__file__}")
     print(json.dumps(result))
 
 

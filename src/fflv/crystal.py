@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fflv import _check_dominant, fflv_points
 from .polytope import PointSet
@@ -30,10 +30,6 @@ from .roots import Root, fundamental_weight, root_index, weight_of_point
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 class CandidateEdge(NamedTuple):
@@ -616,34 +612,16 @@ def critical_points(a: int, b: int) -> PointSet:
 # conjecture search
 
 
-class SearchResult:
-    def __init__(
-        self,
-        graphs: list[CrystalGraph],
-        complete: bool,
-        mode: str,
-        nodes: int,       # search-engine nodes visited
-        selections: int,  # complete pairings assembled and validated
-        budget: int,
-    ) -> None:
-        self.graphs = graphs
-        self.complete = complete
-        self.mode = mode
-        self.nodes = nodes
-        self.selections = selections
-        self.budget = budget
+SEARCH_BUDGET = 10_000_000  # search-engine nodes before a search gives up
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.nodes = 0
-        self.selections = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise BudgetExceeded
+class SearchResult(NamedTuple):
+    graphs: list[CrystalGraph]
+    complete: bool
+    mode: str
+    nodes: int       # search-engine nodes visited
+    selections: int  # complete pairings assembled and validated
+    budget: int
 
 
 def _greedy_color_choice(
@@ -652,8 +630,9 @@ def _greedy_color_choice(
     cand: dict[tuple[Point, int], list[CandidateEdge]],
     sigma_pos: dict[int, int],
     weights: dict[Point, tuple[int, ...]],
-) -> dict[Point, Point | None] | None:
-    """One deterministic color-a selection, or None on a dead end.
+) -> list[EdgeT] | None:
+    """The color-a edges of one deterministic selection, or None on a dead
+    end.
 
     Vertices are processed by descending <wt, alpha_a^vee>, so each vertex's
     incoming edge is settled before the vertex itself: a vertex with string
@@ -662,7 +641,7 @@ def _greedy_color_choice(
     """
     pairing = {v: _pairing(weights[v], a) for v in pts}
     verts = sorted(pts, key=lambda v: (-pairing[v], v))
-    choice: dict[Point, Point | None] = {}
+    edges: list[EdgeT] = []
     eps: dict[Point, int] = {}
     taken: set[Point] = set()
     for v in verts:
@@ -671,7 +650,6 @@ def _greedy_color_choice(
         if phi < 0:
             return None
         if phi == 0:
-            choice[v] = None
             continue
         free = [ce for ce in cand[(v, a)] if ce.target not in taken]
         if not free:
@@ -680,27 +658,10 @@ def _greedy_color_choice(
             free,
             key=lambda ce: (sigma_pos[ce.k], ce.pivot if ce.pivot is not None else 0),
         )
-        choice[v] = best.target
+        edges.append((v, a, best.target))
         taken.add(best.target)
         eps[best.target] = ev + 1
-    return choice
-
-
-def _graph_from_choices(
-    n: int,
-    lam: tuple[int, ...],
-    pts: PointSet,
-    per_color: Sequence[dict],
-    weights: dict[Point, tuple[int, ...]],
-) -> CrystalGraph:
-    edges = set()
-    for a, choice in enumerate(per_color, start=1):
-        for v, t in choice.items():
-            if t is not None:
-                edges.add((v, a, t))
-    return CrystalGraph(
-        n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
-    )
+    return edges
 
 
 def _is_crystal(g: CrystalGraph, W: WordCrystal) -> bool:
@@ -716,9 +677,9 @@ def _crystals(
     pts: PointSet,
     cand: dict[tuple[Point, int], list[CandidateEdge]],
     W: WordCrystal,
-    budget: _Budget,
+    budget: int,
     weights: dict[Point, tuple[int, ...]],
-) -> Iterator[CrystalGraph]:
+) -> tuple[list[CrystalGraph], int, int, bool]:
     """The edge selections from ``cand`` that are crystals isomorphic to W,
     by one backtracking search that builds the isomorphism as it goes.
 
@@ -729,17 +690,21 @@ def _crystals(
     candidate targets that fit the oracle: the vertex already paired with
     f_a(w), or, while f_a(w) is unpaired, an unpaired target of weight
     content(f_a(w)), which is then paired with it.  A pairing that covers
-    every vertex is assembled and still passes both validators.  Every
-    step (one color at one vertex) ticks the budget; every assembled
-    pairing counts in ``budget.selections``.  Graphs come in depth-first
-    order and are pairwise distinct.
+    every vertex is assembled and still passes both validators.
+
+    Returns ``(graphs, nodes, selections, complete)``: the crystals in
+    depth-first order, pairwise distinct (two leaves differ in the target
+    of some step); the nodes visited, one per step (one color at one
+    vertex); the pairings assembled; and False for ``complete`` when the
+    search stopped at node ``budget + 1``.
     """
+    graphs: list[CrystalGraph] = []
     if len(pts) != len(W.vertices):
-        return
+        return graphs, 0, 0, True
     content = {w: W.content(w) for w in W.vertices}
     tops = [v for v in pts if weights[v] == content[W.highest]]
     if len(tops) != 1:
-        return
+        return graphs, 0, 0, True
     word = {tops[0]: W.highest}    # vertex -> paired word
     vertex = {W.highest: tops[0]}  # word -> paired vertex
     order = [tops[0]]              # paired vertices, in pairing order
@@ -747,8 +712,11 @@ def _crystals(
     # choice points: (step, untried targets last-first, len(edges), len(order))
     stack: list[tuple[int, list[Point], int, int]] = []
     step = 0  # color step % n + 1 at vertex order[step // n]
+    nodes = selections = 0
     while True:
-        budget.tick()
+        nodes += 1
+        if nodes > budget:
+            return graphs, nodes, selections, False
         i, a = divmod(step, n)
         a += 1
         if i < len(order):
@@ -768,12 +736,12 @@ def _crystals(
                 ]
             stack.append((step, fits, len(edges), len(order)))
         elif len(order) == len(pts):
-            budget.selections += 1
+            selections += 1
             g = CrystalGraph(
                 n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
             )
             if _is_crystal(g, W):
-                yield g
+                graphs.append(g)
         # resume at the newest choice point with a target left to try
         while stack:
             step, fits, n_edges, n_order = stack[-1]
@@ -785,7 +753,7 @@ def _crystals(
                 break
             stack.pop()
         else:
-            return
+            return graphs, nodes, selections, True
         i, a = divmod(step, n)
         v, t = order[i], fits.pop()
         edges.append((v, a + 1, t))
@@ -802,7 +770,7 @@ def conjecture_search(
     lam: Sequence[int],
     sigma: Sequence[int] | None = None,
     mode: str = "exhaustive",
-    budget: int = 10_000_000,
+    budget: int = SEARCH_BUDGET,
 ) -> SearchResult:
     """Hunt for crystal structures among selections from PB_n(lambda).
 
@@ -812,69 +780,50 @@ def conjecture_search(
     targets that fit the oracle's f_a, so a wrong choice dies one edge
     after it is taken.  Every pairing that covers all vertices is assembled
     and kept if it passes the oracle isomorphism and the local axioms;
-    ``nodes`` counts search steps (the budget ticks on them) and
-    ``selections`` the complete pairings validated.  greedy: per color,
-    walk the vertices by descending <wt, alpha_a^vee> and never backtrack
-    -- at each vertex that must emit an edge, take the candidate whose k
-    comes first in sigma (then the smallest pivot); the single selection
-    is validated the same way.  A greedy walk that dead-ends assembles no
-    selection and reports complete=False.
+    ``nodes`` counts search steps (the search stops after ``budget`` of
+    them) and ``selections`` the complete pairings validated.  greedy: per
+    color, walk the vertices by descending <wt, alpha_a^vee> and never
+    backtrack -- at each vertex that must emit an edge, take the candidate
+    whose k comes first in sigma (then the smallest pivot); the single
+    selection is validated the same way.  A greedy walk that dead-ends
+    assembles no selection and reports complete=False.  ``sigma`` is
+    accepted only in greedy mode.
     """
     lam = tuple(lam)
+    if mode not in ("greedy", "exhaustive"):
+        raise ValueError(f"unknown mode {mode!r}")
     if sigma is None:
         sigma = tuple(range(1, n + 1))
+    elif mode != "greedy":
+        raise ValueError("sigma applies only to greedy mode")
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must be a permutation of [1, {n}]")
-    if mode not in ("greedy", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)
-    sigma_pos = {k: i for i, k in enumerate(sigma)}
 
     if mode == "greedy":
-        choices = []
+        sigma_pos = {k: i for i, k in enumerate(sigma)}
+        edges: list[EdgeT] = []
         for a in range(1, n + 1):
-            choice = _greedy_color_choice(pts, a, cand, sigma_pos, weights)
-            if choice is None:
-                return SearchResult(
-                    graphs=[], complete=False, mode="greedy",
-                    nodes=0, selections=0, budget=budget,
-                )
-            choices.append(choice)
-        g = _graph_from_choices(n, lam, pts, choices, weights)
-        return SearchResult(
-            graphs=[g] if _is_crystal(g, word_oracle(n, lam)) else [],
-            complete=True,
-            mode="greedy",
-            nodes=0,
-            selections=1,
-            budget=budget,
+            color_edges = _greedy_color_choice(pts, a, cand, sigma_pos, weights)
+            if color_edges is None:
+                return SearchResult([], False, "greedy", 0, 0, budget)
+            edges += color_edges
+        g = CrystalGraph(
+            n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
         )
+        valid = _is_crystal(g, word_oracle(n, lam))
+        return SearchResult([g] if valid else [], True, "greedy", 0, 1, budget)
 
-    tracker = _Budget(budget)
-    complete = True
-    graphs: list[CrystalGraph] = []
-    seen: set[frozenset[EdgeT]] = set()
-    try:
-        for g in _crystals(n, lam, pts, cand, word_oracle(n, lam), tracker, weights):
-            if g.edges not in seen:
-                seen.add(g.edges)
-                graphs.append(g)
-    except BudgetExceeded:
-        complete = False
-    graphs.sort(key=lambda g: sorted(g.edges))
-    return SearchResult(
-        graphs=graphs,
-        complete=complete,
-        mode="exhaustive",
-        nodes=tracker.nodes,
-        selections=tracker.selections,
-        budget=budget,
+    graphs, nodes, selections, complete = _crystals(
+        n, lam, pts, cand, word_oracle(n, lam), budget, weights
     )
+    graphs.sort(key=lambda g: sorted(g.edges))
+    return SearchResult(graphs, complete, "exhaustive", nodes, selections, budget)
 
 
 def fixed_k_check(n: int, k: int, r: int) -> bool:
@@ -883,7 +832,8 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
     With r = 1 the feasible move is unique at each vertex and the graph is
     forced; for r >= 2 uniqueness genuinely fails (two j's can be feasible
     at one vertex), so the check falls back to searching the fixed-k
-    selections for one valid crystal.
+    selections for a valid crystal.  A search that stops at
+    ``SEARCH_BUDGET`` nodes without one raises RuntimeError.
     """
     if not (1 <= k <= n and r >= 1):
         raise ValueError(f"bad arguments n={n}, k={k}, r={r}")
@@ -903,5 +853,9 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
         )
         forced = CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges, weights=weights)
         return _is_crystal(forced, W)
-    found = _crystals(n, lam, pts, cand, W, _Budget(10_000_000), weights)
-    return next(found, None) is not None
+    graphs, _, _, complete = _crystals(n, lam, pts, cand, W, SEARCH_BUDGET, weights)
+    if not (graphs or complete):
+        raise RuntimeError(
+            f"fixed-k search n={n}, k={k}, r={r} stopped after {SEARCH_BUDGET} nodes"
+        )
+    return bool(graphs)

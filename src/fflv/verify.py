@@ -60,18 +60,9 @@ class VerificationReport:
         return line
 
 
-def verify_main(
-    n: int,
-    lam: Sequence[int],
-    summand_override: dict[int, PointSet] | None = None,
-) -> VerificationReport:
+def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
     """Minkowski decomposition: the FFLV lattice points are exactly the sum
-    of the Lusztig lattice points of the words i_k, weighted by lambda.
-
-    ``summand_override`` swaps out individual summands (k -> replacement
-    point set); it exists so that fault injection can demonstrate the
-    check actually bites.
-    """
+    of the Lusztig lattice points of the words i_k, weighted by lambda."""
     t0 = time.perf_counter()
     lam = tuple(lam)
     dim = num_roots(n)
@@ -82,8 +73,6 @@ def verify_main(
         if lam[k - 1] == 0:
             continue
         S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
-        if summand_override and k in summand_override:
-            S = summand_override[k]
         total = sumset(total, S)
 
     hrep = None  # only an excess point's witness reads the H-description
@@ -158,9 +147,11 @@ def verify_fundamental(n: int, k: int, r: int) -> VerificationReport:
 
 def verify_word_counts(n: int, lam: Sequence[int]) -> VerificationReport:
     """Every reduced word's Lusztig polytope holds weyl_dim(lambda) lattice
-    points.  Exhaustive over words, so desk scale only (n <= 3)."""
-    if n > 3:
-        raise ValueError("word-exhaustive check is desk scale: n <= 3")
+    points.  Exhaustive over words, so desk scale only (n up to the
+    registry's ``max_n``)."""
+    max_n = CLAIMS["words"].max_n
+    if n > max_n:
+        raise ValueError(f"word-exhaustive check is desk scale: n <= {max_n}")
     t0 = time.perf_counter()
     lam = tuple(lam)
     expected = weyl_dim(n, lam)

@@ -163,10 +163,16 @@ def test_criterion_8_conjecture_explorer():
     )
 
 
-def test_criterion_9_negative_paths():
+def test_criterion_9_negative_paths(monkeypatch):
+    import fflv.verify
+
     good = lusztig_points(ik_word(2, 1), (1, 0))
     broken = PointSet([p for p in good if p != (0, 1, 0)], dim=3)
-    report = verify_main(2, (1, 1), summand_override={1: broken})
+    monkeypatch.setattr(  # the i_1 summand loses a point
+        fflv.verify, "lusztig_points",
+        lambda w, lam: broken if w == ik_word(2, 1) else lusztig_points(w, lam),
+    )
+    report = verify_main(2, (1, 1))
     assert not report.passed
     assert report.witnesses, "failure must carry a witness"
 

@@ -262,6 +262,8 @@ def test_bad_flags_exit_two():
         assert dispatch(["no-such-command"]) == 2
         assert dispatch(["tiling", "--n", "2", "--word", "1,1"]) == 2  # not reduced
         assert dispatch(["fflv", "--n", "2", "--lambda", "1,-1"]) == 2
+        # sigma orders the greedy walk only; the exhaustive search has no use for it
+        assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1", "--sigma", "2,1"]) == 2
         assert dispatch(["--help"]) == 0
         for argv in (  # words that are not reduced for the longest element
             ("--n", "2", "--word", "1,1"),

@@ -737,6 +737,22 @@ def test_fixed_k_fundamental_cases():
     assert fixed_k_check(3, 2, 2)
 
 
+def test_fixed_k_exhausted_search_raises(monkeypatch):
+    import fflv.crystal as crystal
+
+    # (3,2,2) has two fixed-k candidates at some vertex; its search visits
+    # 63 nodes and finds its one crystal at the last of them
+    monkeypatch.setattr(crystal, "SEARCH_BUDGET", 62)
+    try:
+        fixed_k_check(3, 2, 2)
+    except RuntimeError:
+        pass
+    else:
+        raise AssertionError("an exhausted fixed-k search returned a verdict")
+    monkeypatch.setattr(crystal, "SEARCH_BUDGET", 63)
+    assert fixed_k_check(3, 2, 2)
+
+
 def test_crystal_json_roundtrip():
     g = sl3_bgt(2, 1)
     assert CrystalGraph.from_json(g.to_json()) == g

@@ -23,11 +23,22 @@ def test_verify_main_zero_weight():
     assert verify_main(3, (0, 0, 0)).passed
 
 
-def test_verify_main_detects_missing_points():
+def _replace_summand(monkeypatch, word, points):
+    """verify_main reads ``points`` as the Lusztig points of ``word``."""
+    import fflv.verify as verify
+
+    monkeypatch.setattr(
+        verify, "lusztig_points",
+        lambda w, lam: points if w == word else lusztig_points(w, lam),
+    )
+
+
+def test_verify_main_detects_missing_points(monkeypatch):
     # drop one point from the w_1 summand: the sum goes incomplete
     good = lusztig_points(ik_word(2, 1), (1, 0))
     broken = PointSet([p for p in good if p != (0, 1, 0)], dim=3)
-    report = verify_main(2, (1, 1), summand_override={1: broken})
+    _replace_summand(monkeypatch, ik_word(2, 1), broken)
+    report = verify_main(2, (1, 1))
     assert not report.passed
     assert report.witnesses
     assert any("missing from sum" in w["reason"] for w in report.witnesses)
@@ -43,7 +54,8 @@ def test_verify_main_detects_excess_points(monkeypatch):
     assert built == []  # only an excess point's witness needs the H-description
     good = lusztig_points(ik_word(2, 1), (1, 0))
     fat = PointSet(list(good) + [(5, 0, 0)], dim=3)
-    report = verify_main(2, (1, 1), summand_override={1: fat})
+    _replace_summand(monkeypatch, ik_word(2, 1), fat)
+    report = verify_main(2, (1, 1))
     assert not report.passed
     assert any("not an FFLV lattice point" in w["reason"] for w in report.witnesses)
     assert built == [(2, (1, 1))]
