@@ -9,12 +9,12 @@ checks its output, as a benchmark pass does, with a profile hook on
 library:
 
 * ``search_nodes``, ``pairings``: the nodes the exhaustive search engine
-  visited and the complete selections it assembled and sent to the
-  validators, summed over the ``(graphs, nodes, selections, complete)``
-  tuples that ``_crystals`` returns;
+  visited and the complete pairings it assembled (each one a crystal by
+  construction), summed over the ``(graphs, nodes, complete)`` tuples
+  that ``_crystals`` returns;
 * ``iso_report_calls``, ``local_axiom_calls``: ``_iso_report`` and
-  ``check_local_axioms`` calls, from the searches and from the workload's
-  own checks;
+  ``check_local_axioms`` calls, from greedy selections, forced fixed-k
+  graphs and the workload's own checks;
 * ``weight_calls``: ``weight_of_point`` calls;
 * ``move_calls``: ``_moves`` calls (the PB candidate moves at one point);
 * ``candidates``: the ``CandidateEdge``s those calls return.
@@ -54,7 +54,7 @@ def count(seed: int) -> dict:
                 counts["candidates"] += len(arg)
             elif name == "_crystals":
                 counts["search_nodes"] += arg[1]
-                counts["pairings"] += arg[2]
+                counts["pairings"] += len(arg[0])
             return
         if event != "call":
             return

@@ -210,7 +210,7 @@ def cmd_conjecture(args) -> int:
 
     lam = _parse_lambda(args.lam, args.n)
     sigma = None
-    if args.sigma:
+    if args.sigma is not None:
         sigma = tuple(int(x) for x in args.sigma.split(","))
     res = conjecture_search(args.n, lam, sigma=sigma, mode=args.mode, budget=args.budget)
     if args.format == "json":
@@ -355,7 +355,7 @@ def _args_conjecture(p, argv) -> None:
     _common(p, lam=True, fmt=("text", "json"))
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--sigma", default=None, help="color preference, e.g. 2,1")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_conjecture)
 
 

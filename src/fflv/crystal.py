@@ -6,15 +6,15 @@ Four layers:
 * the explicit sl_3 crystals B^>(a, b) and B^<(a, b), each built from one
   rule per color that gives f_c of a lattice point, plus their critical
   points;
-* two validators -- a reconstructed Stembridge-style local-axiom check and
-  the normative isomorphism check against an independent tensor-word
-  oracle crystal;
+* two validators -- the normative isomorphism check against an
+  independent tensor-word oracle crystal, and a reconstructed
+  Stembridge-style local-axiom check that localizes failures;
 * a search over edge selections from PB_n(lambda) hunting for the
   conjectured n! crystal structures: greedy by a sigma-preference, or
   exhaustive by one budgeted backtracking engine that grows the
   isomorphism with the word oracle from the highest weight and branches
-  only over candidate targets that fit it; every graph it assembles still
-  passes both validators.
+  only over candidate targets that fit it, so every graph it assembles
+  is a crystal by construction.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def _index(G: CrystalGraph) -> _Index:
     return _Index(verts, f, e, [G.weight_of(v) for v in verts], stray_report, multi)
 
 
-def check_local_axioms(G: CrystalGraph, ix: _Index | None = None) -> dict:
+def check_local_axioms(G: CrystalGraph) -> dict:
     """Stembridge-style local check; returns {"passed": bool, "violations": [...]}.
 
     (0)   every edge has a color in [1, n] and both ends in G.vertices;
@@ -358,16 +358,17 @@ def check_local_axioms(G: CrystalGraph, ix: _Index | None = None) -> dict:
           statements for lowering with phi as the driver.
 
     Every violation carries its witness vertex.  The isomorphism check
-    against the word oracle stays the normative criterion; this one exists
-    to localize failures.  ``ix`` is an index of G already built:
-    ``_is_crystal`` shares one between both validators.
+    against the word oracle is the normative criterion, and the library
+    decides with it alone; this one exists to localize failures.  A graph
+    weight-isomorphic to the oracle passes it exactly when the oracle's
+    own graph does.
     """
     violations: list[dict] = []
 
     def flag(axiom: str, vertex, detail: str) -> None:
         violations.append({"axiom": axiom, "vertex": vertex, "detail": detail})
 
-    ix = ix or _index(G)
+    ix = _index(G)
     for u, detail in ix.stray:
         flag("edge-range", u, detail)
     if not violations and ix.multi:  # sort and count only here, where something is flagged
@@ -475,8 +476,8 @@ def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
     return _iso_report(G, word_oracle(G.n, lam))
 
 
-def _iso_report(G: CrystalGraph, W: WordCrystal, ix: _Index | None = None) -> tuple[bool, str]:
-    ix = ix or _index(G)
+def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
+    ix = _index(G)
     if ix.stray:
         return False, ix.stray[0][1]
     if ix.multi:
@@ -620,8 +621,7 @@ class SearchResult(NamedTuple):
     complete: bool
     mode: str
     nodes: int       # search-engine nodes visited
-    selections: int  # complete pairings assembled and validated
-    budget: int
+    selections: int  # complete selections assembled: pairings, or greedy's one
 
 
 def _greedy_color_choice(
@@ -664,13 +664,6 @@ def _greedy_color_choice(
     return edges
 
 
-def _is_crystal(g: CrystalGraph, W: WordCrystal) -> bool:
-    """Both validators on one index of g; the oracle pairing runs first
-    because it is the cheaper of the two."""
-    ix = _index(g)
-    return _iso_report(g, W, ix)[0] and check_local_axioms(g, ix)["passed"]
-
-
 def _crystals(
     n: int,
     lam: tuple[int, ...],
@@ -679,7 +672,7 @@ def _crystals(
     W: WordCrystal,
     budget: int,
     weights: dict[Point, tuple[int, ...]],
-) -> tuple[list[CrystalGraph], int, int, bool]:
+) -> tuple[list[CrystalGraph], int, bool]:
     """The edge selections from ``cand`` that are crystals isomorphic to W,
     by one backtracking search that builds the isomorphism as it goes.
 
@@ -690,21 +683,22 @@ def _crystals(
     candidate targets that fit the oracle: the vertex already paired with
     f_a(w), or, while f_a(w) is unpaired, an unpaired target of weight
     content(f_a(w)), which is then paired with it.  A pairing that covers
-    every vertex is assembled and still passes both validators.
+    every vertex is a crystal with no further check: it pairs each vertex
+    with one word of equal weight and takes exactly the words' f-edges, so
+    it is isomorphic to W.
 
-    Returns ``(graphs, nodes, selections, complete)``: the crystals in
-    depth-first order, pairwise distinct (two leaves differ in the target
-    of some step); the nodes visited, one per step (one color at one
-    vertex); the pairings assembled; and False for ``complete`` when the
-    search stopped at node ``budget + 1``.
+    Returns ``(graphs, nodes, complete)``: the crystals in depth-first
+    order, pairwise distinct (two leaves differ in the target of some
+    step); the nodes visited, one per step (one color at one vertex); and
+    False for ``complete`` when the search stopped at node ``budget + 1``.
     """
     graphs: list[CrystalGraph] = []
     if len(pts) != len(W.vertices):
-        return graphs, 0, 0, True
+        return graphs, 0, True
     content = {w: W.content(w) for w in W.vertices}
     tops = [v for v in pts if weights[v] == content[W.highest]]
     if len(tops) != 1:
-        return graphs, 0, 0, True
+        return graphs, 0, True
     word = {tops[0]: W.highest}    # vertex -> paired word
     vertex = {W.highest: tops[0]}  # word -> paired vertex
     order = [tops[0]]              # paired vertices, in pairing order
@@ -712,11 +706,11 @@ def _crystals(
     # choice points: (step, untried targets last-first, len(edges), len(order))
     stack: list[tuple[int, list[Point], int, int]] = []
     step = 0  # color step % n + 1 at vertex order[step // n]
-    nodes = selections = 0
+    nodes = 0
     while True:
         nodes += 1
         if nodes > budget:
-            return graphs, nodes, selections, False
+            return graphs, nodes, False
         i, a = divmod(step, n)
         a += 1
         if i < len(order):
@@ -736,12 +730,9 @@ def _crystals(
                 ]
             stack.append((step, fits, len(edges), len(order)))
         elif len(order) == len(pts):
-            selections += 1
-            g = CrystalGraph(
+            graphs.append(CrystalGraph(
                 n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
-            )
-            if _is_crystal(g, W):
-                graphs.append(g)
+            ))
         # resume at the newest choice point with a target left to try
         while stack:
             step, fits, n_edges, n_order = stack[-1]
@@ -753,7 +744,7 @@ def _crystals(
                 break
             stack.pop()
         else:
-            return graphs, nodes, selections, True
+            return graphs, nodes, True
         i, a = divmod(step, n)
         v, t = order[i], fits.pop()
         edges.append((v, a + 1, t))
@@ -770,7 +761,7 @@ def conjecture_search(
     lam: Sequence[int],
     sigma: Sequence[int] | None = None,
     mode: str = "exhaustive",
-    budget: int = SEARCH_BUDGET,
+    budget: int | None = None,
 ) -> SearchResult:
     """Hunt for crystal structures among selections from PB_n(lambda).
 
@@ -778,16 +769,17 @@ def conjecture_search(
     the oracle crystal B(lambda), highest weight first and breadth-first
     from there, and at each vertex and color tries only the candidate
     targets that fit the oracle's f_a, so a wrong choice dies one edge
-    after it is taken.  Every pairing that covers all vertices is assembled
-    and kept if it passes the oracle isomorphism and the local axioms;
-    ``nodes`` counts search steps (the search stops after ``budget`` of
-    them) and ``selections`` the complete pairings validated.  greedy: per
-    color, walk the vertices by descending <wt, alpha_a^vee> and never
-    backtrack -- at each vertex that must emit an edge, take the candidate
-    whose k comes first in sigma (then the smallest pivot); the single
-    selection is validated the same way.  A greedy walk that dead-ends
-    assembles no selection and reports complete=False.  ``sigma`` is
-    accepted only in greedy mode.
+    after it is taken.  Every pairing that covers all vertices is a
+    crystal, isomorphic to the oracle by construction, so ``selections``
+    equals the number of graphs; ``nodes`` counts search steps, and the
+    search stops after ``budget`` of them (default ``SEARCH_BUDGET``).
+    greedy: per color, walk the vertices by descending <wt, alpha_a^vee>
+    and never backtrack -- at each vertex that must emit an edge, take the
+    candidate whose k comes first in sigma (then the smallest pivot); the
+    single selection is kept if it pairs with the oracle.  A greedy walk
+    that dead-ends assembles no selection and reports complete=False.
+    ``sigma`` is accepted only in greedy mode, ``budget`` only in
+    exhaustive mode.
     """
     lam = tuple(lam)
     if mode not in ("greedy", "exhaustive"):
@@ -799,8 +791,12 @@ def conjecture_search(
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must be a permutation of [1, {n}]")
-    if budget < 1:
+    if budget is None:
+        budget = SEARCH_BUDGET
+    elif budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    elif mode == "greedy":
+        raise ValueError("budget applies only to exhaustive mode")
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)
@@ -811,26 +807,26 @@ def conjecture_search(
         for a in range(1, n + 1):
             color_edges = _greedy_color_choice(pts, a, cand, sigma_pos, weights)
             if color_edges is None:
-                return SearchResult([], False, "greedy", 0, 0, budget)
+                return SearchResult([], False, "greedy", 0, 0)
             edges += color_edges
         g = CrystalGraph(
             n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
         )
-        valid = _is_crystal(g, word_oracle(n, lam))
-        return SearchResult([g] if valid else [], True, "greedy", 0, 1, budget)
+        valid = _iso_report(g, word_oracle(n, lam))[0]
+        return SearchResult([g] if valid else [], True, "greedy", 0, 1)
 
-    graphs, nodes, selections, complete = _crystals(
+    graphs, nodes, complete = _crystals(
         n, lam, pts, cand, word_oracle(n, lam), budget, weights
     )
     graphs.sort(key=lambda g: sorted(g.edges))
-    return SearchResult(graphs, complete, "exhaustive", nodes, selections, budget)
+    return SearchResult(graphs, complete, "exhaustive", nodes, len(graphs))
 
 
 def fixed_k_check(n: int, k: int, r: int) -> bool:
     """Does restricting every color to its fixed-k move recover B(r w_k)?
 
     With r = 1 the feasible move is unique at each vertex and the graph is
-    forced; for r >= 2 uniqueness genuinely fails (two j's can be feasible
+    forced, judged by its pairing with the oracle; for r >= 2 uniqueness genuinely fails (two j's can be feasible
     at one vertex), so the check falls back to searching the fixed-k
     selections for a valid crystal.  A search that stops at
     ``SEARCH_BUDGET`` nodes without one raises RuntimeError.
@@ -852,8 +848,8 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
             if ces
         )
         forced = CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges, weights=weights)
-        return _is_crystal(forced, W)
-    graphs, _, _, complete = _crystals(n, lam, pts, cand, W, SEARCH_BUDGET, weights)
+        return _iso_report(forced, W)[0]
+    graphs, _, complete = _crystals(n, lam, pts, cand, W, SEARCH_BUDGET, weights)
     if not (graphs or complete):
         raise RuntimeError(
             f"fixed-k search n={n}, k={k}, r={r} stopped after {SEARCH_BUDGET} nodes"

@@ -264,6 +264,13 @@ def test_bad_flags_exit_two():
         assert dispatch(["fflv", "--n", "2", "--lambda", "1,-1"]) == 2
         # sigma orders the greedy walk only; the exhaustive search has no use for it
         assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1", "--sigma", "2,1"]) == 2
+        # an empty sigma is still a sigma: no mode ignores it
+        assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1", "--sigma", ""]) == 2
+        assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1",
+                         "--mode", "greedy", "--sigma", ""]) == 2
+        # budget caps the exhaustive search only; the greedy walk has no use for it
+        assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1",
+                         "--mode", "greedy", "--budget", "5"]) == 2
         assert dispatch(["--help"]) == 0
         for argv in (  # words that are not reduced for the longest element
             ("--n", "2", "--word", "1,1"),

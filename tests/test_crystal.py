@@ -11,7 +11,6 @@ from fflv.crystal import (
     CrystalGraph,
     WordCrystal,
     _candidate_map,
-    _is_crystal,
     _iso_report,
     _moves,
     _sl3_crystal,
@@ -192,11 +191,18 @@ def test_word_oracle_vector_rep_is_a_chain():
 
 
 def test_oracle_export_passes_axioms():
-    for n in (1, 2, 3):
-        for lam in weights_up_to(n, 2):
+    # the library judges a graph by its pairing with the oracle alone: a
+    # graph weight-isomorphic to the oracle passes the local axioms exactly
+    # when the oracle's own graph does, so that graph must pass them at
+    # every weight the searches, greedy walks and fixed-k checks reach
+    count = 0
+    for n, total in ((1, 8), (2, 8), (3, 5), (4, 2)):
+        for lam in weights_up_to(n, total):
             g = word_oracle(n, lam).export_graph()
             report = check_local_axioms(g)
             assert report["passed"], (n, lam, report["violations"][:3])
+            count += 1
+    assert count == 125
 
 
 def test_axioms_fail_with_witness_on_deleted_edge():
@@ -338,7 +344,7 @@ def test_validators_match_dict_oracles():
         report, iso = oracles.dict_local_axioms(g), oracles.dict_iso_report(g, W)
         assert check_local_axioms(g) == report
         assert _iso_report(g, W) == iso
-        assert _is_crystal(g, W) == (iso[0] and report["passed"])
+        assert report["passed"] or not iso[0]  # the pairing passes => the axioms pass
     assert len(graphs) == 1 + 66 + 108 + 50 + 2 + 400
 
 
@@ -585,14 +591,19 @@ def test_conjecture_exhaustive_frozen():
     assert (res.selections, res.nodes) == (2, 82)
 
 
+def _both_validators(g, W):
+    """The reference verdict: the oracle pairing and the local axioms."""
+    return _iso_report(g, W)[0] and check_local_axioms(g)["passed"]
+
+
 def _product_crystals(n, lam, cand, pts):
-    """Crystal edge sets by the product-then-filter oracle, validated by the
-    library's validators on graphs that carry no weight table."""
+    """Crystal edge sets by the product-then-filter oracle, validated by
+    both validators on graphs that carry no weight table."""
     W = word_oracle(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     return oracles.product_search(
         n, pts, cand, weights,
-        lambda edges: _is_crystal(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W),
+        lambda edges: _both_validators(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W),
     )
 
 
@@ -622,7 +633,7 @@ def test_fixed_k_matches_product_search():
                     forced = frozenset(
                         (ces[0].source, ces[0].a, ces[0].target) for ces in cand.values() if ces
                     )
-                    expected = _is_crystal(
+                    expected = _both_validators(
                         CrystalGraph(n=n, lam=lam, vertices=pts, edges=forced),
                         word_oracle(n, lam),
                     )
@@ -687,6 +698,33 @@ def test_work_done_once_per_call(monkeypatch):
         assert calls == Counter(points=1, oracle=oracles)
 
 
+def test_oracle_pairing_alone_decides(monkeypatch):
+    import fflv.crystal as crystal
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validator called")
+
+    # engine leaves are isomorphic to the oracle by construction: the
+    # exhaustive search and the fixed-k search call no validator
+    monkeypatch.setattr(crystal, "_iso_report", forbidden)
+    monkeypatch.setattr(crystal, "check_local_axioms", forbidden)
+    assert len(conjecture_search(2, (2, 2)).graphs) == 2
+    assert len(conjecture_search(3, (1, 0, 1)).graphs) == 2
+    assert fixed_k_check(3, 2, 2)
+    # a greedy selection and a forced fixed-k graph are judged by the
+    # oracle pairing alone
+    calls = Counter()
+
+    def counted(g, W):
+        calls[g.lam] += 1
+        return _iso_report(g, W)
+
+    monkeypatch.setattr(crystal, "_iso_report", counted)
+    assert len(conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy").graphs) == 1
+    assert fixed_k_check(3, 2, 1)
+    assert calls == Counter({(1, 1): 1, (0, 1, 0): 1})
+
+
 def test_crystal_counters_pinned(monkeypatch):
     # scripts/crystal_counters.py counts by function name: a renamed
     # validator or search step must fail here, not read 0
@@ -697,14 +735,18 @@ def test_crystal_counters_pinned(monkeypatch):
     spec.loader.exec_module(counters)
     assert counters.count(1) == {
         "seed": 1, "cases": 125, "search_nodes": 1018, "pairings": 26,
-        "iso_report_calls": 105, "local_axiom_calls": 105, "weight_calls": 4061,
+        "iso_report_calls": 79, "local_axiom_calls": 50, "weight_calls": 4061,
         "move_calls": 2123, "candidates": 6208,
     }
 
 
-def test_conjecture_budget_flag():
+def test_conjecture_budget_flag(monkeypatch):
+    import fflv.crystal as crystal
+
     res = conjecture_search(2, (1, 1), budget=3)
     assert not res.complete
+    monkeypatch.setattr(crystal, "SEARCH_BUDGET", 3)  # the default budget
+    assert conjecture_search(2, (1, 1)) == res
     for mode in ("exhaustive", "greedy"):
         for budget in (0, -5):
             try:
