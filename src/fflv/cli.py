@@ -49,7 +49,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_lambda(raw: str, n: int) -> tuple[int, ...]:
     try:
-        parts = [int(x) for x in raw.split(",") if x != ""]
+        parts = [int(x) for x in raw.split(",")] if raw else []  # '' is the zero weight
     except ValueError:
         raise ValueError(f"bad weight list {raw!r}")
     if len(parts) > n or any(x < 0 for x in parts):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .claims import CLAIMS, check_case, default_sweep
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
@@ -27,29 +27,15 @@ from .tiling import (
 MAX_WITNESSES = 5
 
 
-class VerificationReport:
-    def __init__(
-        self,
-        claim: str,
-        params: dict,
-        passed: bool,
-        witnesses: list | None = None,
-        seconds: float = 0.0,
-    ) -> None:
-        self.claim = claim
-        self.params = params
-        self.passed = passed
-        self.witnesses = [] if witnesses is None else witnesses
-        self.seconds = seconds
+class VerificationReport(NamedTuple):
+    claim: str
+    params: dict
+    passed: bool
+    witnesses: list
+    seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-            "seconds": round(self.seconds, 6),
-        }
+        return {**self._asdict(), "seconds": round(self.seconds, 6)}
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -60,13 +46,25 @@ class VerificationReport:
         return line
 
 
+def _report(kind: str, case: tuple, witnesses: list, t0: float) -> VerificationReport:
+    """The report of claim ``kind`` on ``case``: its parameters named by the
+    registry, passed iff no witness was found, at most ``MAX_WITNESSES`` of
+    them kept, timed from ``t0``."""
+    params = {
+        name: list(value) if name == "lam" else value
+        for name, value in zip(CLAIMS[kind].params, case)
+    }
+    return VerificationReport(
+        kind, params, not witnesses, witnesses[:MAX_WITNESSES], time.perf_counter() - t0
+    )
+
+
 def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
     """Minkowski decomposition: the FFLV lattice points are exactly the sum
     of the Lusztig lattice points of the words i_k, weighted by lambda."""
+    check_case("main", (n, lam))
     t0 = time.perf_counter()
-    lam = tuple(lam)
     dim = num_roots(n)
-    witnesses: list = []
     F = fflv_points(n, lam)
     total = PointSet([(0,) * dim], dim=dim)
     for k in range(1, n + 1):
@@ -75,102 +73,61 @@ def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
         S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
         total = sumset(total, S)
 
-    hrep = None  # only an excess point's witness reads the H-description
-    for p in total:
-        if p not in F:
-            if hrep is None:
-                hrep = fflv_hrep(n, lam)
-            inside = contains(hrep, p)
-            witnesses.append(
-                {
-                    "point": list(p),
-                    "reason": "in Minkowski sum, not an FFLV lattice point"
-                    + ("" if inside else " (violates the H-description)"),
-                }
-            )
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-    if len(witnesses) < MAX_WITNESSES:
-        for p in F:
-            if p not in total:
-                witnesses.append(
-                    {"point": list(p), "reason": "FFLV lattice point missing from sum"}
-                )
-                if len(witnesses) >= MAX_WITNESSES:
-                    break
-
-    return VerificationReport(
-        claim="main",
-        params={"n": n, "lam": list(lam)},
-        passed=not witnesses and total == F,
-        witnesses=witnesses,
-        seconds=time.perf_counter() - t0,
-    )
+    excess = [p for p in total if p not in F]
+    hrep = fflv_hrep(n, lam) if excess else None  # only an excess point's witness reads it
+    witnesses = [
+        {
+            "point": list(p),
+            "reason": "in Minkowski sum, not an FFLV lattice point"
+            + ("" if contains(hrep, p) else " (violates the H-description)"),
+        }
+        for p in excess
+    ]
+    witnesses += [
+        {"point": list(p), "reason": "FFLV lattice point missing from sum"}
+        for p in F
+        if p not in total
+    ]
+    return _report("main", (n, lam), witnesses, t0)
 
 
 def verify_fundamental(n: int, k: int, r: int) -> VerificationReport:
     """FFLV and i_k-Lusztig agree on r*w_k; for r = 1 both coincide with the
     explicitly indexed points, C(n+1, k) of them."""
+    check_case("fundamental", (n, k, r))
     t0 = time.perf_counter()
     lam = fundamental_weight(n, k, r)
-    witnesses: list = []
     F = fflv_points(n, lam)
     L = lusztig_points(ik_word(n, k), lam)
-    for p in F:
-        if p not in L:
-            witnesses.append({"point": list(p), "reason": "FFLV only"})
-    for p in L:
-        if p not in F:
-            witnesses.append({"point": list(p), "reason": "Lusztig only"})
+    witnesses = [{"point": list(p), "reason": "FFLV only"} for p in F if p not in L]
+    witnesses += [{"point": list(p), "reason": "Lusztig only"} for p in L if p not in F]
     if r == 1:
         explicit = PointSet([fp.point for fp in fundamental_points(n, k)])
         if explicit != F:
             diff = set(explicit) ^ set(F)
             witnesses.append(
-                {
-                    "point": list(sorted(diff)[0]),
-                    "reason": "explicit fundamental points differ",
-                }
+                {"point": list(sorted(diff)[0]), "reason": "explicit fundamental points differ"}
             )
         if len(F) != comb(n + 1, k):
             witnesses.append(
                 {"count": len(F), "reason": f"expected C({n + 1},{k}) = {comb(n + 1, k)}"}
             )
-    return VerificationReport(
-        claim="fundamental",
-        params={"n": n, "k": k, "r": r},
-        passed=not witnesses,
-        witnesses=witnesses[:MAX_WITNESSES],
-        seconds=time.perf_counter() - t0,
-    )
+    return _report("fundamental", (n, k, r), witnesses, t0)
 
 
 def verify_word_counts(n: int, lam: Sequence[int]) -> VerificationReport:
     """Every reduced word's Lusztig polytope holds weyl_dim(lambda) lattice
     points.  Exhaustive over words, so desk scale only (n up to the
     registry's ``max_n``)."""
-    max_n = CLAIMS["words"].max_n
-    if n > max_n:
-        raise ValueError(f"word-exhaustive check is desk scale: n <= {max_n}")
+    check_case("words", (n, lam))
     t0 = time.perf_counter()
-    lam = tuple(lam)
     expected = weyl_dim(n, lam)
     witnesses: list = []
     for word in all_reduced_words(n):
         count = len(lusztig_points(word, lam))
         if count != expected:
-            witnesses.append(
-                {"word": list(word), "count": count, "expected": expected}
-            )
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-    return VerificationReport(
-        claim="words",
-        params={"n": n, "lam": list(lam)},
-        passed=not witnesses,
-        witnesses=witnesses,
-        seconds=time.perf_counter() - t0,
-    )
+            witnesses.append({"word": list(word), "count": count, "expected": expected})
+    return _report("words", (n, lam), witnesses, t0)
 
 
 def _grid_path_supports(n: int, k: int) -> set[frozenset[Root]]:
@@ -201,6 +158,7 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
       C(n-1, k-1) of them;
     * the Reineke filter discards nothing at s = k.
     """
+    check_case("dyck", (n, k))
     t0 = time.perf_counter()
     witnesses: list = []
     word = ik_word(n, k)
@@ -258,14 +216,7 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
              "support": sorted(map(str, p))}
         )
         break
-
-    return VerificationReport(
-        claim="dyck",
-        params={"n": n, "k": k},
-        passed=not witnesses,
-        witnesses=witnesses[:MAX_WITNESSES],
-        seconds=time.perf_counter() - t0,
-    )
+    return _report("dyck", (n, k), witnesses, t0)
 
 
 def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:

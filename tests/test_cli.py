@@ -262,6 +262,9 @@ def test_bad_flags_exit_two():
         assert dispatch(["no-such-command"]) == 2
         assert dispatch(["tiling", "--n", "2", "--word", "1,1"]) == 2  # not reduced
         assert dispatch(["fflv", "--n", "2", "--lambda", "1,-1"]) == 2
+        # an empty entry is not a zero: it would shift the entries after it
+        for lam in ("1,,2", ",1", "1,2,", ","):
+            assert dispatch(["fflv", "--n", "3", "--lambda", lam, "--mode", "count"]) == 2, lam
         # sigma orders the greedy walk only; the exhaustive search has no use for it
         assert dispatch(["conjecture", "--n", "2", "--lambda", "1,1", "--sigma", "2,1"]) == 2
         # an empty sigma is still a sigma: no mode ignores it
@@ -280,6 +283,8 @@ def test_bad_flags_exit_two():
         ):
             assert run_cli("word", *argv) == (2, ""), argv
     assert run_cli("word", "--n", "1") == (0, "(1)\n")
+    # the empty list is the zero weight: one point
+    assert run_cli("fflv", "--n", "3", "--lambda", "", "--mode", "count") == (0, "1\n")
 
 
 _HELP_ARGVS = (

@@ -23,7 +23,7 @@ from fflv.roots import (
     random_reduced_word,
     root_index,
 )
-from fflv.polytope import HPolytope, _one_run, lattice_points
+from fflv.polytope import HPolytope, PointSet, _one_run, lattice_points
 from fflv.tiling import (
     DualCrossing,
     PeelStallError,
@@ -531,17 +531,38 @@ def test_tiling_layers_match_the_unpruned_oracles():
         assert list(lusztig_hrep(word, lam).rows) == rows
 
 
-def test_tiling_counters_pinned(monkeypatch):
-    # scripts/tiling_counters.py counts by function name, as
-    # test_crystal_counters_pinned does for the crystal layer: a renamed
-    # search step must fail here, not read 0
+def _tiling_counters(monkeypatch):
     path = pathlib.Path(__file__).parents[1] / "scripts" / "tiling_counters.py"
     spec = importlib.util.spec_from_file_location("tiling_counters", path)
     counters = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     spec.loader.exec_module(counters)
-    assert counters.count(1, "_extend_paths") == {
+    return counters
+
+
+def test_tiling_counters_pinned(monkeypatch):
+    # scripts/tiling_counters.py counts by function name, as
+    # test_crystal_counters_pinned does for the crystal layer: a renamed
+    # search step must fail here, not read 0
+    assert _tiling_counters(monkeypatch).count(1) == {
         "seed": 1, "cases": 352, "dfs_nodes": 33642, "crossings_found": 8964,
         "crossings_kept": 8148, "peel_calls": 1536, "peel_layers": 16336,
         "hrep_rows": 8148,
     }
+
+
+def test_tiling_counters_check_their_cases(monkeypatch):
+    # a wrong point set fails the words workload's checks, so the script
+    # raises rather than pin the counts of a broken pass
+    counters = _tiling_counters(monkeypatch)
+    import fflv.tiling as tiling
+
+    monkeypatch.setattr(
+        tiling, "lusztig_points", lambda word, lam, n=None: PointSet([(0,) * len(word)])
+    )
+    try:
+        counters.count(1)
+    except RuntimeError as exc:
+        assert "words case(s) failed" in str(exc)
+    else:
+        raise AssertionError("a wrong point set passed the counters' checks")

@@ -1,7 +1,8 @@
 from fflv.polytope import PointSet
-from fflv.tiling import lusztig_points
+from fflv.tiling import lusztig_points, reineke_filter
 from fflv.roots import ik_word
 from fflv.verify import (
+    MAX_WITNESSES,
     default_sweep,
     run_suite,
     verify_dyck_correspondence,
@@ -59,6 +60,74 @@ def test_verify_main_detects_excess_points(monkeypatch):
     assert not report.passed
     assert any("not an FFLV lattice point" in w["reason"] for w in report.witnesses)
     assert built == [(2, (1, 1))]
+
+
+def test_verify_main_caps_witnesses(monkeypatch):
+    # six points far outside every FFLV polytope: more excess points than
+    # the report keeps
+    good = lusztig_points(ik_word(2, 1), (1, 0))
+    fat = PointSet(list(good) + [(x, 0, 0) for x in range(5, 11)], dim=3)
+    _replace_summand(monkeypatch, ik_word(2, 1), fat)
+    report = verify_main(2, (1, 1))
+    assert not report.passed
+    assert len(report.witnesses) == MAX_WITNESSES == 5
+    assert all("not an FFLV lattice point" in w["reason"] for w in report.witnesses)
+
+
+def test_verify_fundamental_detects_missing_lusztig_point(monkeypatch):
+    word = ik_word(3, 2)
+    good = lusztig_points(word, (0, 1, 0))
+    dropped = sorted(good)[-1]
+    _replace_summand(monkeypatch, word, PointSet([p for p in good if p != dropped], dim=6))
+    report = verify_fundamental(3, 2, 1)
+    assert not report.passed
+    assert 1 <= len(report.witnesses) <= MAX_WITNESSES
+    assert {"point": list(dropped), "reason": "FFLV only"} in report.witnesses
+
+
+def test_verify_word_counts_caps_witnesses(monkeypatch):
+    import fflv.verify as verify
+
+    # every word's set comes back one point short: all 16 words at n = 3 fail
+    monkeypatch.setattr(
+        verify, "lusztig_points",
+        lambda w, lam: PointSet(sorted(lusztig_points(w, lam))[1:], dim=6),
+    )
+    report = verify_word_counts(3, (1, 0, 0))
+    assert not report.passed
+    assert len(report.witnesses) == MAX_WITNESSES
+    assert all(w["count"] == 3 and w["expected"] == 4 for w in report.witnesses)
+
+
+def test_verify_dyck_detects_dropped_crossing(monkeypatch):
+    import fflv.verify as verify
+
+    monkeypatch.setattr(verify, "reineke_filter", lambda crs: reineke_filter(crs)[1:])
+    report = verify_dyck_correspondence(3, 2)
+    assert not report.passed
+    assert 1 <= len(report.witnesses) <= MAX_WITNESSES
+    assert report.witnesses[0]["reason"] == "Reineke filter dropped 1 crossings at s=2"
+
+
+def test_verify_calls_validate_their_case():
+    # a claim called directly rejects what a sweep rejects, rather than
+    # pass vacuously
+    for call, args in (
+        (verify_fundamental, (2, 1, 0)),        # r < 1
+        (verify_fundamental, (2, 3, 1)),        # k > n
+        (verify_main, (2, (True, 1))),          # bool is not an int here
+        (verify_main, (2, (1,))),               # len(lam) != n
+        (verify_main, (0, ())),                 # n < 1
+        (verify_word_counts, (2, (1, -1))),     # not dominant
+        (verify_dyck_correspondence, (3, 0)),   # k < 1
+        (verify_dyck_correspondence, (3, "2")),
+    ):
+        try:
+            call(*args)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"{call.__name__}{args} accepted")
 
 
 def test_verify_fundamental_sweep():
