@@ -47,12 +47,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _decimal(entry: str) -> int:
+    """A nonnegative integer written in ASCII digits only.  ``int`` alone
+    also takes signs, underscores, surrounding spaces and non-ASCII digits."""
+    if not (entry.isascii() and entry.isdigit()):
+        raise ValueError(f"not a decimal number: {entry!r}")
+    return int(entry)
+
+
 def _parse_lambda(raw: str, n: int) -> tuple[int, ...]:
     try:
-        parts = [int(x) for x in raw.split(",")] if raw else []  # '' is the zero weight
+        parts = [_decimal(x) for x in raw.split(",")] if raw else []  # '' is the zero weight
     except ValueError:
         raise ValueError(f"bad weight list {raw!r}")
-    if len(parts) > n or any(x < 0 for x in parts):
+    if len(parts) > n:
         raise ValueError(f"need at most {n} nonnegative entries in {raw!r}")
     return tuple(parts) + (0,) * (n - len(parts))
 
@@ -63,9 +71,9 @@ def _parse_word(raw: str, n: int) -> tuple[int, ...]:
     if raw == "lexmax":
         return lexmax_word(n)
     if raw.startswith("ik:"):
-        return ik_word(n, int(raw[3:]))
+        return ik_word(n, _decimal(raw[3:]))
     try:
-        return tuple(int(x) for x in raw.split(","))
+        return tuple(_decimal(x) for x in raw.split(","))
     except ValueError:
         raise ValueError(f"bad word spec {raw!r}")
 
@@ -211,7 +219,7 @@ def cmd_conjecture(args) -> int:
     lam = _parse_lambda(args.lam, args.n)
     sigma = None
     if args.sigma is not None:
-        sigma = tuple(int(x) for x in args.sigma.split(","))
+        sigma = tuple(_decimal(x) for x in args.sigma.split(","))
     res = conjecture_search(args.n, lam, sigma=sigma, mode=args.mode, budget=args.budget)
     if args.format == "json":
         _emit(

@@ -8,6 +8,7 @@ lambda_j, where the path runs from alpha_{i,i} to alpha_{j,j}.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -61,9 +62,12 @@ def dyck_paths(n: int) -> list[DyckPath]:
     return out
 
 
-def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
-    """One 0/1 row per Dyck path; rhs is the partial sum lambda_i+...+lambda_j."""
-    lam = _check_dominant(n, lam)
+@cache
+def _dyck_rows(n: int) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The lambda-free part of the FFLV rows of rank n: one (coeffs, i, j)
+    per Dyck path, in the order of ``dyck_paths(n)``, coeffs the 0/1
+    indicator of the path's roots.  Cached per rank and immutable, so every
+    caller shares one copy."""
     idx = root_index(n)
     N = num_roots(n)
     rows = []
@@ -71,8 +75,19 @@ def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
         coeffs = [0] * N
         for r in path.roots:
             coeffs[idx[r]] = 1
-        rows.append((tuple(coeffs), sum(lam[path.i - 1 : path.j])))
-    return HPolytope(dim=N, rows=tuple(rows), nonneg=True)
+        rows.append((tuple(coeffs), path.i, path.j))
+    return tuple(rows)
+
+
+def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
+    """One 0/1 row per Dyck path; rhs is the partial sum lambda_i+...+lambda_j.
+
+    The rows' coefficients come from the per-rank cache ``_dyck_rows``;
+    only the right-hand sides are computed per call.
+    """
+    lam = _check_dominant(n, lam)
+    rows = tuple((coeffs, sum(lam[i - 1 : j])) for coeffs, i, j in _dyck_rows(n))
+    return HPolytope(dim=num_roots(n), rows=rows, nonneg=True)
 
 
 def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
@@ -80,6 +95,7 @@ def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
 
     Every row is 0/1 and caps each coordinate it touches, so the certified
     order is the canonical root order and x_{i,j} <= lambda_i+...+lambda_j.
+    The rows are ``fflv_hrep``'s, so each rank walks its Dyck paths once.
     """
     return lattice_points(fflv_hrep(n, lam))
 

@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import add, index
+from operator import add, index, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 Point = tuple[int, ...]
@@ -177,39 +177,66 @@ def certified_box(P: HPolytope) -> tuple[list[int], list[int]]:
     by (rhs minus the worst case of the placed coordinates) // coefficient.
     The lowest-index coordinate with a capping row is placed next; placing
     more coordinates never takes a capping row away, so this greedy order
-    exists whenever any does.  Each row keeps its count of negative
-    coefficients on unplaced coordinates and its worst-case rhs, so the
-    pass costs O(rows * dim).  Raises ``ValueError`` when some coordinate
+    exists whenever any does.  Raises ``ValueError`` when some coordinate
     has no capping row.  A negative bound means P has no points.
+
+    One scan reads every coefficient once into per-coordinate columns (see
+    ``_box``); after it, placing a coordinate touches only its column, the
+    rows with a nonzero coefficient on it.
+    """
+    order, bound, _ = _box(P)
+    return order, bound
+
+
+def _box(P: HPolytope) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """``certified_box(P)`` and the columns of P's rows it was proven from:
+    ``cols[d]`` lists (row, coefficient) for every nonzero coefficient on
+    coordinate d, by row.
+
+    Each row keeps its count of negative coefficients on unplaced
+    coordinates and its worst-case rhs; a row whose count reaches zero
+    makes every coordinate it has a positive coefficient on ready.
     """
     if not P.nonneg:
         raise ValueError("a certified box needs the implicit x >= 0 constraints")
     N = P.dim
-    coeffs = [a for a, _ in P.rows]
-    worst = [b for _, b in P.rows]
-    neg = [sum(c < 0 for c in a) for a in coeffs]
-    capped = {
-        d for a, k in zip(coeffs, neg) if not k for d, c in enumerate(a) if c > 0
-    }
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(N)]
+    worst = []
+    neg = []
+    support = []  # support[r]: the coordinates row r has a positive coefficient on
+    for r, (a, b) in enumerate(P.rows):
+        pos = []
+        k = 0
+        for d, c in enumerate(a):
+            if c:
+                cols[d].append((r, c))
+                if c > 0:
+                    pos.append(d)
+                else:
+                    k += 1
+        worst.append(b)
+        neg.append(k)
+        support.append(pos)
+    ready = {d for pos, k in zip(support, neg) if not k for d in pos}
+    placed = [False] * N
     order: list[int] = []
     bound = [0] * N
     while len(order) < N:
-        ready = capped.difference(order)
         if not ready:
-            loose = sorted(set(range(N)).difference(order))
+            loose = [d for d in range(N) if not placed[d]]
             raise ValueError(f"no certified box: {loose} have no capping row")
         d = min(ready)
-        bound[d] = min(
-            w // a[d] for a, w, k in zip(coeffs, worst, neg) if a[d] > 0 and not k
-        )
+        ready.remove(d)
+        placed[d] = True
         order.append(d)
-        for r, a in enumerate(coeffs):
-            if a[d] < 0:
-                worst[r] -= a[d] * bound[d]
+        bound[d] = b = min(worst[r] // c for r, c in cols[d] if c > 0 and not neg[r])
+        for r, c in cols[d]:
+            if c < 0:
+                worst[r] -= c * b
                 neg[r] -= 1
                 if not neg[r]:
-                    capped.update(j for j, c in enumerate(a) if c > 0)
-    return order, bound
+                    ready.update(j for j in support[r] if not placed[j])
+    return order, bound, cols
 
 
 def lattice_points(P: HPolytope) -> PointSet:
@@ -217,13 +244,14 @@ def lattice_points(P: HPolytope) -> PointSet:
 
     Depth-first over the coordinates in the order of ``certified_box``, each
     inside its bound.  Each level reads only the rows with a nonzero
-    coefficient there and propagates the feasible interval from them, using
-    coefficient signs and the worst case of the row's free suffix; the
-    chosen value updates those rows' budgets in place and the level restores
-    them when it is done.  A row is checked against its worst case once, at
-    the root; below that, a row a level does not touch cannot prune, because
-    its last chosen coordinate already kept its budget at or above the worst
-    case of what is left.
+    coefficient there (the box's own columns) and propagates the feasible
+    interval from them, using coefficient signs and the worst case of the
+    row's free suffix; the chosen value updates those rows' budgets in place
+    and the level restores them when it is done.  The last level emits its
+    whole interval in one loop.  A row is checked against its worst case
+    once, at the root; below that, a row a level does not touch cannot
+    prune, because its last chosen coordinate already kept its budget at or
+    above the worst case of what is left.
 
     Inside ``_one_run()`` (``verify.run_suite`` opens one) the point set of
     each distinct P is computed once and shared; a failure is not stored.
@@ -233,29 +261,27 @@ def lattice_points(P: HPolytope) -> PointSet:
 
 def _enumerate(P: HPolytope) -> PointSet:
     N = P.dim
-    order, bound = certified_box(P)
+    order, bound, cols = _box(P)
     box = [bound[d] for d in order]
     # levels[k]: (row, coefficient, least value of the row over levels > k)
     levels: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
-    budget = []
-    for r, (a, b) in enumerate(P.rows):
-        suffix_min = 0
-        for k in range(N - 1, -1, -1):
-            c = a[order[k]]
-            if c:
-                levels[k].append((r, c, suffix_min))
-                suffix_min += min(c, 0) * box[k]
-        if b < suffix_min:
-            return PointSet._trusted((), N)
-        budget.append(b)
+    least = [0] * len(P.rows)  # least value of each row over the levels scanned, all at the end
+    for k in range(N - 1, -1, -1):
+        for r, c in cols[order[k]]:
+            levels[k].append((r, c, least[r]))
+            if c < 0:
+                least[r] += c * box[k]
+    budget = [b for _, b in P.rows]
+    if any(map(lt, budget, least)):
+        return PointSet._trusted((), N)
+    if not N:  # the search below starts at level 0, which needs N >= 1
+        return PointSet._trusted([()], 0)
 
     out: list[Point] = []
     x = [0] * N
+    last = N - 1
 
     def rec(k: int) -> None:
-        if k == N:
-            out.append(tuple(x))
-            return
         lo, hi = 0, box[k]
         rows = levels[k]
         for r, c, suffix_min in rows:
@@ -271,6 +297,11 @@ def _enumerate(P: HPolytope) -> PointSet:
         if lo > hi:
             return
         d = order[k]
+        if k == last:
+            for v in range(lo, hi + 1):
+                x[d] = v
+                out.append(tuple(x))
+            return
         for r, c, _ in rows:
             budget[r] -= c * lo
         for v in range(lo, hi + 1):

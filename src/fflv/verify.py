@@ -73,7 +73,9 @@ def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
         S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
         total = sumset(total, S)
 
-    excess = [p for p in total if p not in F]
+    # hashed lookups; iterating a PointSet keeps each witness list sorted
+    in_F, in_total = set(F), set(total)
+    excess = [p for p in total if p not in in_F]
     hrep = fflv_hrep(n, lam) if excess else None  # only an excess point's witness reads it
     witnesses = [
         {
@@ -86,7 +88,7 @@ def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
     witnesses += [
         {"point": list(p), "reason": "FFLV lattice point missing from sum"}
         for p in F
-        if p not in total
+        if p not in in_total
     ]
     return _report("main", (n, lam), witnesses, t0)
 
@@ -99,12 +101,13 @@ def verify_fundamental(n: int, k: int, r: int) -> VerificationReport:
     lam = fundamental_weight(n, k, r)
     F = fflv_points(n, lam)
     L = lusztig_points(ik_word(n, k), lam)
-    witnesses = [{"point": list(p), "reason": "FFLV only"} for p in F if p not in L]
-    witnesses += [{"point": list(p), "reason": "Lusztig only"} for p in L if p not in F]
+    in_F, in_L = set(F), set(L)  # hashed lookups, witnesses in sorted order
+    witnesses = [{"point": list(p), "reason": "FFLV only"} for p in F if p not in in_L]
+    witnesses += [{"point": list(p), "reason": "Lusztig only"} for p in L if p not in in_F]
     if r == 1:
         explicit = PointSet([fp.point for fp in fundamental_points(n, k)])
         if explicit != F:
-            diff = set(explicit) ^ set(F)
+            diff = set(explicit) ^ in_F
             witnesses.append(
                 {"point": list(sorted(diff)[0]), "reason": "explicit fundamental points differ"}
             )

@@ -22,12 +22,50 @@ def brute_force_points(rows, dim, box):
     return out
 
 
+def dense_certified_box(rows, dim):
+    """The ``certified_box`` of the rows ``(coeffs, rhs)`` over x >= 0, as
+    the package computed it before its box went sparse.
+
+    Places the lowest-index coordinate that has a capping row (a positive
+    coefficient there, none negative on the unplaced coordinates), bounds it
+    by the least (worst-case rhs) // coefficient over its capping rows, then
+    walks every row and every coefficient to update the worst cases and the
+    counts of unplaced negatives.  Raises ``ValueError`` with the package's
+    text when some coordinate has no capping row.
+    """
+    coeffs = [a for a, _ in rows]
+    worst = [b for _, b in rows]
+    neg = [sum(c < 0 for c in a) for a in coeffs]
+    capped = {
+        d for a, k in zip(coeffs, neg) if not k for d, c in enumerate(a) if c > 0
+    }
+    order = []
+    bound = [0] * dim
+    while len(order) < dim:
+        ready = capped.difference(order)
+        if not ready:
+            loose = sorted(set(range(dim)).difference(order))
+            raise ValueError(f"no certified box: {loose} have no capping row")
+        d = min(ready)
+        bound[d] = min(
+            w // a[d] for a, w, k in zip(coeffs, worst, neg) if a[d] > 0 and not k
+        )
+        order.append(d)
+        for r, a in enumerate(coeffs):
+            if a[d] < 0:
+                worst[r] -= a[d] * bound[d]
+                neg[r] -= 1
+                if not neg[r]:
+                    capped.update(j for j, c in enumerate(a) if c > 0)
+    return order, bound
+
+
 def dense_lattice_points(rows, order, bound):
     """The enumerator ``lattice_points`` used before it went sparse.
 
     Depth-first over the coordinates in ``order``, each in [0, bound]; every
     level reads every row and passes a fresh copy of all row budgets to each
-    child.  ``order`` and ``bound`` come from the package's certified box.
+    child.  ``order`` and ``bound`` come from ``dense_certified_box``.
     """
     N = len(order)
     coeffs = [[a[d] for d in order] for a, _ in rows]
@@ -66,6 +104,37 @@ def dense_lattice_points(rows, order, bound):
 
     rec(0, [b for _, b in rows])
     return out
+
+
+def fflv_rows(n, lam):
+    """The FFLV rows (coeffs, rhs) of rank n built afresh by recursion.
+
+    For each i <= j in lexicographic order, one row per Dyck path from
+    (i, i) to (j, j), the path trying the step (s, t) -> (s + 1, t) before
+    (s, t) -> (s, t + 1); coefficient 1 on the path's roots in (i, j)-lex
+    order, rhs lam_i + ... + lam_j.
+    """
+    roots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    pos = {r: p for p, r in enumerate(roots)}
+    rows = []
+
+    def walk(path, i, j):
+        s, t = path[-1]
+        if (s, t) == (j, j):
+            coeffs = [0] * len(roots)
+            for r in path:
+                coeffs[pos[r]] = 1
+            rows.append((tuple(coeffs), sum(lam[i - 1 : j])))
+            return
+        if s + 1 <= t:
+            walk(path + [(s + 1, t)], i, j)
+        if t + 1 <= j:
+            walk(path + [(s, t + 1)], i, j)
+
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            walk([(i, i)], i, j)
+    return rows
 
 
 def naive_sumset(A, B):

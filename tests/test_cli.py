@@ -287,6 +287,32 @@ def test_bad_flags_exit_two():
     assert run_cli("fflv", "--n", "3", "--lambda", "", "--mode", "count") == (0, "1\n")
 
 
+# entries Python's int() reads as 1: signs, underscores, surrounding spaces
+# and non-ASCII decimal digits
+_NOT_ASCII_DECIMAL_ONES = ("+1", "0_1", " 1", "1 ", "\t1", "\u0661", "\U0001d7cf")
+
+
+def test_integer_entries_are_ascii_decimals():
+    assert all(int(entry) == 1 for entry in _NOT_ASCII_DECIMAL_ONES)
+    argvs = (  # each runs with exit 0 when {} is 1
+        ("fflv", "--n", "2", "--lambda", "1,{}", "--mode", "count"),
+        ("verify", "main", "--n", "2", "--lambda", "{},1"),
+        ("word", "--n", "2", "--word", "1,2,{}"),
+        ("lusztig", "--n", "2", "--word", "{},2,1", "--lambda", "1", "--mode", "count"),
+        ("tiling", "--n", "2", "--word", "ik:{}"),
+        ("conjecture", "--n", "2", "--lambda", "1,1", "--mode", "greedy", "--sigma", "2,{}"),
+    )
+    with contextlib.redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            assert run_cli(*(a.format("1") for a in argv))[0] == 0, argv
+            for entry in _NOT_ASCII_DECIMAL_ONES:
+                bad = [a.format(entry) for a in argv]
+                assert run_cli(*bad) == (2, ""), bad
+        # int() read this weight as (10, 1) and printed its 143 points
+        assert run_cli("fflv", "--n", "2", "--lambda", "1_0, +1", "--mode", "count") == (2, "")
+    assert run_cli("fflv", "--n", "2", "--lambda", "10,1", "--mode", "count") == (0, "143\n")
+
+
 _HELP_ARGVS = (
     [["--help"]]
     + [[c, "--help"] for c in ("roots", "word", "fflv", "tiling", "lusztig",

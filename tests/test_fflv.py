@@ -2,7 +2,9 @@
 
 from itertools import combinations, product
 from math import comb
+from operator import setitem
 
+from fflv import fflv
 from fflv.fflv import (
     dyck_paths,
     fflv_hrep,
@@ -66,6 +68,38 @@ def test_fflv_hrep_zero_weight():
     for n in (1, 2, 3):
         pts = fflv_points(n, (0,) * n)
         assert list(pts) == [tuple([0] * pts.dim)]
+
+
+def test_fflv_hrep_matches_a_fresh_construction():
+    # the rows come from the per-rank cache; they must equal a construction
+    # that walks the Dyck paths again, row for row
+    cases = 0
+    for n in range(1, 6):
+        for lam in weights_up_to(n, 2):
+            assert list(fflv_hrep(n, lam).rows) == oracles.fflv_rows(n, lam), (n, lam)
+            cases += 1
+    assert cases == 3 + 6 + 10 + 15 + 21  # the weights with sum <= 2 at n = 1..5
+
+
+def test_dyck_rows_cache_is_immutable():
+    rows = fflv._dyck_rows(3)
+    assert fflv._dyck_rows(3) is rows  # one per rank
+    assert type(rows) is tuple
+    assert all(type(row) is tuple and type(row[0]) is tuple for row in rows)
+    P = fflv_hrep(3, (1, 0, 2))
+    assert all(a is row[0] for (a, _), row in zip(P.rows, rows))  # shared, not copied
+    for name, corrupt in (
+        ("replace a row", lambda: setitem(rows, 0, ((0,) * 6, 1, 1))),
+        ("change a coefficient", lambda: setitem(rows[0][0], 0, 5)),
+        ("change a row's range", lambda: setitem(rows[0], 1, 2)),
+    ):
+        try:
+            corrupt()
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"the cached rows let a caller {name}")
+    assert list(fflv_hrep(3, (1, 0, 2)).rows) == oracles.fflv_rows(3, (1, 0, 2))
 
 
 def test_fflv_hrep_omega2_rhs_pattern():

@@ -2,6 +2,8 @@
 
 import gc
 import random
+import sys
+from collections import Counter
 
 from fflv import polytope
 from fflv.crystal import conjecture_search
@@ -78,11 +80,24 @@ def test_lattice_points_row_order_invariant():
     assert a == b
 
 
+def _box_or_error(P):
+    """(certified_box(P), the dense oracle's box), each as its ValueError
+    text when it raises."""
+    out = []
+    for box, args in ((certified_box, (P,)), (oracles.dense_certified_box, (P.rows, P.dim))):
+        try:
+            out.append(box(*args))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
 def test_lattice_points_against_brute_force():
     # Certifiable polytopes must match brute force over a box well past the
     # certified one; the others must raise instead of guessing a box.
     # Negative rhs and all-zero rows reach the root check of rows that touch
-    # no level: such a row with rhs < 0 makes the polytope empty.
+    # no level: such a row with rhs < 0 makes the polytope empty.  Every box
+    # and every error text equals the dense oracle's.
     rng = random.Random(20260822)
     certified = uncertified = zero_row_empty = 0
     for _ in range(400):
@@ -96,6 +111,8 @@ def test_lattice_points_against_brute_force():
                 coeffs = (0,) * dim
             rows.append((coeffs, rng.randrange(-2, 6)))
         P = HPolytope.make(dim, rows)
+        sparse, dense = _box_or_error(P)
+        assert sparse == dense, rows
         try:
             _, bound = certified_box(P)
         except ValueError:
@@ -152,9 +169,47 @@ def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
     big = fflv_hrep(4, (2, 1, 1, 2))
     polytopes.add(big)
     for P in polytopes:
-        dense = oracles.dense_lattice_points(P.rows, *certified_box(P))
-        assert set(lattice_points(P)) == dense, P
+        box = oracles.dense_certified_box(P.rows, P.dim)
+        assert certified_box(P) == box, P
+        assert set(lattice_points(P)) == oracles.dense_lattice_points(P.rows, *box), P
     assert len(lattice_points(big)) == 6125
+
+
+def test_enumerator_counters_pinned():
+    # one default run_suite(), counted by a profile hook on polytope.py:
+    # distinct polytopes enumerated, the points they hold, search-node calls
+    # and PointSet membership lookups.  The last level emits its interval in
+    # one loop, so no node is a single point; a change that adds dead-end
+    # nodes breaks nodes <= 3 * points
+    counts = Counter()
+    source = polytope.__file__
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != source:
+            return
+        if event == "call":
+            counts[code.co_name] += 1
+        elif event == "return" and code.co_name == "_enumerate" and arg is not None:
+            counts["points"] += len(arg)
+
+    sys.setprofile(hook)
+    try:
+        run_suite()
+    finally:
+        sys.setprofile(None)
+    assert counts["_enumerate"] == 181
+    assert counts["points"] == 3326
+    assert counts["rec"] == 7236
+    assert counts["rec"] <= 3 * counts["points"]
+    assert counts["__contains__"] == 0  # the claims compare hashed sets
+
+
+def test_dimension_zero_has_one_point_or_none():
+    assert list(lattice_points(HPolytope.make(0, []))) == [()]
+    assert list(lattice_points(HPolytope.make(0, [((), 0)]))) == [()]
+    assert len(lattice_points(HPolytope.make(0, [((), -1)]))) == 0
+    assert certified_box(HPolytope.make(0, [((), -1)])) == ([], [])
 
 
 def test_one_run_memoises_points_but_not_failures(monkeypatch):
