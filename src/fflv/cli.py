@@ -275,11 +275,11 @@ def cmd_verify(args) -> int:
 
 # The flag of each claim parameter (see ``claims.Claim``), shared by ``_common``.
 _PARAM_FLAGS = {
-    "n": ("--n", {"type": int, "required": True}),
+    "n": ("--n", {"type": _decimal, "required": True}),
     "lam": ("--lambda", {"required": True,
                          "help": "comma-separated weights; trailing zeros optional"}),
-    "k": ("--k", {"type": int, "required": True}),
-    "r": ("--r", {"type": int, "default": 1}),
+    "k": ("--k", {"type": _decimal, "required": True}),
+    "r": ("--r", {"type": _decimal, "default": 1}),
 }
 
 
@@ -303,11 +303,11 @@ def _args_roots(p, argv) -> None:
 
 
 def _args_word(p, argv) -> None:
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--lexmin", action="store_true")
     grp.add_argument("--lexmax", action="store_true")
-    grp.add_argument("--ik", type=int, default=None, metavar="K")
+    grp.add_argument("--ik", type=_decimal, default=None, metavar="K")
     grp.add_argument("--word", default=None, help="explicit comma-separated letters")
     p.add_argument("--enumerate", action="store_true",
                    help="also print the induced order on positive roots")
@@ -340,8 +340,8 @@ def _args_crystal_sl3(q, argv) -> None:
     grp = q.add_mutually_exclusive_group(required=True)
     grp.add_argument("--gt", action="store_true")
     grp.add_argument("--lt", action="store_true")
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--b", type=int, required=True)
+    q.add_argument("--a", type=_decimal, required=True)
+    q.add_argument("--b", type=_decimal, required=True)
     q.add_argument("--format", choices=("dot", "json", "text"), default="dot")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_crystal_sl3)
@@ -363,7 +363,7 @@ def _args_conjecture(p, argv) -> None:
     _common(p, lam=True, fmt=("text", "json"))
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
     p.add_argument("--sigma", default=None, help="color preference, e.g. 2,1")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_decimal, default=None)
     p.set_defaults(func=cmd_conjecture)
 
 

@@ -15,6 +15,7 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import compress
 from operator import add, index, lt
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -180,63 +181,119 @@ def certified_box(P: HPolytope) -> tuple[list[int], list[int]]:
     exists whenever any does.  Raises ``ValueError`` when some coordinate
     has no capping row.  A negative bound means P has no points.
 
-    One scan reads every coefficient once into per-coordinate columns (see
-    ``_box``); after it, placing a coordinate touches only its column, the
-    rows with a nonzero coefficient on it.
+    The order and the capping rows depend only on the signs of the
+    coefficients, so they form a plan per coefficient matrix (``_plan``);
+    the bounds are one pass over the plan with P's right-hand sides.
+    Inside ``_one_run()`` each distinct matrix is planned once and its plan
+    shared by every right-hand side the run meets.
     """
     order, bound, _ = _box(P)
-    return order, bound
+    return list(order), bound
 
 
-def _box(P: HPolytope) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
-    """``certified_box(P)`` and the columns of P's rows it was proven from:
-    ``cols[d]`` lists (row, coefficient) for every nonzero coefficient on
-    coordinate d, by row.
+# The right-hand-side-free part of a certified box (see ``_plan``): the
+# greedy order, one step (d, capping rows, negative entries) per placed
+# coordinate, each entry a (row, coefficient), and the columns.
+Plan = tuple[Sequence[int], Sequence[tuple], Sequence[Sequence[tuple[int, int]]]]
 
-    Each row keeps its count of negative coefficients on unplaced
-    coordinates and its worst-case rhs; a row whose count reaches zero
-    makes every coordinate it has a positive coefficient on ready.
+
+def _plan(dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> Plan:
+    """What ``certified_box`` proves from the coefficients of ``rows``
+    alone, their right-hand sides unread: the greedy order; for each placed
+    coordinate d, in that order, its capping rows and its negative entries;
+    and the columns, ``cols[d]`` listing (row, coefficient) for every
+    nonzero coefficient on d, by row.  Raises ``ValueError`` when some
+    coordinate has no capping row.
+
+    One scan reads the coefficients once into the columns.  Each row keeps
+    its count of negative coefficients on unplaced coordinates; a row whose
+    count reaches zero makes every unplaced coordinate it has a positive
+    coefficient on ready, so placing a coordinate touches only its column.
     """
-    if not P.nonneg:
-        raise ValueError("a certified box needs the implicit x >= 0 constraints")
-    N = P.dim
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    worst = []
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
     neg = []
     support = []  # support[r]: the coordinates row r has a positive coefficient on
-    for r, (a, b) in enumerate(P.rows):
+    coords = range(dim)
+    for r, (a, _) in enumerate(rows):
         pos = []
         k = 0
-        for d, c in enumerate(a):
-            if c:
-                cols[d].append((r, c))
-                if c > 0:
-                    pos.append(d)
-                else:
-                    k += 1
-        worst.append(b)
+        for d in compress(coords, a):  # the nonzero coefficients
+            c = a[d]
+            cols[d].append((r, c))
+            if c > 0:
+                pos.append(d)
+            else:
+                k += 1
         neg.append(k)
         support.append(pos)
     ready = {d for pos, k in zip(support, neg) if not k for d in pos}
-    placed = [False] * N
+    unplaced = set(coords)
     order: list[int] = []
-    bound = [0] * N
-    while len(order) < N:
+    steps = []
+    while unplaced:
         if not ready:
-            loose = [d for d in range(N) if not placed[d]]
-            raise ValueError(f"no certified box: {loose} have no capping row")
+            raise ValueError(f"no certified box: {sorted(unplaced)} have no capping row")
         d = min(ready)
         ready.remove(d)
-        placed[d] = True
+        unplaced.remove(d)
         order.append(d)
-        bound[d] = b = min(worst[r] // c for r, c in cols[d] if c > 0 and not neg[r])
-        for r, c in cols[d]:
-            if c < 0:
-                worst[r] -= c * b
+        caps = []
+        negs = []
+        # a row has one coefficient on d, so the negative entries' updates
+        # below never change which positive entries are capping rows
+        for e in cols[d]:
+            r = e[0]
+            if e[1] > 0:
+                if not neg[r]:
+                    caps.append(e)
+            else:
+                negs.append(e)
                 neg[r] -= 1
                 if not neg[r]:
-                    ready.update(j for j in support[r] if not placed[j])
+                    ready.update(unplaced.intersection(support[r]))
+        steps.append((d, caps, negs))
+    return order, steps, cols
+
+
+def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tuple[int, int]]]]:
+    """``certified_box(P)``, its order as the plan holds it, and the
+    columns of P's rows (see ``_plan``).
+
+    The bounds take one pass over the plan's steps: the least
+    ``worst[r] // c`` over the capping rows, after which each negative
+    entry lowers its row's worst-case rhs.  Inside ``_one_run()`` the plan
+    is shared by every polytope with the same dimension and coefficients;
+    outside one it is built for this call alone, with no key and no copy.
+    """
+    if not P.nonneg:
+        raise ValueError("a certified box needs the implicit x >= 0 constraints")
+    if _RUN.get() is None:
+        order, steps, cols = _plan(P.dim, P.rows)
+    else:
+        key = ("plan", P.dim, tuple(a for a, _ in P.rows))
+        order, steps, cols = _once(key, lambda: _frozen(_plan(P.dim, P.rows)))
+    worst = [b for _, b in P.rows]
+    bound = [0] * P.dim
+    for d, caps, negs in steps:
+        b = None
+        for r, c in caps:
+            v = worst[r] // c
+            if b is None or v < b:
+                b = v
+        bound[d] = b
+        for r, c in negs:
+            worst[r] -= c * b
     return order, bound, cols
+
+
+def _frozen(plan: Plan) -> Plan:
+    """``plan`` as nested tuples, so a run can share it."""
+    order, steps, cols = plan
+    return (
+        tuple(order),
+        tuple((d, tuple(caps), tuple(negs)) for d, caps, negs in steps),
+        tuple(map(tuple, cols)),
+    )
 
 
 def lattice_points(P: HPolytope) -> PointSet:
@@ -244,7 +301,7 @@ def lattice_points(P: HPolytope) -> PointSet:
 
     Depth-first over the coordinates in the order of ``certified_box``, each
     inside its bound.  Each level reads only the rows with a nonzero
-    coefficient there (the box's own columns) and propagates the feasible
+    coefficient there (the plan's columns) and propagates the feasible
     interval from them, using coefficient signs and the worst case of the
     row's free suffix; the chosen value updates those rows' budgets in place
     and the level restores them when it is done.  The last level emits its
@@ -254,7 +311,10 @@ def lattice_points(P: HPolytope) -> PointSet:
     above the worst case of what is left.
 
     Inside ``_one_run()`` (``verify.run_suite`` opens one) the point set of
-    each distinct P is computed once and shared; a failure is not stored.
+    each distinct P is computed once and shared, and so is the plan of each
+    distinct coefficient matrix, which polytopes that differ only in their
+    right-hand sides have in common; a failure is not stored.  Outside a run
+    every call plans and enumerates afresh.
     """
     return _once(("points", P), lambda: _enumerate(P))
 

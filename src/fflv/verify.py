@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 from .claims import CLAIMS, check_case, default_sweep
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
-from .polytope import PointSet, _one_run, contains, sumset
+from .polytope import PointSet, _once, _one_run, contains, sumset
 from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, root_index
 from .tiling import (
     _crossing_row,
@@ -126,7 +126,7 @@ def verify_word_counts(n: int, lam: Sequence[int]) -> VerificationReport:
     t0 = time.perf_counter()
     expected = weyl_dim(n, lam)
     witnesses: list = []
-    for word in all_reduced_words(n):
+    for word in _once(("words", n), lambda: tuple(all_reduced_words(n))):
         count = len(lusztig_points(word, lam))
         if count != expected:
             witnesses.append({"word": list(word), "count": count, "expected": expected})
@@ -231,10 +231,18 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
     config and a selection without a single case all raise ``ValueError``
     instead of failing mid-sweep or passing vacuously.
 
-    The claims run inside one ``polytope._one_run()``: the run builds each
-    word's crossing rows once and enumerates each distinct polytope once,
-    since ``main``, ``fundamental`` and ``words`` share summands and FFLV
-    sets.  Nothing is kept after the run returns or raises.
+    The claims run inside one ``polytope._one_run()``, since ``main``,
+    ``fundamental`` and ``words`` share summands and FFLV sets.  The run
+    builds once:
+
+    * each word's crossing rows (``tiling.lusztig_hrep``);
+    * the points of each (word, lambda, n) summand (``tiling.lusztig_points``);
+    * the reduced words of each rank (``verify_word_counts``);
+    * the enumeration plan of each coefficient matrix: its order, capping
+      rows and columns, shared by every right-hand side (``polytope._box``);
+    * the points of each distinct polytope (``polytope.lattice_points``).
+
+    Nothing is kept after the run returns or raises.
     """
     if config is None:
         config = default_sweep()

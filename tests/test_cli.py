@@ -141,12 +141,17 @@ def test_conjecture_greedy_json():
 
 
 def test_conjecture_rejects_budget_below_one():
-    for extra in (("--budget", "0"), ("--budget", "-3"), ("--mode", "greedy", "--budget", "0")):
+    for extra, message in (
+        (("--budget", "0"), "budget must be at least 1"),
+        (("--mode", "greedy", "--budget", "0"), "budget must be at least 1"),
+        # a sign is not a decimal digit: the parser rejects it first
+        (("--budget", "-3"), "argument --budget: invalid _decimal value: '-3'"),
+    ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code, out = run_cli("conjecture", "--n", "2", "--lambda", "1,1", *extra)
         assert (code, out) == (2, ""), extra
-        assert "budget must be at least 1" in err.getvalue()
+        assert message in err.getvalue()
 
 
 def test_verify_main_exit_zero():
@@ -301,6 +306,14 @@ def test_integer_entries_are_ascii_decimals():
         ("lusztig", "--n", "2", "--word", "{},2,1", "--lambda", "1", "--mode", "count"),
         ("tiling", "--n", "2", "--word", "ik:{}"),
         ("conjecture", "--n", "2", "--lambda", "1,1", "--mode", "greedy", "--sigma", "2,{}"),
+        # the integer flags, one case each
+        ("fflv", "--n", "{}", "--lambda", "1", "--mode", "count"),
+        ("verify", "fundamental", "--n", "2", "--k", "{}"),
+        ("verify", "fundamental", "--n", "2", "--k", "1", "--r", "{}"),
+        ("word", "--n", "2", "--ik", "{}"),
+        ("crystal", "sl3", "--gt", "--a", "{}", "--b", "1"),
+        ("crystal", "sl3", "--gt", "--a", "1", "--b", "{}"),
+        ("conjecture", "--n", "2", "--lambda", "1,1", "--budget", "{}"),
     )
     with contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
@@ -310,6 +323,9 @@ def test_integer_entries_are_ascii_decimals():
                 assert run_cli(*bad) == (2, ""), bad
         # int() read this weight as (10, 1) and printed its 143 points
         assert run_cli("fflv", "--n", "2", "--lambda", "1_0, +1", "--mode", "count") == (2, "")
+        # int() read this k as 10 and the full-width digit as n = 3
+        assert run_cli("verify", "fundamental", "--n", "2", "--k", "1_0") == (2, "")
+        assert run_cli("verify", "fundamental", "--n", "\uff13", "--k", "1") == (2, "")
     assert run_cli("fflv", "--n", "2", "--lambda", "10,1", "--mode", "count") == (0, "143\n")
 
 

@@ -5,7 +5,7 @@ import random
 import sys
 from collections import Counter
 
-from fflv import polytope
+from fflv import polytope, roots, tiling
 from fflv.crystal import conjecture_search
 from fflv.fflv import fflv_hrep, fflv_points, weyl_dim
 from fflv.polytope import (
@@ -92,14 +92,10 @@ def _box_or_error(P):
     return out
 
 
-def test_lattice_points_against_brute_force():
-    # Certifiable polytopes must match brute force over a box well past the
-    # certified one; the others must raise instead of guessing a box.
-    # Negative rhs and all-zero rows reach the root check of rows that touch
-    # no level: such a row with rhs < 0 makes the polytope empty.  Every box
-    # and every error text equals the dense oracle's.
+def _random_systems():
+    """400 random systems (dim, rows) of dim 1-3 with 1-3 rows, coefficients
+    in [-2, 2], about one row in five all zero, rhs in [-2, 5]."""
     rng = random.Random(20260822)
-    certified = uncertified = zero_row_empty = 0
     for _ in range(400):
         dim = rng.randrange(1, 4)
         nrows = rng.randrange(1, 4)
@@ -110,6 +106,17 @@ def test_lattice_points_against_brute_force():
             else:
                 coeffs = (0,) * dim
             rows.append((coeffs, rng.randrange(-2, 6)))
+        yield dim, rows
+
+
+def test_lattice_points_against_brute_force():
+    # Certifiable polytopes must match brute force over a box well past the
+    # certified one; the others must raise instead of guessing a box.
+    # Negative rhs and all-zero rows reach the root check of rows that touch
+    # no level: such a row with rhs < 0 makes the polytope empty.  Every box
+    # and every error text equals the dense oracle's.
+    certified = uncertified = zero_row_empty = 0
+    for dim, rows in _random_systems():
         P = HPolytope.make(dim, rows)
         sparse, dense = _box_or_error(P)
         assert sparse == dense, rows
@@ -128,6 +135,78 @@ def test_lattice_points_against_brute_force():
         assert got == oracles.brute_force_points(rows, dim, 2 * max(bound) + 2)
         assert all(contains(P, p) for p in got)
     assert certified > 100 and uncertified > 100 and zero_row_empty > 3
+
+
+def _suite_polytopes():
+    """The polytopes a default run_suite() enumerates, in order."""
+    seen = []
+    enumerate_ = polytope._enumerate
+    polytope._enumerate = lambda P: seen.append(P) or enumerate_(P)
+    try:
+        run_suite()
+    finally:
+        polytope._enumerate = enumerate_
+    return seen
+
+
+def _planned(monkeypatch):
+    """The list to which every later ``polytope._plan`` call appends its dim."""
+    plans = []
+    plan = polytope._plan
+    monkeypatch.setattr(polytope, "_plan", lambda dim, rows: plans.append(dim) or plan(dim, rows))
+    return plans
+
+
+def test_one_plan_serves_every_right_hand_side(monkeypatch):
+    # Inside one run each coefficient matrix is planned once and enumerated
+    # under its own rhs b, b + 1, 2b and all -1 (empty once some row has no
+    # negative coefficient, which a certifiable matrix of dim >= 1 has); a
+    # suite matrix gets these with its first polytope, then every suite rhs.
+    # Boxes, error texts and point sets equal the dense oracle's; the random
+    # systems' points also equal brute force past the box, the suite's the
+    # dense enumerator's.  The row-free systems of dim 0, 1 and 2 differ only
+    # in their dimension: dim 0 has one point, the others no box.
+    systems = [(dim, rows, True) for dim, rows in _random_systems()]
+    systems += [(0, [], True), (1, [], True), (2, [], True)]
+    systems += [(P.dim, P.rows, False) for P in _suite_polytopes()]
+    plans = _planned(monkeypatch)
+    matrices, failures, checked = set(), 0, set()
+    with polytope._one_run():
+        for dim, rows, brute in systems:
+            coeffs = [a for a, _ in rows]
+            b = [rhs for _, rhs in rows]
+            empty = [-1] * len(b)
+            variants = [b, [v + 1 for v in b], [2 * v for v in b], empty]
+            if not brute and (dim, tuple(coeffs)) in matrices:
+                variants = [b]  # the suite's own rhs; the others came with its first
+            for rhs in variants:
+                P = HPolytope.make(dim, zip(coeffs, rhs))
+                if P in checked:
+                    continue
+                checked.add(P)
+                box, dense = _box_or_error(P)
+                assert box == dense, P
+                if isinstance(dense, str):
+                    failures += 1
+                    try:
+                        lattice_points(P)
+                    except ValueError as exc:
+                        assert str(exc) == dense
+                    else:
+                        raise AssertionError(f"expected ValueError for {P}")
+                    continue
+                matrices.add((dim, tuple(coeffs)))
+                got = set(lattice_points(P))
+                if brute:
+                    want = oracles.brute_force_points(P.rows, dim, 2 * max(dense[1], default=0) + 2)
+                else:
+                    want = oracles.dense_lattice_points(P.rows, *dense)
+                assert got == want, P
+                assert not (rhs is empty and dim and got), P
+    # a certifiable matrix is planned once; a failed plan is never stored,
+    # so certified_box and lattice_points each plan again
+    assert len(plans) == len(matrices) + 2 * failures
+    assert len(matrices) > 80 and failures > 300
 
 
 def test_library_calls_leave_no_reference_cycles():
@@ -151,17 +230,10 @@ def test_library_calls_leave_no_reference_cycles():
         assert unreachable == 0, name
 
 
-def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
+def test_sparse_enumerator_matches_dense_oracle():
     # every polytope a default run_suite() enumerates, all n <= 3 words at
     # the `words` weights, and FFLV n=4, lambda=(2,1,1,2)
-    seen = []
-    enumerate_ = polytope._enumerate
-    monkeypatch.setattr(
-        polytope, "_enumerate", lambda P: seen.append(P) or enumerate_(P)
-    )
-    run_suite()
-    monkeypatch.undo()
-    polytopes = set(seen)
+    polytopes = set(_suite_polytopes())
     sweep = default_sweep()["words"] + [[1, [v]] for v in range(3)]
     for n, lam in sweep:
         for word in all_reduced_words(n):
@@ -176,17 +248,20 @@ def test_sparse_enumerator_matches_dense_oracle(monkeypatch):
 
 
 def test_enumerator_counters_pinned():
-    # one default run_suite(), counted by a profile hook on polytope.py:
-    # distinct polytopes enumerated, the points they hold, search-node calls
-    # and PointSet membership lookups.  The last level emits its interval in
-    # one loop, so no node is a single point; a change that adds dead-end
-    # nodes breaks nodes <= 3 * points
+    # one default run_suite(), counted by a profile hook on polytope.py,
+    # tiling.py and roots.py: distinct polytopes enumerated, the points they
+    # hold, search-node calls and PointSet membership lookups.  The last
+    # level emits its interval in one loop, so no node is a single point; a
+    # change that adds dead-end nodes breaks nodes <= 3 * points.  The run
+    # plans each of the 20 coefficient matrices once (the FFLV rows of each
+    # rank and the crossing rows of each word class), builds the rows of
+    # each distinct Lusztig summand once and lists each rank's words once
     counts = Counter()
-    source = polytope.__file__
+    sources = {polytope.__file__, tiling.__file__, roots.__file__}
 
     def hook(frame, event, arg):
         code = frame.f_code
-        if code.co_filename != source:
+        if code.co_filename not in sources:
             return
         if event == "call":
             counts[code.co_name] += 1
@@ -199,10 +274,14 @@ def test_enumerator_counters_pinned():
     finally:
         sys.setprofile(None)
     assert counts["_enumerate"] == 181
+    assert counts["_plan"] == 20
     assert counts["points"] == 3326
     assert counts["rec"] == 7236
     assert counts["rec"] <= 3 * counts["points"]
     assert counts["__contains__"] == 0  # the claims compare hashed sets
+    assert counts["lusztig_points"] == 264
+    assert counts["lusztig_hrep"] == 192
+    assert counts["all_reduced_words"] == 2
 
 
 def test_dimension_zero_has_one_point_or_none():
@@ -218,21 +297,37 @@ def test_one_run_memoises_points_but_not_failures(monkeypatch):
     monkeypatch.setattr(
         polytope, "_enumerate", lambda P: calls.append(P) or enumerate_(P)
     )
+    plans = _planned(monkeypatch)
     good = fflv2(1, 1)
     loose = HPolytope.make(2, [((1, -1), 0)])  # no certified box
+    errors = set()
     with polytope._one_run():
         assert lattice_points(good) is lattice_points(fflv2(1, 1))
-        for _ in range(3):
+        for fn in (lattice_points, certified_box) * 3:
             try:
-                lattice_points(loose)
-            except ValueError:
-                pass
+                fn(loose)
+            except ValueError as exc:
+                errors.add(str(exc))
             else:
                 raise AssertionError("an uncertifiable polytope must raise")
+        memo = polytope._RUN.get()
+        assert ("points", loose) not in memo
+        assert ("plan", 2, ((1, -1),)) not in memo
+        assert ("plan", 3, tuple(a for a, _ in good.rows)) in memo
+    assert errors == {"no certified box: [0, 1] have no capping row"}
     assert calls == [good, loose, loose, loose]
+    assert plans == [3] + [2] * 6  # the failing plan is rebuilt on every call
     assert polytope._RUN.get() is None
     lattice_points(good)
     assert calls[-1] == good and len(calls) == 5  # no memo outside a run
+
+
+def test_no_plan_is_kept_outside_a_run(monkeypatch):
+    plans = _planned(monkeypatch)
+    for _ in range(2):
+        assert len(lattice_points(fflv2(1, 1))) == 8
+    assert plans == [3, 3]
+    assert polytope._RUN.get() is None
 
 
 def test_hpolytope_is_a_value_and_a_memo_key(monkeypatch):
