@@ -47,11 +47,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _NotDecimal(ValueError, argparse.ArgumentTypeError):
+    """A ``ValueError`` that argparse prints as its message, not as
+    ``invalid <type name> value``."""
+
+
 def _decimal(entry: str) -> int:
     """A nonnegative integer written in ASCII digits only.  ``int`` alone
     also takes signs, underscores, surrounding spaces and non-ASCII digits."""
     if not (entry.isascii() and entry.isdigit()):
-        raise ValueError(f"not a decimal number: {entry!r}")
+        raise _NotDecimal(f"not a decimal number: {entry!r}")
     return int(entry)
 
 

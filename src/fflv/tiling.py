@@ -24,7 +24,7 @@ import math
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import _RUN, HPolytope, PointSet, _once, lattice_points
+from .polytope import HPolytope, PointSet, _once, lattice_points
 from .roots import (
     Root,
     fundamental_weight,
@@ -498,12 +498,10 @@ def lusztig_points(
     Inside ``_one_run()`` the points of each (word, lambda, n), the entries
     read as ``lusztig_hrep`` reads them, are computed once and shared, so a
     summand that repeats builds its rows once; a failure is not stored.
-    Outside a run nothing is kept and no key is built.
+    Outside a run nothing is kept.
     """
-    if _RUN.get() is None:
-        return lattice_points(lusztig_hrep(word, lam, n))
-    key = ("lusztig", tuple(map(index, word)), tuple(map(index, lam)), n)
-    return _once(key, lambda: lattice_points(lusztig_hrep(word, lam, n)))
+    word, lam = tuple(map(index, word)), tuple(map(index, lam))
+    return _once(("lusztig", word, lam, n), lambda: lattice_points(lusztig_hrep(word, lam, n)))
 
 
 def check_rectangle_support(n: int, k: int, r: int) -> bool:

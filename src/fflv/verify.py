@@ -222,14 +222,18 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
     return _report("dyck", (n, k), witnesses, t0)
 
 
-def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) -> list[VerificationReport]:
+def run_suite(
+    config: dict | None = None, kinds: list[str] | tuple[str, ...] | None = None
+) -> list[VerificationReport]:
     """Replay a sweep of claims.  ``config`` maps claim kinds to case lists
-    (default: ``default_sweep()``); ``kinds`` restricts which claims run.
+    (default: ``default_sweep()``); ``kinds``, a list or tuple of kind
+    names, restricts which claims run.
 
     The whole config is validated before any claim runs: an unknown kind, a
-    case ``check_case`` rejects, a ``kinds`` filter naming nothing in the
-    config and a selection without a single case all raise ``ValueError``
-    instead of failing mid-sweep or passing vacuously.
+    case ``check_case`` rejects, a ``kinds`` that is not a list or tuple of
+    strings (a string would read as its letters), a filter naming a kind
+    not in the config and a selection without a single case all raise
+    ``ValueError`` instead of failing mid-sweep or passing vacuously.
 
     The claims run inside one ``polytope._one_run()``, since ``main``,
     ``fundamental`` and ``words`` share summands and FFLV sets.  The run
@@ -249,9 +253,11 @@ def run_suite(config: dict | None = None, kinds: Sequence[str] | None = None) ->
     if not isinstance(config, dict):
         raise ValueError("suite config must map claim kinds to case lists")
     if kinds is not None:
+        if not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
+            raise ValueError(f"suite kinds must be a list of claim kinds, got {kinds!r}")
         bad = sorted(set(kinds) - set(config))
         if bad:
-            raise ValueError(f"unknown suite kind(s): {', '.join(bad)}")
+            raise ValueError(f"unknown suite kind(s): {', '.join(map(repr, bad))}")
     selected = []
     for kind, cases in config.items():
         if kind not in CLAIMS:

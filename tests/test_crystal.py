@@ -1,10 +1,7 @@
 import hashlib
-import importlib.util
 import itertools
 import json
-import pathlib
 import random
-import sys
 from collections import Counter
 
 from fflv.crystal import (
@@ -725,19 +722,29 @@ def test_oracle_pairing_alone_decides(monkeypatch):
     assert calls == Counter({(1, 1): 1, (0, 1, 0): 1})
 
 
-def test_crystal_counters_pinned(monkeypatch):
-    # scripts/crystal_counters.py counts by function name: a renamed
+def test_crystal_counters_pinned(layer_counters):
+    # scripts/layer_counters.py counts by function name: a renamed
     # validator or search step must fail here, not read 0
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "crystal_counters.py"
-    spec = importlib.util.spec_from_file_location("crystal_counters", path)
-    counters = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    spec.loader.exec_module(counters)
-    assert counters.count(1) == {
+    assert layer_counters.count("crystal", 1) == {
         "seed": 1, "cases": 125, "search_nodes": 1018, "pairings": 26,
         "iso_report_calls": 79, "local_axiom_calls": 50, "weight_calls": 4061,
         "move_calls": 2123, "candidates": 6208,
     }
+
+
+def test_crystal_counters_check_their_cases(monkeypatch, layer_counters):
+    # PB graphs built from corrupted candidate moves fail the crystal
+    # workload's checks, so the tool raises rather than pin their counts
+    import fflv.crystal as crystal
+
+    moves = crystal._moves
+    monkeypatch.setattr(crystal, "_moves", lambda n, pts, x: moves(n, pts, x)[:-1])
+    try:
+        layer_counters.count("crystal", 1)
+    except RuntimeError as exc:
+        assert "crystal case(s) failed: pb_graph" in str(exc)
+    else:
+        raise AssertionError("corrupted moves passed the counters' checks")
 
 
 def test_conjecture_budget_flag(monkeypatch):

@@ -2,10 +2,8 @@
 
 import gc
 import random
-import sys
-from collections import Counter
 
-from fflv import polytope, roots, tiling
+from fflv import polytope
 from fflv.crystal import conjecture_search
 from fflv.fflv import fflv_hrep, fflv_points, weyl_dim
 from fflv.polytope import (
@@ -247,41 +245,40 @@ def test_sparse_enumerator_matches_dense_oracle():
     assert len(lattice_points(big)) == 6125
 
 
-def test_enumerator_counters_pinned():
-    # one default run_suite(), counted by a profile hook on polytope.py,
-    # tiling.py and roots.py: distinct polytopes enumerated, the points they
-    # hold, search-node calls and PointSet membership lookups.  The last
-    # level emits its interval in one loop, so no node is a single point; a
-    # change that adds dead-end nodes breaks nodes <= 3 * points.  The run
-    # plans each of the 20 coefficient matrices once (the FFLV rows of each
-    # rank and the crossing rows of each word class), builds the rows of
-    # each distinct Lusztig summand once and lists each rank's words once
-    counts = Counter()
-    sources = {polytope.__file__, tiling.__file__, roots.__file__}
+def test_enumerator_counters_pinned(layer_counters):
+    # one default run_suite(), counted on polytope.py, tiling.py and
+    # roots.py: distinct polytopes enumerated, the points they hold,
+    # search-node calls and PointSet membership lookups.  The last level
+    # emits its interval in one loop, so no node is a single point; a change
+    # that adds dead-end nodes breaks nodes <= 3 * points.  The run plans
+    # each of the 20 coefficient matrices once (the FFLV rows of each rank
+    # and the crossing rows of each word class), builds the rows of each
+    # distinct Lusztig summand once and lists each rank's words once
+    counts = layer_counters.count("suite")
+    assert counts == {
+        "seed": 1, "cases": 1, "enum_nodes": 7236, "enumerations": 181,
+        "points": 3326, "plans": 20,
+        "contains_calls": 0,  # the claims compare hashed sets
+        "lusztig_points_calls": 264, "lusztig_hrep_calls": 192,
+        "reduced_words_calls": 2,
+    }
+    assert counts["enum_nodes"] <= 3 * counts["points"]
 
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if code.co_filename not in sources:
-            return
-        if event == "call":
-            counts[code.co_name] += 1
-        elif event == "return" and code.co_name == "_enumerate" and arg is not None:
-            counts["points"] += len(arg)
 
-    sys.setprofile(hook)
+def test_suite_counters_check_their_reports(monkeypatch, layer_counters):
+    # a failed report fails the suite workload's check, so the tool raises
+    # rather than pin the counts of a broken run
+    import fflv.verify as verify
+
+    filter_ = verify.reineke_filter
+    monkeypatch.setattr(verify, "reineke_filter", lambda crs: filter_(crs)[1:])
+    monkeypatch.setattr(verify, "default_sweep", lambda: {"main": [[2, [1, 1]]], "dyck": [[3, 2]]})
     try:
-        run_suite()
-    finally:
-        sys.setprofile(None)
-    assert counts["_enumerate"] == 181
-    assert counts["_plan"] == 20
-    assert counts["points"] == 3326
-    assert counts["rec"] == 7236
-    assert counts["rec"] <= 3 * counts["points"]
-    assert counts["__contains__"] == 0  # the claims compare hashed sets
-    assert counts["lusztig_points"] == 264
-    assert counts["lusztig_hrep"] == 192
-    assert counts["all_reduced_words"] == 2
+        layer_counters.count("suite")
+    except RuntimeError as exc:
+        assert "suite case(s) failed: run_suite: 1 report(s) failed: [FAIL] dyck(" in str(exc)
+    else:
+        raise AssertionError("a failed report passed the counters' checks")
 
 
 def test_dimension_zero_has_one_point_or_none():

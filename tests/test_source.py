@@ -51,3 +51,18 @@ def test_library_does_not_import_dataclasses():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
     ]
     assert found == []
+
+
+def test_only_polytope_reads_the_run_memo():
+    # other modules memoise through polytope._once, which already computes
+    # without storing outside a run: a branch on _RUN there is a second path
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "polytope.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Name) and node.id == "_RUN"
+        or isinstance(node, ast.Attribute) and node.attr == "_RUN"
+        or isinstance(node, ast.alias) and node.name == "_RUN"
+    ]
+    assert found == []

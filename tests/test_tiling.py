@@ -4,10 +4,7 @@ The small frozen cases ((1,2,1), (2,1,2), i^2 at n=3) were worked out by
 hand; they pin every orientation convention in the module.
 """
 
-import importlib.util
-import pathlib
 import random
-import sys
 from itertools import combinations, product
 
 from fflv.fflv import fflv_points, weyl_dim
@@ -531,38 +528,42 @@ def test_tiling_layers_match_the_unpruned_oracles():
         assert list(lusztig_hrep(word, lam).rows) == rows
 
 
-def _tiling_counters(monkeypatch):
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "tiling_counters.py"
-    spec = importlib.util.spec_from_file_location("tiling_counters", path)
-    counters = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    spec.loader.exec_module(counters)
-    return counters
-
-
-def test_tiling_counters_pinned(monkeypatch):
-    # scripts/tiling_counters.py counts by function name, as
-    # test_crystal_counters_pinned does for the crystal layer: a renamed
-    # search step must fail here, not read 0
-    assert _tiling_counters(monkeypatch).count(1) == {
+def test_tiling_counters_pinned(layer_counters):
+    # scripts/layer_counters.py counts by function name: a renamed search
+    # step must fail here, not read 0
+    assert layer_counters.count("words", 1) == {
         "seed": 1, "cases": 352, "dfs_nodes": 33642, "crossings_found": 8964,
         "crossings_kept": 8148, "peel_calls": 1536, "peel_layers": 16336,
         "hrep_rows": 8148,
     }
 
 
-def test_tiling_counters_check_their_cases(monkeypatch):
-    # a wrong point set fails the words workload's checks, so the script
+def test_tiling_counters_check_their_cases(monkeypatch, layer_counters):
+    # a wrong point set fails the words workload's checks, so the tool
     # raises rather than pin the counts of a broken pass
-    counters = _tiling_counters(monkeypatch)
     import fflv.tiling as tiling
 
     monkeypatch.setattr(
         tiling, "lusztig_points", lambda word, lam, n=None: PointSet([(0,) * len(word)])
     )
     try:
-        counters.count(1)
+        layer_counters.count("words", 1)
     except RuntimeError as exc:
         assert "words case(s) failed" in str(exc)
     else:
         raise AssertionError("a wrong point set passed the counters' checks")
+
+
+def test_layer_counters_fail_when_the_first_counter_reads_0(monkeypatch, capsys, layer_counters):
+    # the first counter of each workload is never 0 on a real pass: reading
+    # 0 (after a rename, or here with no cases) is an error, not a count
+    for name, workload in layer_counters.WORKLOADS.items():
+        monkeypatch.setitem(layer_counters.WORKLOADS, name, workload._replace(cases=lambda seed: []))
+        first = next(iter(workload.counters))
+        try:
+            layer_counters.main(["--workload", name])
+        except SystemExit as exc:
+            assert exc.code == f"error: {first} reads 0 on the {name} workload"
+        else:
+            raise AssertionError(f"{name}: a zero {first} passed")
+    assert capsys.readouterr().out == ""

@@ -200,16 +200,19 @@ def test_run_suite_rejects_malformed_config():
             pass
         else:
             assert False, f"expected ValueError for {bad!r}"
-    for config, kinds in (
-        ({"main": []}, ["words"]),                  # filter names no kind
-        ({"main": [], "dyck": [[3, 2]]}, ["main"]),  # filter selects no case
+    for config, kinds, message in (
+        ({"main": []}, ["words"], "unknown suite kind(s): 'words'"),  # filter names no kind
+        ({"main": [], "dyck": [[3, 2]]}, ["main"], "suite selection holds no case"),
+        # a string is not read as its letters, and an empty kind is named
+        ({"main": [[2, [1, 1]]]}, "main", "suite kinds must be a list of claim kinds, got 'main'"),
+        ({"main": [[2, [1, 1]]]}, ["main", ""], "unknown suite kind(s): ''"),
     ):
         try:
             run_suite(config, kinds=kinds)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            assert str(exc) == message, (kinds, exc)
         else:
-            assert False, f"expected ValueError for {config!r}, kinds={kinds}"
+            assert False, f"expected ValueError for {config!r}, kinds={kinds!r}"
 
 
 def test_run_suite_validates_whole_config_before_running(monkeypatch):
