@@ -51,6 +51,10 @@ WORKLOADS = {
         "enumerations": ("_enumerate", None),
         "points": ("_enumerate", len),
         "plans": ("_plan", None),
+        # _box returns (order, bounds, columns); a bound-0 coordinate gets no search level
+        "coordinates": ("_box", lambda box: len(box[1])),
+        "zero_bounds": ("_box", lambda box: box[1].count(0)),
+        "sumset_calls": ("sumset", None),
         "contains_calls": ("__contains__", None),  # PointSet lookups
         "lusztig_points_calls": ("lusztig_points", None),
         "lusztig_hrep_calls": ("lusztig_hrep", None),

@@ -179,7 +179,9 @@ def certified_box(P: HPolytope) -> tuple[list[int], list[int]]:
     The lowest-index coordinate with a capping row is placed next; placing
     more coordinates never takes a capping row away, so this greedy order
     exists whenever any does.  Raises ``ValueError`` when some coordinate
-    has no capping row.  A negative bound means P has no points.
+    has no capping row.  A negative bound means P has no points; a bound of
+    0 means every point of P has that coordinate 0, so ``lattice_points``
+    searches only the coordinates with a positive bound.
 
     The order and the capping rows depend only on the signs of the
     coefficients, so they form a plan per coefficient matrix (``_plan``);
@@ -300,15 +302,21 @@ def lattice_points(P: HPolytope) -> PointSet:
     """All integer points of P, or ``ValueError`` if P has no certified box.
 
     Depth-first over the coordinates in the order of ``certified_box``, each
-    inside its bound.  Each level reads only the rows with a nonzero
-    coefficient there (the plan's columns) and propagates the feasible
-    interval from them, using coefficient signs and the worst case of the
-    row's free suffix; the chosen value updates those rows' budgets in place
-    and the level restores them when it is done.  The last level emits its
+    inside its bound.  A negative bound means P is empty, so no search is
+    made.  A coordinate with bound 0 is 0 in every point and gets no level.
+    Each level reads only the rows with a nonzero coefficient there (the
+    plan's columns) and propagates the feasible interval from them, using
+    coefficient signs and the worst case of the row's free suffix; the
+    chosen value updates those rows' budgets in place and the level
+    restores them when it is done.  The last level emits its
     whole interval in one loop.  A row is checked against its worst case
     once, at the root; below that, a row a level does not touch cannot
     prune, because its last chosen coordinate already kept its budget at or
-    above the worst case of what is left.
+    above the worst case of what is left.  A bound-0 level could not prune
+    either: its coordinate adds c * 0 = 0 to every row's suffix minimum, so
+    each row's slack there equals its slack after the last level that
+    touched it (or after the root check), which is already >= 0, and the
+    level's interval would always be [0, 0].
 
     Inside ``_one_run()`` (``verify.run_suite`` opens one) the point set of
     each distinct P is computed once and shared, and so is the plan of each
@@ -322,11 +330,15 @@ def lattice_points(P: HPolytope) -> PointSet:
 def _enumerate(P: HPolytope) -> PointSet:
     N = P.dim
     order, bound, cols = _box(P)
+    if any(b < 0 for b in bound):
+        return PointSet._trusted((), N)
+    order = [d for d in order if bound[d]]  # the live coordinates; the rest stay 0
     box = [bound[d] for d in order]
+    K = len(order)
     # levels[k]: (row, coefficient, least value of the row over levels > k)
-    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
+    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(K)]
     least = [0] * len(P.rows)  # least value of each row over the levels scanned, all at the end
-    for k in range(N - 1, -1, -1):
+    for k in range(K - 1, -1, -1):
         for r, c in cols[order[k]]:
             levels[k].append((r, c, least[r]))
             if c < 0:
@@ -334,12 +346,12 @@ def _enumerate(P: HPolytope) -> PointSet:
     budget = [b for _, b in P.rows]
     if any(map(lt, budget, least)):
         return PointSet._trusted((), N)
-    if not N:  # the search below starts at level 0, which needs N >= 1
-        return PointSet._trusted([()], 0)
+    if not K:  # the search below starts at level 0, which needs a live coordinate
+        return PointSet._trusted([(0,) * N], N)
 
     out: list[Point] = []
     x = [0] * N
-    last = N - 1
+    last = K - 1
 
     def rec(k: int) -> None:
         lo, hi = 0, box[k]

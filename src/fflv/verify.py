@@ -9,6 +9,7 @@ registered in ``fflv.claims.CLAIMS``, by default ``default_sweep()``.
 from __future__ import annotations
 
 import time
+from functools import reduce
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -66,12 +67,13 @@ def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
     t0 = time.perf_counter()
     dim = num_roots(n)
     F = fflv_points(n, lam)
-    total = PointSet([(0,) * dim], dim=dim)
-    for k in range(1, n + 1):
-        if lam[k - 1] == 0:
-            continue
-        S = lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
-        total = sumset(total, S)
+    summands = [
+        lusztig_points(ik_word(n, k), fundamental_weight(n, k, lam[k - 1]))
+        for k in range(1, n + 1)
+        if lam[k - 1]
+    ]
+    # the sum starts at the first summand; {0} is the sum of none (lambda = 0)
+    total = reduce(sumset, summands) if summands else PointSet([(0,) * dim], dim=dim)
 
     # hashed lookups; iterating a PointSet keeps each witness list sorted
     in_F, in_total = set(F), set(total)

@@ -69,6 +69,12 @@ def test_lattice_points_zero_system():
     empty = HPolytope.make(2, [((1, 1), -1)])  # negative certified bound
     assert certified_box(empty)[1] == [-1, -1]
     assert len(lattice_points(empty)) == 0
+    # x0 <= 0 gives x0 the bound 0, so x0 gets no search level, yet it has
+    # the coefficient -1 in the row that caps x1
+    P = HPolytope.make(2, [((1, 0), 0), ((-1, 1), 2)])
+    assert certified_box(P) == ([0, 1], [0, 2])
+    got = set(lattice_points(P))
+    assert got == {(0, 0), (0, 1), (0, 2)} == oracles.brute_force_points(P.rows, 2, 6)
 
 
 def test_lattice_points_row_order_invariant():
@@ -112,8 +118,12 @@ def test_lattice_points_against_brute_force():
     # certified one; the others must raise instead of guessing a box.
     # Negative rhs and all-zero rows reach the root check of rows that touch
     # no level: such a row with rhs < 0 makes the polytope empty.  Every box
-    # and every error text equals the dense oracle's.
+    # and every error text equals the dense oracle's.  The systems must keep
+    # bounds of 0 (coordinates that get no search level), among them some
+    # on a coordinate with a negative coefficient, and negative bounds
+    # (empty before any search).
     certified = uncertified = zero_row_empty = 0
+    zero_bound = negative_bound = zero_bound_negative_coefficient = 0
     for dim, rows in _random_systems():
         P = HPolytope.make(dim, rows)
         sparse, dense = _box_or_error(P)
@@ -129,10 +139,16 @@ def test_lattice_points_against_brute_force():
             raise AssertionError(f"expected ValueError for {rows}")
         certified += 1
         zero_row_empty += any(not any(a) and b < 0 for a, b in rows)
+        zero_bound += 0 in bound
+        negative_bound += min(bound) < 0
+        zero_bound_negative_coefficient += any(
+            not v and any(a[d] < 0 for a, _ in rows) for d, v in enumerate(bound)
+        )
         got = set(lattice_points(P))
         assert got == oracles.brute_force_points(rows, dim, 2 * max(bound) + 2)
         assert all(contains(P, p) for p in got)
     assert certified > 100 and uncertified > 100 and zero_row_empty > 3
+    assert zero_bound >= 20 and negative_bound >= 20 and zero_bound_negative_coefficient >= 10
 
 
 def _suite_polytopes():
@@ -230,7 +246,8 @@ def test_library_calls_leave_no_reference_cycles():
 
 def test_sparse_enumerator_matches_dense_oracle():
     # every polytope a default run_suite() enumerates, all n <= 3 words at
-    # the `words` weights, and FFLV n=4, lambda=(2,1,1,2)
+    # the `words` weights, FFLV n=4, lambda=(2,1,1,2), and FFLV n=5 at
+    # weights with zero entries, whose coordinates mostly have bound 0
     polytopes = set(_suite_polytopes())
     sweep = default_sweep()["words"] + [[1, [v]] for v in range(3)]
     for n, lam in sweep:
@@ -238,6 +255,8 @@ def test_sparse_enumerator_matches_dense_oracle():
             polytopes.add(lusztig_hrep(word, lam))
     big = fflv_hrep(4, (2, 1, 1, 2))
     polytopes.add(big)
+    for lam in ((0, 0, 2, 0, 0), (1, 0, 0, 0, 1), (0, 1, 0, 2, 0)):
+        polytopes.add(fflv_hrep(5, lam))
     for P in polytopes:
         box = oracles.dense_certified_box(P.rows, P.dim)
         assert certified_box(P) == box, P
@@ -249,20 +268,23 @@ def test_enumerator_counters_pinned(layer_counters):
     # one default run_suite(), counted on polytope.py, tiling.py and
     # roots.py: distinct polytopes enumerated, the points they hold,
     # search-node calls and PointSet membership lookups.  The last level
-    # emits its interval in one loop, so no node is a single point; a change
-    # that adds dead-end nodes breaks nodes <= 3 * points.  The run plans
+    # emits its interval in one loop, so no node is a single point, and a
+    # coordinate with bound 0 (467 of the 1 123 enumerated) gets no level;
+    # a change that adds dead-end nodes breaks nodes <= 2 * points.  The
+    # claims sum only the nonzero Lusztig summands.  The run plans
     # each of the 20 coefficient matrices once (the FFLV rows of each rank
     # and the crossing rows of each word class), builds the rows of each
     # distinct Lusztig summand once and lists each rank's words once
     counts = layer_counters.count("suite")
     assert counts == {
-        "seed": 1, "cases": 1, "enum_nodes": 7236, "enumerations": 181,
-        "points": 3326, "plans": 20,
+        "seed": 1, "cases": 1, "enum_nodes": 4173, "enumerations": 181,
+        "points": 3326, "plans": 20, "coordinates": 1123, "zero_bounds": 467,
+        "sumset_calls": 20,
         "contains_calls": 0,  # the claims compare hashed sets
         "lusztig_points_calls": 264, "lusztig_hrep_calls": 192,
         "reduced_words_calls": 2,
     }
-    assert counts["enum_nodes"] <= 3 * counts["points"]
+    assert counts["enum_nodes"] <= 2 * counts["points"]
 
 
 def test_suite_counters_check_their_reports(monkeypatch, layer_counters):
