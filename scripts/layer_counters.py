@@ -59,6 +59,9 @@ WORKLOADS = {
         "lusztig_points_calls": ("lusztig_points", None),
         "lusztig_hrep_calls": ("lusztig_hrep", None),
         "reduced_words_calls": ("all_reduced_words", None),
+        "tilings": ("build_tiling", None),
+        "crossing_searches": ("dual_crossings", None),
+        "crossing_nodes": ("_extend_paths", None),  # one per tile a crossing path enters
     }),
     "words": Workload(workloads.words, (tiling,), {
         "dfs_nodes": ("_extend_paths", None),  # one per tile a crossing path enters

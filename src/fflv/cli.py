@@ -70,6 +70,12 @@ def _parse_lambda(raw: str, n: int) -> tuple[int, ...]:
     return tuple(parts) + (0,) * (n - len(parts))
 
 
+def _check_rank(n: int) -> None:
+    """Reject a rank below 1 with the message ``roots`` and ``fflv`` give."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+
+
 def _parse_word(raw: str, n: int) -> tuple[int, ...]:
     if raw == "lexmin":
         return lexmin_word(n)
@@ -130,6 +136,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_word(args) -> int:
+    _check_rank(args.n)
     if args.ik is not None:
         word = ik_word(args.n, args.ik)
     elif args.lexmax:
@@ -161,6 +168,7 @@ def cmd_fflv(args) -> int:
 def cmd_tiling(args) -> int:
     from .tiling import build_tiling, tiling_to_json, tiling_to_svg
 
+    _check_rank(args.n)
     word = _parse_word(args.word, args.n)
     T = build_tiling(word, n=args.n)
     if args.format == "svg":
@@ -177,6 +185,7 @@ def cmd_tiling(args) -> int:
 def cmd_lusztig(args) -> int:
     from .tiling import lusztig_hrep, lusztig_points
 
+    _check_rank(args.n)
     word = _parse_word(args.word, args.n)
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":

@@ -45,7 +45,9 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     """``compute()``, memoised on ``key`` inside ``_one_run()``.
 
     The value must be immutable: every later caller in the run gets the
-    same object.  An exception propagates and nothing is stored.
+    same object.  The shared crossings of ``tiling._word_crossings`` are
+    read-only by convention, since ``Tile`` and ``DualCrossing`` are not
+    frozen.  An exception propagates and nothing is stored.
     """
     memo = _RUN.get()
     if memo is None:

@@ -400,7 +400,7 @@ def _extend_paths(
         path.pop()
 
 
-def reineke_filter(crossings: list[DualCrossing]) -> list[DualCrossing]:
+def reineke_filter(crossings: Sequence[DualCrossing]) -> list[DualCrossing]:
     """Keep the crossings whose interior strip tiles point the right way.
 
     An interior tile of strip a with other label b must satisfy: a > b when
@@ -476,14 +476,26 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
 
 def _crossing_rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(s, coefficients) of every filtered dual s-crossing, s in [1, n]."""
-    T = build_tiling(word, n)
     idx = root_index(n)
     dim = num_roots(n)
     return tuple(
         (s, _crossing_row(s, cr, idx, dim))
-        for s in range(1, n + 1)
-        for cr in reineke_filter(dual_crossings(T, s))
+        for s, crossings in enumerate(_word_crossings(word, n), 1)
+        for cr in reineke_filter(crossings)
     )
+
+
+def _word_crossings(word: tuple[int, ...], n: int) -> tuple[tuple[DualCrossing, ...], ...]:
+    """The unfiltered dual s-crossings of the word's tiling, indexed by s - 1.
+
+    All n searches run on one tiling; inside ``_one_run()`` they run once per
+    (word, n), shared by the crossing rows and the dyck claim.
+    """
+    def search() -> tuple[tuple[DualCrossing, ...], ...]:
+        T = build_tiling(word, n)
+        return tuple(tuple(dual_crossings(T, s)) for s in range(1, n + 1))
+
+    return _once(("crossings", word, n), search)
 
 
 def lusztig_points(

@@ -17,13 +17,7 @@ from .claims import CLAIMS, check_case, default_sweep
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
 from .polytope import PointSet, _once, _one_run, contains, sumset
 from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, root_index
-from .tiling import (
-    _crossing_row,
-    build_tiling,
-    dual_crossings,
-    lusztig_points,
-    reineke_filter,
-)
+from .tiling import _crossing_row, _word_crossings, lusztig_points, reineke_filter
 
 MAX_WITNESSES = 5
 
@@ -75,6 +69,8 @@ def verify_main(n: int, lam: Sequence[int]) -> VerificationReport:
     # the sum starts at the first summand; {0} is the sum of none (lambda = 0)
     total = reduce(sumset, summands) if summands else PointSet([(0,) * dim], dim=dim)
 
+    if F == total:  # equal sorted tuples: no witness to look for
+        return _report("main", (n, lam), [], t0)
     # hashed lookups; iterating a PointSet keeps each witness list sorted
     in_F, in_total = set(F), set(total)
     excess = [p for p in total if p not in in_F]
@@ -103,13 +99,15 @@ def verify_fundamental(n: int, k: int, r: int) -> VerificationReport:
     lam = fundamental_weight(n, k, r)
     F = fflv_points(n, lam)
     L = lusztig_points(ik_word(n, k), lam)
-    in_F, in_L = set(F), set(L)  # hashed lookups, witnesses in sorted order
-    witnesses = [{"point": list(p), "reason": "FFLV only"} for p in F if p not in in_L]
-    witnesses += [{"point": list(p), "reason": "Lusztig only"} for p in L if p not in in_F]
+    witnesses: list = []
+    if F != L:  # the sorted tuples differ: hashed lookups, witnesses in sorted order
+        in_F, in_L = set(F), set(L)
+        witnesses += [{"point": list(p), "reason": "FFLV only"} for p in F if p not in in_L]
+        witnesses += [{"point": list(p), "reason": "Lusztig only"} for p in L if p not in in_F]
     if r == 1:
         explicit = PointSet([fp.point for fp in fundamental_points(n, k)])
         if explicit != F:
-            diff = set(explicit) ^ in_F
+            diff = set(explicit) ^ set(F)
             witnesses.append(
                 {"point": list(sorted(diff)[0]), "reason": "explicit fundamental points differ"}
             )
@@ -166,13 +164,13 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
     check_case("dyck", (n, k))
     t0 = time.perf_counter()
     witnesses: list = []
-    word = ik_word(n, k)
-    T = build_tiling(word)
     idx = root_index(n)
     roots = sorted(idx, key=idx.get)
     rect = {r for r in roots if r.i <= k <= r.j}
 
-    crossings = dual_crossings(T, k)
+    # the unfiltered crossings the crossing rows share inside a run; the
+    # claim filters them itself
+    crossings = _word_crossings(ik_word(n, k), n)[k - 1]
     kept = reineke_filter(crossings)
     if len(kept) != len(crossings):
         witnesses.append(
@@ -241,6 +239,9 @@ def run_suite(
     ``fundamental`` and ``words`` share summands and FFLV sets.  The run
     builds once:
 
+    * each word's tiling and its dual crossing searches, one per s
+      (``tiling._word_crossings``), shared by the crossing rows and the
+      ``dyck`` claims, which apply their own Reineke filter;
     * each word's crossing rows (``tiling.lusztig_hrep``);
     * the points of each (word, lambda, n) summand (``tiling.lusztig_points``);
     * the reduced words of each rank (``verify_word_counts``);
@@ -248,6 +249,8 @@ def run_suite(
       rows and columns, shared by every right-hand side (``polytope._box``);
     * the points of each distinct polytope (``polytope.lattice_points``).
 
+    A passing ``main`` or ``fundamental`` claim compares the sorted point
+    tuples; only a failing one builds hash sets to find its witnesses.
     Nothing is kept after the run returns or raises.
     """
     if config is None:

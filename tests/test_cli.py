@@ -287,6 +287,20 @@ def test_bad_flags_exit_two():
             ("--n", "-3"),
         ):
             assert run_cli("word", *argv) == (2, ""), argv
+    # rank 0 is a bad rank, not a word that fails to be reduced
+    for argv in (
+        ("roots", "--n", "0"),
+        ("fflv", "--n", "0", "--lambda", ""),
+        ("crystal", "pb", "--n", "0", "--lambda", ""),
+        ("conjecture", "--n", "0", "--lambda", ""),
+        ("word", "--n", "0"),
+        ("word", "--n", "0", "--ik", "1"),
+        ("tiling", "--n", "0", "--word", "lexmin"),
+        ("lusztig", "--n", "0", "--word", "1", "--lambda", ""),
+    ):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert run_cli(*argv) == (2, ""), argv
+        assert err.getvalue() == "error: rank must be >= 1\n", argv
     assert run_cli("word", "--n", "1") == (0, "(1)\n")
     # the empty list is the zero weight: one point
     assert run_cli("fflv", "--n", "3", "--lambda", "", "--mode", "count") == (0, "1\n")

@@ -283,6 +283,9 @@ def test_enumerator_counters_pinned(layer_counters):
         "contains_calls": 0,  # the claims compare hashed sets
         "lusztig_points_calls": 264, "lusztig_hrep_calls": 192,
         "reduced_words_calls": 2,
+        # 23 words, each tiled and searched at every s once, shared by the
+        # crossing rows and the dyck claims
+        "tilings": 23, "crossing_searches": 69, "crossing_nodes": 373,
     }
     assert counts["enum_nodes"] <= 2 * counts["points"]
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 from fflv.polytope import PointSet
 from fflv.tiling import lusztig_points, reineke_filter
 from fflv.roots import ik_word
@@ -85,6 +87,35 @@ def test_verify_fundamental_detects_missing_lusztig_point(monkeypatch):
     assert {"point": list(dropped), "reason": "FFLV only"} in report.witnesses
 
 
+def test_verify_fundamental_detects_extra_lusztig_point(monkeypatch):
+    word = ik_word(3, 2)
+    good = lusztig_points(word, (0, 1, 0))
+    extra = (5, 0, 0, 0, 0, 0)
+    _replace_summand(monkeypatch, word, PointSet(list(good) + [extra], dim=6))
+    report = verify_fundamental(3, 2, 1)
+    assert not report.passed
+    assert report.witnesses == [{"point": list(extra), "reason": "Lusztig only"}]
+
+
+def test_verify_fundamental_checks_the_explicit_points(monkeypatch):
+    # one FFLV point too many at r = 1: it is missing from the Lusztig side
+    # and from the explicitly indexed points, and the count is off by one
+    import fflv.verify as verify
+
+    extra = (5, 0, 0, 0, 0, 0)
+    points = verify.fflv_points
+    monkeypatch.setattr(
+        verify, "fflv_points", lambda n, lam: PointSet(list(points(n, lam)) + [extra], dim=6)
+    )
+    report = verify_fundamental(3, 2, 1)
+    assert not report.passed
+    assert report.witnesses == [
+        {"point": list(extra), "reason": "FFLV only"},
+        {"point": list(extra), "reason": "explicit fundamental points differ"},
+        {"count": 7, "reason": "expected C(4,2) = 6"},
+    ]
+
+
 def test_verify_word_counts_caps_witnesses(monkeypatch):
     import fflv.verify as verify
 
@@ -107,6 +138,26 @@ def test_verify_dyck_detects_dropped_crossing(monkeypatch):
     assert not report.passed
     assert 1 <= len(report.witnesses) <= MAX_WITNESSES
     assert report.witnesses[0]["reason"] == "Reineke filter dropped 1 crossings at s=2"
+
+
+def test_shared_crossings_keep_the_dyck_filter_check(monkeypatch):
+    # inside a run the dyck claim reads the crossings the fundamental claim's
+    # rows were built from, and still applies its own filter to them
+    import fflv.tiling as tiling
+    import fflv.verify as verify
+
+    monkeypatch.setattr(verify, "reineke_filter", lambda crs: reineke_filter(crs)[1:])
+    direct = verify_dyck_correspondence(3, 2)
+    searches = []
+    crossings = tiling.dual_crossings
+    monkeypatch.setattr(
+        tiling, "dual_crossings", lambda T, s: searches.append(s) or crossings(T, s)
+    )
+    fundamental, dyck = run_suite({"fundamental": [[3, 2, 1]], "dyck": [[3, 2]]})
+    assert searches == [1, 2, 3]  # the rows' searches; the dyck claim runs none
+    assert fundamental.passed  # the crossing rows keep tiling's own filter
+    assert not dyck.passed
+    assert dyck.witnesses == direct.witnesses
 
 
 def test_verify_calls_validate_their_case():
@@ -259,17 +310,30 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    searches = Counter()
+    crossings = tiling.dual_crossings
+
+    def searched(T, s):
+        searches[T.word, s] += 1
+        return crossings(T, s)
+
     monkeypatch.setattr(tiling, "_crossing_rows", counted("rows", tiling._crossing_rows))
     monkeypatch.setattr(polytope, "_enumerate", counted("points", polytope._enumerate))
+    monkeypatch.setattr(tiling, "dual_crossings", searched)
     run_suite()
     # 264 lusztig_hrep calls on 23 words; 339 enumerations of 181 polytopes
     assert counts == {"rows": 23, "points": 181}
+    # one search per (word, s), shared by the crossing rows and the dyck claims
+    assert len(searches) == 69 and set(searches.values()) == {1}
     assert polytope._RUN.get() is None
 
     # outside run_suite nothing is shared between calls
     for _ in range(2):
         lusztig_points(ik_word(3, 2), (0, 1, 0))
+        verify_dyck_correspondence(3, 2)
     assert counts == {"rows": 25, "points": 183}
+    # one search in the run, then one per call
+    assert [searches[ik_word(3, 2), s] for s in (1, 2, 3)] == [5, 5, 5]
 
     def failing(*args):
         assert polytope._RUN.get() is not None
