@@ -12,7 +12,7 @@ from functools import cache
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, lattice_points
+from .polytope import HPolytope, PointSet, _once_by, lattice_points
 from .roots import Root, num_roots, root_index, weight_mu
 
 
@@ -96,8 +96,15 @@ def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
     Every row is 0/1 and caps each coordinate it touches, so the certified
     order is the canonical root order and x_{i,j} <= lambda_i+...+lambda_j.
     The rows are ``fflv_hrep``'s, so each rank walks its Dyck paths once.
+
+    Inside ``_one_run()`` the points of each (n, lambda) are computed once
+    and shared; a failure is not stored.  Outside a run no key is built and
+    every call enumerates.
     """
-    return lattice_points(fflv_hrep(n, lam))
+    return _once_by(
+        lambda: ("fflv", index(n), _check_dominant(n, lam)),
+        lambda: lattice_points(fflv_hrep(n, lam)),
+    )
 
 
 def fundamental_points(n: int, k: int) -> list[FundamentalPoint]:

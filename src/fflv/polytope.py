@@ -47,7 +47,8 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     The value must be immutable: every later caller in the run gets the
     same object.  The shared crossings of ``tiling._word_crossings`` are
     read-only by convention, since ``Tile`` and ``DualCrossing`` are not
-    frozen.  An exception propagates and nothing is stored.
+    frozen.  An exception propagates and nothing is stored.  ``_once_by``
+    is the form for a key that costs work of its own to compute.
     """
     memo = _RUN.get()
     if memo is None:
@@ -55,6 +56,15 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     if key not in memo:
         memo[key] = compute()
     return memo[key]
+
+
+def _once_by(key: Callable[[], object], compute: Callable[[], T]) -> T:
+    """``_once(key(), compute)``, except that outside a run ``key`` is never
+    called: the call is exactly ``compute()``.  An exception from ``key``
+    propagates like one from ``compute``."""
+    if _RUN.get() is None:
+        return compute()
+    return _once(key(), compute)
 
 
 class HPolytope(NamedTuple):
@@ -320,16 +330,14 @@ def lattice_points(P: HPolytope) -> PointSet:
     touched it (or after the root check), which is already >= 0, and the
     level's interval would always be [0, 0].
 
-    Inside ``_one_run()`` (``verify.run_suite`` opens one) the point set of
-    each distinct P is computed once and shared, and so is the plan of each
-    distinct coefficient matrix, which polytopes that differ only in their
-    right-hand sides have in common; a failure is not stored.  Outside a run
-    every call plans and enumerates afresh.
+    Every call enumerates: the point set is not memoised, since the
+    callers that repeat a polytope inside ``_one_run()`` share their points
+    by what determines them (``fflv.fflv_points`` by rank and weight,
+    ``tiling.lusztig_points`` by crossing-row set and weight).  Inside a run
+    only the plan of each distinct coefficient matrix is shared, which
+    polytopes that differ only in their right-hand sides have in common; a
+    failed plan is not stored.  Outside a run every call plans afresh.
     """
-    return _once(("points", P), lambda: _enumerate(P))
-
-
-def _enumerate(P: HPolytope) -> PointSet:
     N = P.dim
     order, bound, cols = _box(P)
     if any(b < 0 for b in bound):

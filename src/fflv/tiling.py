@@ -24,7 +24,7 @@ import math
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, _once, lattice_points
+from .polytope import HPolytope, PointSet, _once, _once_by, lattice_points
 from .roots import (
     Root,
     fundamental_weight,
@@ -456,6 +456,22 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     built once per (word, n).  The word's letters and lambda must be
     integers: a float or a string raises TypeError, never truncates.
     """
+    word, lam, n = _lusztig_args(word, lam, n)
+    rows: list[tuple[tuple[int, ...], int]] = []
+    seen: set[tuple] = set()
+    for s, coeffs in _rows(word, n):
+        key = (coeffs, lam[s - 1])
+        if key not in seen:
+            seen.add(key)
+            rows.append(key)
+    return HPolytope(dim=num_roots(n), rows=tuple(rows), nonneg=True)
+
+
+def _lusztig_args(
+    word: Sequence[int], lam: Sequence[int], n: int | None
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The word and lambda as tuples of ints, and n resolved to the word's
+    largest letter when None; raises as ``lusztig_hrep`` documents."""
     word = tuple(map(index, word))
     if n is None:
         n = max(word, default=0)
@@ -464,14 +480,12 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):
         raise ValueError(f"weight must be dominant: {lam}")
-    rows: list[tuple[tuple[int, ...], int]] = []
-    seen: set[tuple] = set()
-    for s, coeffs in _once(("rows", word, n), lambda: _crossing_rows(word, n)):
-        key = (coeffs, lam[s - 1])
-        if key not in seen:
-            seen.add(key)
-            rows.append(key)
-    return HPolytope(dim=num_roots(n), rows=tuple(rows), nonneg=True)
+    return word, lam, n
+
+
+def _rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``_crossing_rows(word, n)``, built once per (word, n) inside a run."""
+    return _once(("rows", word, n), lambda: _crossing_rows(word, n))
 
 
 def _crossing_rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -507,13 +521,29 @@ def lusztig_points(
     certified order and box from them, or raises ``ValueError`` if the
     system admits none, so the set returned is always complete.
 
-    Inside ``_one_run()`` the points of each (word, lambda, n), the entries
-    read as ``lusztig_hrep`` reads them, are computed once and shared, so a
-    summand that repeats builds its rows once; a failure is not stored.
-    Outside a run nothing is kept.
+    The polytope is determined by the set of the word's crossing rows, each
+    (s, coefficients), by lambda and by n: the order of the rows does not
+    change it.  Inside ``_one_run()`` the points are computed once per such
+    key and shared, so the words of one commutation class, whose rows
+    differ only in order, build one H-description and one enumeration per
+    lambda (the 16 and 768 words at n = 3 and 4 have 8 and 62 row sets,
+    one per class).  The key is built from the rows the word itself produced, so
+    every word is still tiled and searched, and a word whose rows differ
+    gets its own points.  A failure is not stored.  Outside a run no key is
+    built and every call computes.
     """
-    word, lam = tuple(map(index, word)), tuple(map(index, lam))
-    return _once(("lusztig", word, lam, n), lambda: lattice_points(lusztig_hrep(word, lam, n)))
+    word, lam, n = _lusztig_args(word, lam, n)
+    return _once_by(
+        # index(n) first: the memo must not answer an n of 3.0 for 3
+        lambda: ("lusztig", index(n), _row_set(word, n), lam),
+        lambda: lattice_points(lusztig_hrep(word, lam, n)),
+    )
+
+
+def _row_set(word: tuple[int, ...], n: int) -> frozenset[tuple[int, tuple[int, ...]]]:
+    """The set of the word's crossing rows, built once per (word, n) inside a
+    run; a frozenset caches its hash, so the run hashes each set once."""
+    return _once(("row set", word, n), lambda: frozenset(_rows(word, n)))
 
 
 def check_rectangle_support(n: int, k: int, r: int) -> bool:

@@ -8,6 +8,7 @@ registered in ``fflv.claims.CLAIMS``, by default ``default_sweep()``.
 
 from __future__ import annotations
 
+import gc
 import time
 from functools import reduce
 from math import comb
@@ -242,16 +243,26 @@ def run_suite(
     * each word's tiling and its dual crossing searches, one per s
       (``tiling._word_crossings``), shared by the crossing rows and the
       ``dyck`` claims, which apply their own Reineke filter;
-    * each word's crossing rows (``tiling.lusztig_hrep``);
-    * the points of each (word, lambda, n) summand (``tiling.lusztig_points``);
+    * each word's crossing rows and their set (``tiling.lusztig_hrep``);
+    * the points of each (crossing-row set, lambda, n), shared by the words
+      whose rows are equal as sets, such as the words of one commutation
+      class (``tiling.lusztig_points``);
+    * the points of each (n, lambda) FFLV polytope (``fflv.fflv_points``);
     * the reduced words of each rank (``verify_word_counts``);
     * the enumeration plan of each coefficient matrix: its order, capping
-      rows and columns, shared by every right-hand side (``polytope._box``);
-    * the points of each distinct polytope (``polytope.lattice_points``).
+      rows and columns, shared by every right-hand side (``polytope._box``).
 
-    A passing ``main`` or ``fundamental`` claim compares the sorted point
-    tuples; only a failing one builds hash sets to find its witnesses.
-    Nothing is kept after the run returns or raises.
+    Every word is still tiled and searched, so a word whose rows differ
+    from its class's gets its own points and its own witness.  A passing
+    ``main`` or ``fundamental`` claim compares the sorted point tuples; only
+    a failing one builds hash sets to find its witnesses.  Nothing is kept
+    after the run returns or raises.
+
+    The cyclic garbage collector is paused while the claims run: the
+    library builds no reference cycle, so reference counting frees all a
+    run builds and the collector's passes would find nothing.  The caller's
+    state is restored when the run returns or raises; a collector the
+    caller had disabled stays disabled.
     """
     if config is None:
         config = default_sweep()
@@ -275,5 +286,11 @@ def run_suite(
                 selected.append((kind, case))
     if not selected:
         raise ValueError("suite selection holds no case")
-    with _one_run():
-        return [globals()[CLAIMS[kind].function](*case) for kind, case in selected]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with _one_run():
+            return [globals()[CLAIMS[kind].function](*case) for kind, case in selected]
+    finally:
+        if enabled:
+            gc.enable()

@@ -3,7 +3,9 @@
 import gc
 import random
 
-from fflv import polytope
+import pytest
+
+from fflv import fflv as fflv_module, polytope, tiling
 from fflv.crystal import conjecture_search
 from fflv.fflv import fflv_hrep, fflv_points, weyl_dim
 from fflv.polytope import (
@@ -152,14 +154,13 @@ def test_lattice_points_against_brute_force():
 
 
 def _suite_polytopes():
-    """The polytopes a default run_suite() enumerates, in order."""
+    """The polytopes a default run_suite() enumerates, in order: ``fflv`` and
+    ``tiling`` call ``lattice_points`` through their own bindings."""
     seen = []
-    enumerate_ = polytope._enumerate
-    polytope._enumerate = lambda P: seen.append(P) or enumerate_(P)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (fflv_module, tiling):
+            mp.setattr(module, "lattice_points", lambda P: seen.append(P) or lattice_points(P))
         run_suite()
-    finally:
-        polytope._enumerate = enumerate_
     return seen
 
 
@@ -266,26 +267,29 @@ def test_sparse_enumerator_matches_dense_oracle():
 
 def test_enumerator_counters_pinned(layer_counters):
     # one default run_suite(), counted on polytope.py, tiling.py and
-    # roots.py: distinct polytopes enumerated, the points they hold,
-    # search-node calls and PointSet membership lookups.  The last level
-    # emits its interval in one loop, so no node is a single point, and a
-    # coordinate with bound 0 (467 of the 1 123 enumerated) gets no level;
-    # a change that adds dead-end nodes breaks nodes <= 2 * points.  The
-    # claims sum only the nonzero Lusztig summands.  The run plans
-    # each of the 20 coefficient matrices once (the FFLV rows of each rank
-    # and the crossing rows of each word class), builds the rows of each
-    # distinct Lusztig summand once and lists each rank's words once
+    # roots.py: polytopes enumerated, the points they hold, search-node
+    # calls and PointSet membership lookups.  The last level emits its
+    # interval in one loop, so no node is a single point, and a coordinate
+    # with bound 0 (417 of the 1 006 enumerated) gets no level; a change
+    # that adds dead-end nodes breaks nodes <= 2 * points.  The claims sum
+    # only the nonzero Lusztig summands.  The run enumerates each FFLV
+    # (n, lambda) once and each Lusztig (crossing-row set, lambda, n) once,
+    # so the words of one commutation class build one H-description and
+    # one enumeration per lambda (112 for the 264 summand calls).  It plans
+    # each of the 18 coefficient matrices it enumerates once, lists each
+    # rank's words once and runs its claims with the cyclic collector paused
     counts = layer_counters.count("suite")
     assert counts == {
-        "seed": 1, "cases": 1, "enum_nodes": 4173, "enumerations": 181,
-        "points": 3326, "plans": 20, "coordinates": 1123, "zero_bounds": 467,
+        "seed": 1, "cases": 1, "enum_nodes": 3913, "enumerations": 164,
+        "points": 3115, "plans": 18, "coordinates": 1006, "zero_bounds": 417,
         "sumset_calls": 20,
         "contains_calls": 0,  # the claims compare hashed sets
-        "lusztig_points_calls": 264, "lusztig_hrep_calls": 192,
+        "lusztig_points_calls": 264, "lusztig_hrep_calls": 112,
         "reduced_words_calls": 2,
         # 23 words, each tiled and searched at every s once, shared by the
         # crossing rows and the dyck claims
         "tilings": 23, "crossing_searches": 69, "crossing_nodes": 373,
+        "gc_collections": 0,
     }
     assert counts["enum_nodes"] <= 2 * counts["points"]
 
@@ -313,18 +317,14 @@ def test_dimension_zero_has_one_point_or_none():
     assert certified_box(HPolytope.make(0, [((), -1)])) == ([], [])
 
 
-def test_one_run_memoises_points_but_not_failures(monkeypatch):
-    calls = []
-    enumerate_ = polytope._enumerate
-    monkeypatch.setattr(
-        polytope, "_enumerate", lambda P: calls.append(P) or enumerate_(P)
-    )
+def test_one_run_memoises_plans_but_not_failures(monkeypatch):
     plans = _planned(monkeypatch)
     good = fflv2(1, 1)
     loose = HPolytope.make(2, [((1, -1), 0)])  # no certified box
     errors = set()
     with polytope._one_run():
-        assert lattice_points(good) is lattice_points(fflv2(1, 1))
+        first, again = lattice_points(good), lattice_points(fflv2(1, 1))
+        assert first == again and first is not again  # points are enumerated per call
         for fn in (lattice_points, certified_box) * 3:
             try:
                 fn(loose)
@@ -332,16 +332,13 @@ def test_one_run_memoises_points_but_not_failures(monkeypatch):
                 errors.add(str(exc))
             else:
                 raise AssertionError("an uncertifiable polytope must raise")
-        memo = polytope._RUN.get()
-        assert ("points", loose) not in memo
-        assert ("plan", 2, ((1, -1),)) not in memo
-        assert ("plan", 3, tuple(a for a, _ in good.rows)) in memo
+        # the one stored value is the good plan: no points, no failed plan
+        assert list(polytope._RUN.get()) == [("plan", 3, tuple(a for a, _ in good.rows))]
     assert errors == {"no certified box: [0, 1] have no capping row"}
-    assert calls == [good, loose, loose, loose]
     assert plans == [3] + [2] * 6  # the failing plan is rebuilt on every call
     assert polytope._RUN.get() is None
     lattice_points(good)
-    assert calls[-1] == good and len(calls) == 5  # no memo outside a run
+    assert plans[-1] == 3 and len(plans) == 8  # no memo outside a run
 
 
 def test_no_plan_is_kept_outside_a_run(monkeypatch):
@@ -352,18 +349,17 @@ def test_no_plan_is_kept_outside_a_run(monkeypatch):
     assert polytope._RUN.get() is None
 
 
-def test_hpolytope_is_a_value_and_a_memo_key(monkeypatch):
+def test_hpolytope_is_a_value(monkeypatch):
     P, Q = fflv_hrep(3, (1, 0, 2)), fflv_hrep(3, (1, 0, 2))
     assert P is not Q and P == Q and hash(P) == hash(Q)
     assert HPolytope.make(P.dim, P.rows) == P
     assert HPolytope.make(P.dim, P.rows, nonneg=False) != P
     assert fflv_hrep(3, (1, 0, 1)) != P
-    calls = []
-    enumerate_ = polytope._enumerate
-    monkeypatch.setattr(polytope, "_enumerate", lambda R: calls.append(R) or enumerate_(R))
+    plans = _planned(monkeypatch)
     with polytope._one_run():
-        assert lattice_points(P) is lattice_points(Q)
-    assert calls == [P]
+        assert lattice_points(P) == lattice_points(Q)
+        lattice_points(fflv_hrep(3, (1, 0, 1)))
+    assert plans == [6]  # equal coefficients share one plan
 
 
 def test_trusted_point_sets_equal_checked_ones():

@@ -413,12 +413,19 @@ def test_lusztig_rejects_non_integer_input():
         raise AssertionError("a float letter should have raised")
     with _one_run():  # (1.0, 2, 1) == (1, 2, 1): the memo must not answer it
         lusztig_points((1, 2, 1), (1, 0))
-        try:
-            lusztig_points((1.0, 2, 1), (1, 0))
-        except TypeError:
-            pass
-        else:
-            raise AssertionError("a float letter should have raised inside a run")
+        lusztig_points((1, 2, 1), (1, 0), 2)
+        fflv_points(2, (1, 0))
+        for build, args in [
+            (lusztig_points, ((1.0, 2, 1), (1, 0))),
+            (lusztig_points, ((1, 2, 1), (1, 0), 2.0)),
+            (fflv_points, (2.0, (1, 0))),
+        ]:
+            try:
+                build(*args)
+            except TypeError:
+                pass
+            else:
+                raise AssertionError(f"{build.__name__}{args} should have raised inside a run")
 
 
 def test_reineke_filter_changes_no_point_set():

@@ -1,8 +1,12 @@
+import gc
 from collections import Counter
 
+import fflv.fflv
+import fflv.polytope as polytope
+import fflv.tiling as tiling
 from fflv.polytope import PointSet
-from fflv.tiling import lusztig_points, reineke_filter
-from fflv.roots import ik_word
+from fflv.tiling import lusztig_hrep, lusztig_points, reineke_filter
+from fflv.roots import all_reduced_words, ik_word
 from fflv.verify import (
     MAX_WITNESSES,
     default_sweep,
@@ -297,19 +301,26 @@ def test_run_suite_validates_whole_config_before_running(monkeypatch):
     assert ran == []
 
 
+def _counted(monkeypatch, module, name, counts, key):
+    """Count in ``counts[key]`` every call of ``module.name``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_run_suite_builds_rows_and_points_once(monkeypatch):
-    import fflv.polytope as polytope
-    import fflv.tiling as tiling
     import fflv.verify as verify
 
-    counts = {"rows": 0, "points": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-        return wrapper
-
+    counts = Counter()
+    _counted(monkeypatch, tiling, "_crossing_rows", counts, "rows")
+    _counted(monkeypatch, tiling, "lusztig_hrep", counts, "hreps")
+    # the library enumerates through lattice_points as fflv and tiling bind it
+    _counted(monkeypatch, tiling, "lattice_points", counts, "points")
+    _counted(monkeypatch, fflv.fflv, "lattice_points", counts, "points")
     searches = Counter()
     crossings = tiling.dual_crossings
 
@@ -317,12 +328,11 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
         searches[T.word, s] += 1
         return crossings(T, s)
 
-    monkeypatch.setattr(tiling, "_crossing_rows", counted("rows", tiling._crossing_rows))
-    monkeypatch.setattr(polytope, "_enumerate", counted("points", polytope._enumerate))
     monkeypatch.setattr(tiling, "dual_crossings", searched)
     run_suite()
-    # 264 lusztig_hrep calls on 23 words; 339 enumerations of 181 polytopes
-    assert counts == {"rows": 23, "points": 181}
+    # 264 lusztig_points calls on 23 words: the rows of each word once, one
+    # H-description per (crossing-row set, lambda, n); 164 enumerations
+    assert counts == {"rows": 23, "hreps": 112, "points": 164}
     # one search per (word, s), shared by the crossing rows and the dyck claims
     assert len(searches) == 69 and set(searches.values()) == {1}
     assert polytope._RUN.get() is None
@@ -331,7 +341,7 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
     for _ in range(2):
         lusztig_points(ik_word(3, 2), (0, 1, 0))
         verify_dyck_correspondence(3, 2)
-    assert counts == {"rows": 25, "points": 183}
+    assert counts == {"rows": 25, "hreps": 114, "points": 166}
     # one search in the run, then one per call
     assert [searches[ik_word(3, 2), s] for s in (1, 2, 3)] == [5, 5, 5]
 
@@ -347,6 +357,96 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
     else:
         assert False, "expected the claim's RuntimeError"
     assert polytope._RUN.get() is None
+
+
+# two words a 2-move apart: equal crossing-row sets in different orders
+SHARED = ((3, 2, 1, 3, 2, 3), (3, 2, 3, 1, 2, 3))
+
+
+def test_words_with_equal_row_sets_share_one_system(monkeypatch):
+    u, v = SHARED
+    weights = [(0, 0, 1), (1, 0, 1), (2, 1, 0)]
+    for lam in weights:
+        P, Q = lusztig_hrep(u, lam), lusztig_hrep(v, lam)
+        assert P.rows != Q.rows and set(P.rows) == set(Q.rows)
+    counts = Counter()
+    _counted(monkeypatch, tiling, "_crossing_rows", counts, "rows")
+    _counted(monkeypatch, tiling, "lusztig_hrep", counts, "hreps")
+    _counted(monkeypatch, tiling, "lattice_points", counts, "points")
+    with polytope._one_run():
+        for lam in weights:
+            # n resolved: None and 3 give one key
+            assert lusztig_points(u, lam) is lusztig_points(v, lam, 3)
+            assert lusztig_points(v, lam) is lusztig_points(u, lam, 3)
+    # each word is still tiled and searched for its own rows
+    assert counts == {"rows": 2, "hreps": 3, "points": 3}
+    counts.clear()
+    for lam in weights:  # outside a run every call computes
+        assert lusztig_points(u, lam) == lusztig_points(v, lam, 3)
+    assert counts == {"rows": 6, "hreps": 6, "points": 6}
+
+
+def test_a_word_with_a_lost_row_gets_its_own_witness(monkeypatch):
+    # the last of four words whose crossing rows are equal as sets loses
+    # the row (2, (-1, 0, 1, 0, 1, 0)): its polytope grows at (0,0,1), and
+    # its count is its own although the three words before it share theirs
+    lossy, lost = (2, 3, 1, 2, 3, 1), (2, (-1, 0, 1, 0, 1, 0))
+    row_set = frozenset(tiling._crossing_rows(lossy, 3))
+    words = [w for w in all_reduced_words(3) if frozenset(tiling._crossing_rows(w, 3)) == row_set]
+    assert len(words) == 4 and words[-1] == lossy and lost in row_set
+    rows_ = tiling._crossing_rows
+
+    def dropped(word, n):
+        rows = rows_(word, n)
+        return tuple(r for r in rows if r != lost) if word == lossy else rows
+
+    monkeypatch.setattr(tiling, "_crossing_rows", dropped)
+    reports = run_suite({"words": [[3, [0, 0, 1]], [3, [0, 1, 0]]]})
+    assert [r.passed for r in reports] == [False, True]
+    assert reports[0].witnesses == [{"word": list(lossy), "count": 5, "expected": 4}]
+
+
+def test_run_suite_pauses_the_collector(monkeypatch):
+    import fflv.verify as verify
+
+    collections = []
+
+    def collected(phase, info):
+        if phase == "start":
+            collections.append(polytope._RUN.get() is not None)
+
+    gc.callbacks.append(collected)
+    try:
+        with polytope._one_run():
+            gc.collect()  # the callback sees a pass inside a run
+        assert collections == [True]
+        collections.clear()
+        gc.collect()
+        assert gc.isenabled()
+        run_suite()
+        assert gc.isenabled()  # enabled again after the run
+        assert True not in collections  # no pass started during it
+        gc.disable()
+        try:
+            run_suite({"main": [[2, [1, 1]]]})
+            assert not gc.isenabled()  # the caller's choice stands
+        finally:
+            gc.enable()
+
+        def failing(*args):
+            assert not gc.isenabled()
+            raise RuntimeError("claim failed")
+
+        monkeypatch.setattr(verify, "verify_main", failing)
+        try:
+            run_suite({"main": [[2, [1, 1]]]})
+        except RuntimeError:
+            pass
+        else:
+            assert False, "expected the claim's RuntimeError"
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(collected)
 
 
 def test_report_str_has_status():
