@@ -12,12 +12,14 @@ that start during the run (``gc_collections``).
 
 Prints one JSON object.  The counts repeat exactly for a given seed.  A case
 whose check fails is an error: its counts would describe a broken pass.  So
-is a first counter that reads 0, as it does when its function is renamed.
+is a counter naming a function that no module of its workload defines, as
+after a rename, and a first counter that reads 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import json
 import os
@@ -62,7 +64,8 @@ WORKLOADS = {
         "sumset_calls": ("sumset", None),
         "contains_calls": ("__contains__", None),  # PointSet lookups
         "lusztig_points_calls": ("lusztig_points", None),
-        "lusztig_hrep_calls": ("lusztig_hrep", None),
+        # lusztig_hrep and lusztig_points build their H-descriptions in _hrep
+        "lusztig_hrep_calls": ("_hrep", None),
         "reduced_words_calls": ("all_reduced_words", None),
         "tilings": ("build_tiling", None),
         "crossing_searches": ("dual_crossings", None),
@@ -74,7 +77,7 @@ WORKLOADS = {
         "crossings_kept": ("reineke_filter", len),
         "peel_calls": ("peel_order", None),
         "peel_layers": ("peel_order", lambda layers: layers.num_layers),
-        "hrep_rows": ("lusztig_hrep", lambda P: len(P.rows)),
+        "hrep_rows": ("_hrep", lambda P: len(P.rows)),
     }),
     "crystal": Workload(workloads.crystal_cases, (crystal, roots), {
         # _crystals returns (crystals, nodes visited, complete)
@@ -89,9 +92,25 @@ WORKLOADS = {
 }
 
 
+def _defined(modules) -> set[str]:
+    """The names of the functions, methods and nested functions whose
+    definitions the modules' source files hold."""
+    names = set()
+    for module in modules:
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read(), filename=module.__file__)
+        names.update(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef))
+    return names
+
+
 def count(workload: str, seed: int = workloads.DEFAULT_SEED) -> dict:
-    """The counters of one checked pass; ``RuntimeError`` if a case fails."""
+    """The counters of one checked pass; ``RuntimeError`` if a case fails,
+    ``ValueError`` before any case runs if a counter names a function that
+    no module of the workload defines."""
     spec = WORKLOADS[workload]
+    unknown = sorted({name for name, _ in spec.counters.values()} - _defined(spec.modules))
+    if unknown:
+        raise ValueError(f"{workload} counters name no function of its modules: {', '.join(unknown)}")
     counts = dict.fromkeys(spec.counters, 0)
     if spec.count_gc:
         counts["gc_collections"] = 0

@@ -12,7 +12,7 @@ from functools import cache
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, _once_by, lattice_points
+from .polytope import HPolytope, PointSet, _once, lattice_points
 from .roots import Root, num_roots, root_index, weight_mu
 
 
@@ -28,6 +28,8 @@ class FundamentalPoint(NamedTuple):
 
 
 def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """lambda as a tuple of ints; raises unless it is a dominant weight of
+    rank n and n is an integer >= 1."""
     if n < 1:
         raise ValueError("rank must be >= 1")
     lam = tuple(map(index, lam))
@@ -35,6 +37,7 @@ def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):
         raise ValueError(f"weight must be dominant (all entries >= 0): {lam}")
+    index(n)  # a float or a string n raises TypeError, after the checks above
     return lam
 
 
@@ -98,13 +101,11 @@ def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
     The rows are ``fflv_hrep``'s, so each rank walks its Dyck paths once.
 
     Inside ``_one_run()`` the points of each (n, lambda) are computed once
-    and shared; a failure is not stored.  Outside a run no key is built and
-    every call enumerates.
+    and shared; a failure is not stored.  Outside a run every call
+    enumerates.
     """
-    return _once_by(
-        lambda: ("fflv", index(n), _check_dominant(n, lam)),
-        lambda: lattice_points(fflv_hrep(n, lam)),
-    )
+    lam = _check_dominant(n, lam)
+    return _once(("fflv", n, lam), lambda: lattice_points(fflv_hrep(n, lam)))
 
 
 def fundamental_points(n: int, k: int) -> list[FundamentalPoint]:

@@ -44,11 +44,14 @@ def _one_run() -> Iterator[None]:
 def _once(key: object, compute: Callable[[], T]) -> T:
     """``compute()``, memoised on ``key`` inside ``_one_run()``.
 
-    The value must be immutable: every later caller in the run gets the
-    same object.  The shared crossings of ``tiling._word_crossings`` are
-    read-only by convention, since ``Tile`` and ``DualCrossing`` are not
-    frozen.  An exception propagates and nothing is stored.  ``_once_by``
-    is the form for a key that costs work of its own to compute.
+    This is how a run shares work: the FFLV points of each (n, lambda), a
+    word's tiling system (``tiling._system``), the Lusztig points of each
+    crossing-row set and lambda, each rank's reduced words and each
+    enumeration plan.  The value must be immutable: every later caller in
+    the run gets the same object.  The shared crossings of a word's system
+    are read-only by convention, since ``Tile`` and ``DualCrossing`` are
+    not frozen.  An exception propagates and nothing is stored.  Outside a
+    run the key is built and unused.
     """
     memo = _RUN.get()
     if memo is None:
@@ -56,15 +59,6 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     if key not in memo:
         memo[key] = compute()
     return memo[key]
-
-
-def _once_by(key: Callable[[], object], compute: Callable[[], T]) -> T:
-    """``_once(key(), compute)``, except that outside a run ``key`` is never
-    called: the call is exactly ``compute()``.  An exception from ``key``
-    propagates like one from ``compute``."""
-    if _RUN.get() is None:
-        return compute()
-    return _once(key(), compute)
 
 
 class HPolytope(NamedTuple):
@@ -207,8 +201,9 @@ def certified_box(P: HPolytope) -> tuple[list[int], list[int]]:
 
 # The right-hand-side-free part of a certified box (see ``_plan``): the
 # greedy order, one step (d, capping rows, negative entries) per placed
-# coordinate, each entry a (row, coefficient), and the columns.
-Plan = tuple[Sequence[int], Sequence[tuple], Sequence[Sequence[tuple[int, int]]]]
+# coordinate, each entry a (row, coefficient), and the columns; nested
+# tuples, so a run can share it.
+Plan = tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _plan(dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> Plan:
@@ -265,8 +260,8 @@ def _plan(dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> Plan:
                 neg[r] -= 1
                 if not neg[r]:
                     ready.update(unplaced.intersection(support[r]))
-        steps.append((d, caps, negs))
-    return order, steps, cols
+        steps.append((d, tuple(caps), tuple(negs)))
+    return tuple(order), tuple(steps), tuple(map(tuple, cols))
 
 
 def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tuple[int, int]]]]:
@@ -277,15 +272,12 @@ def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tupl
     ``worst[r] // c`` over the capping rows, after which each negative
     entry lowers its row's worst-case rhs.  Inside ``_one_run()`` the plan
     is shared by every polytope with the same dimension and coefficients;
-    outside one it is built for this call alone, with no key and no copy.
+    outside one it is built for this call alone.
     """
     if not P.nonneg:
         raise ValueError("a certified box needs the implicit x >= 0 constraints")
-    if _RUN.get() is None:
-        order, steps, cols = _plan(P.dim, P.rows)
-    else:
-        key = ("plan", P.dim, tuple(a for a, _ in P.rows))
-        order, steps, cols = _once(key, lambda: _frozen(_plan(P.dim, P.rows)))
+    key = ("plan", P.dim, tuple(a for a, _ in P.rows))
+    order, steps, cols = _once(key, lambda: _plan(P.dim, P.rows))
     worst = [b for _, b in P.rows]
     bound = [0] * P.dim
     for d, caps, negs in steps:
@@ -298,16 +290,6 @@ def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tupl
         for r, c in negs:
             worst[r] -= c * b
     return order, bound, cols
-
-
-def _frozen(plan: Plan) -> Plan:
-    """``plan`` as nested tuples, so a run can share it."""
-    order, steps, cols = plan
-    return (
-        tuple(order),
-        tuple((d, tuple(caps), tuple(negs)) for d, caps, negs in steps),
-        tuple(map(tuple, cols)),
-    )
 
 
 def lattice_points(P: HPolytope) -> PointSet:

@@ -24,7 +24,7 @@ import math
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, _once, _once_by, lattice_points
+from .polytope import HPolytope, PointSet, _once, lattice_points
 from .roots import (
     Root,
     fundamental_weight,
@@ -453,25 +453,25 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     One row per (s, filtered dual s-crossing) with rhs lambda_s, s in [1, n];
     rows repeated with identical coefficients and rhs are kept once.  The
     crossing rows do not depend on lambda: inside ``_one_run()`` they are
-    built once per (word, n).  The word's letters and lambda must be
+    built once per (word, n).  The word's letters, lambda and n must be
     integers: a float or a string raises TypeError, never truncates.
     """
     word, lam, n = _lusztig_args(word, lam, n)
-    rows: list[tuple[tuple[int, ...], int]] = []
-    seen: set[tuple] = set()
-    for s, coeffs in _rows(word, n):
-        key = (coeffs, lam[s - 1])
-        if key not in seen:
-            seen.add(key)
-            rows.append(key)
-    return HPolytope(dim=num_roots(n), rows=tuple(rows), nonneg=True)
+    return _hrep(_system(word, n).rows, lam, n)
+
+
+def _hrep(rows: Sequence[tuple[int, tuple[int, ...]]], lam: tuple[int, ...], n: int) -> HPolytope:
+    """The H-polytope of the crossing rows ``rows``, each (s, coefficients),
+    with rhs lambda_s; a repeated (coefficients, rhs) is kept once."""
+    unique = dict.fromkeys((coeffs, lam[s - 1]) for s, coeffs in rows)
+    return HPolytope(dim=num_roots(n), rows=tuple(unique), nonneg=True)
 
 
 def _lusztig_args(
     word: Sequence[int], lam: Sequence[int], n: int | None
 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The word and lambda as tuples of ints, and n resolved to the word's
-    largest letter when None; raises as ``lusztig_hrep`` documents."""
+    """The word, lambda and n as ints, n resolved to the word's largest
+    letter when None; raises as ``lusztig_hrep`` documents."""
     word = tuple(map(index, word))
     if n is None:
         n = max(word, default=0)
@@ -480,36 +480,37 @@ def _lusztig_args(
         raise ValueError(f"weight has {len(lam)} entries, expected {n}")
     if any(v < 0 for v in lam):
         raise ValueError(f"weight must be dominant: {lam}")
-    return word, lam, n
+    return word, lam, index(n)
 
 
-def _rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """``_crossing_rows(word, n)``, built once per (word, n) inside a run."""
-    return _once(("rows", word, n), lambda: _crossing_rows(word, n))
+class _System(NamedTuple):
+    """What a word's tiling gives its Lusztig polytope, lambda aside."""
+
+    crossings: tuple[tuple[DualCrossing, ...], ...]  # unfiltered, indexed by s - 1
+    rows: tuple[tuple[int, tuple[int, ...]], ...]  # (s, coefficients) per filtered crossing
+    row_set: frozenset[tuple[int, tuple[int, ...]]]
 
 
-def _crossing_rows(word: tuple[int, ...], n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(s, coefficients) of every filtered dual s-crossing, s in [1, n]."""
-    idx = root_index(n)
-    dim = num_roots(n)
-    return tuple(
-        (s, _crossing_row(s, cr, idx, dim))
-        for s, crossings in enumerate(_word_crossings(word, n), 1)
-        for cr in reineke_filter(crossings)
-    )
-
-
-def _word_crossings(word: tuple[int, ...], n: int) -> tuple[tuple[DualCrossing, ...], ...]:
-    """The unfiltered dual s-crossings of the word's tiling, indexed by s - 1.
-
-    All n searches run on one tiling; inside ``_one_run()`` they run once per
-    (word, n), shared by the crossing rows and the dyck claim.
+def _system(word: tuple[int, ...], n: int) -> _System:
+    """The word's dual s-crossings for every s in [1, n], all searched on one
+    tiling, and the rows of the crossings the Reineke filter keeps, as a
+    tuple and as a set.  Inside ``_one_run()`` it is built once per
+    (word, n), shared by the H-description, the points key and the dyck
+    claim; a frozenset caches its hash, so the run hashes each row set once.
     """
-    def search() -> tuple[tuple[DualCrossing, ...], ...]:
+    def build() -> _System:
+        idx = root_index(n)
+        dim = num_roots(n)
         T = build_tiling(word, n)
-        return tuple(tuple(dual_crossings(T, s)) for s in range(1, n + 1))
+        crossings = tuple(tuple(dual_crossings(T, s)) for s in range(1, n + 1))
+        rows = tuple(
+            (s, _crossing_row(s, cr, idx, dim))
+            for s, found in enumerate(crossings, 1)
+            for cr in reineke_filter(found)
+        )
+        return _System(crossings, rows, frozenset(rows))
 
-    return _once(("crossings", word, n), search)
+    return _once(("word", word, n), build)
 
 
 def lusztig_points(
@@ -529,21 +530,15 @@ def lusztig_points(
     lambda (the 16 and 768 words at n = 3 and 4 have 8 and 62 row sets,
     one per class).  The key is built from the rows the word itself produced, so
     every word is still tiled and searched, and a word whose rows differ
-    gets its own points.  A failure is not stored.  Outside a run no key is
-    built and every call computes.
+    gets its own points.  A failure is not stored.  Outside a run every
+    call computes, tiling and searching the word once.
     """
     word, lam, n = _lusztig_args(word, lam, n)
-    return _once_by(
-        # index(n) first: the memo must not answer an n of 3.0 for 3
-        lambda: ("lusztig", index(n), _row_set(word, n), lam),
-        lambda: lattice_points(lusztig_hrep(word, lam, n)),
+    system = _system(word, n)
+    return _once(
+        ("lusztig", n, system.row_set, lam),
+        lambda: lattice_points(_hrep(system.rows, lam, n)),
     )
-
-
-def _row_set(word: tuple[int, ...], n: int) -> frozenset[tuple[int, tuple[int, ...]]]:
-    """The set of the word's crossing rows, built once per (word, n) inside a
-    run; a frozenset caches its hash, so the run hashes each set once."""
-    return _once(("row set", word, n), lambda: frozenset(_rows(word, n)))
 
 
 def check_rectangle_support(n: int, k: int, r: int) -> bool:

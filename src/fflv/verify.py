@@ -18,7 +18,7 @@ from .claims import CLAIMS, check_case, default_sweep
 from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
 from .polytope import PointSet, _once, _one_run, contains, sumset
 from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, root_index
-from .tiling import _crossing_row, _word_crossings, lusztig_points, reineke_filter
+from .tiling import _crossing_row, _system, lusztig_points, reineke_filter
 
 MAX_WITNESSES = 5
 
@@ -171,7 +171,7 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
 
     # the unfiltered crossings the crossing rows share inside a run; the
     # claim filters them itself
-    crossings = _word_crossings(ik_word(n, k), n)[k - 1]
+    crossings = _system(ik_word(n, k), n).crossings[k - 1]
     kept = reineke_filter(crossings)
     if len(kept) != len(crossings):
         witnesses.append(
@@ -237,13 +237,13 @@ def run_suite(
     ``ValueError`` instead of failing mid-sweep or passing vacuously.
 
     The claims run inside one ``polytope._one_run()``, since ``main``,
-    ``fundamental`` and ``words`` share summands and FFLV sets.  The run
-    builds once:
+    ``fundamental`` and ``words`` share summands and FFLV sets.  Through
+    ``polytope._once`` the run builds once:
 
-    * each word's tiling and its dual crossing searches, one per s
-      (``tiling._word_crossings``), shared by the crossing rows and the
-      ``dyck`` claims, which apply their own Reineke filter;
-    * each word's crossing rows and their set (``tiling.lusztig_hrep``);
+    * each word's system (``tiling._system``): its tiling, its dual
+      crossing searches, one per s, and the rows of the crossings the
+      Reineke filter keeps, as a tuple and as a set; the ``dyck`` claims
+      read its crossings and apply their own filter;
     * the points of each (crossing-row set, lambda, n), shared by the words
       whose rows are equal as sets, such as the words of one commutation
       class (``tiling.lusztig_points``);

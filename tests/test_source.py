@@ -53,16 +53,32 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def _names_run(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Name) and node.id == "_RUN"
+        or isinstance(node, ast.Attribute) and node.attr == "_RUN"
+        or isinstance(node, ast.alias) and node.name == "_RUN"
+    )
+
+
 def test_only_polytope_reads_the_run_memo():
-    # other modules memoise through polytope._once, which already computes
-    # without storing outside a run: a branch on _RUN there is a second path
+    # everything memoises through polytope._once, which already computes
+    # without storing outside a run: a branch on _RUN elsewhere is a second path
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
         if path.name != "polytope.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Name) and node.id == "_RUN"
-        or isinstance(node, ast.Attribute) and node.attr == "_RUN"
-        or isinstance(node, ast.alias) and node.name == "_RUN"
+        if _names_run(node)
     ]
     assert found == []
+    # inside polytope.py only the run itself and _once read it; the
+    # assignment that defines it stores
+    path = pathlib.Path(fflv.__file__).parent / "polytope.py"
+    readers = {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(stmt)
+        if _names_run(node) and not isinstance(getattr(node, "ctx", None), ast.Store)
+    }
+    assert readers == {"_one_run", "_once"}

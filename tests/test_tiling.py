@@ -418,6 +418,7 @@ def test_lusztig_rejects_non_integer_input():
         for build, args in [
             (lusztig_points, ((1.0, 2, 1), (1, 0))),
             (lusztig_points, ((1, 2, 1), (1, 0), 2.0)),
+            (lusztig_hrep, ((1, 2, 1), (1, 0), 2.0)),
             (fflv_points, (2.0, (1, 0))),
         ]:
             try:
@@ -559,6 +560,25 @@ def test_tiling_counters_check_their_cases(monkeypatch, layer_counters):
         assert "words case(s) failed" in str(exc)
     else:
         raise AssertionError("a wrong point set passed the counters' checks")
+
+
+def test_layer_counters_reject_a_counter_of_no_function(monkeypatch, layer_counters):
+    # a counter read by function name must name a function its workload's
+    # modules define: after a rename it would read 0 without this check
+    for name, workload in layer_counters.WORKLOADS.items():
+        counters = {**workload.counters, "renamed": ("no_such_function", None)}
+        ran = []
+        monkeypatch.setitem(
+            layer_counters.WORKLOADS, name,
+            workload._replace(cases=lambda seed: ran.append(seed) or [], counters=counters),
+        )
+        try:
+            layer_counters.count(name, 1)
+        except ValueError as exc:
+            assert str(exc) == f"{name} counters name no function of its modules: no_such_function"
+        else:
+            raise AssertionError(f"{name}: a counter of no function was counted")
+        assert ran == []  # rejected before any case runs
 
 
 def test_layer_counters_fail_when_the_first_counter_reads_0(monkeypatch, capsys, layer_counters):

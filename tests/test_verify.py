@@ -316,8 +316,8 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
     import fflv.verify as verify
 
     counts = Counter()
-    _counted(monkeypatch, tiling, "_crossing_rows", counts, "rows")
-    _counted(monkeypatch, tiling, "lusztig_hrep", counts, "hreps")
+    _counted(monkeypatch, tiling, "build_tiling", counts, "tilings")
+    _counted(monkeypatch, tiling, "_hrep", counts, "hreps")
     # the library enumerates through lattice_points as fflv and tiling bind it
     _counted(monkeypatch, tiling, "lattice_points", counts, "points")
     _counted(monkeypatch, fflv.fflv, "lattice_points", counts, "points")
@@ -330,9 +330,9 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
 
     monkeypatch.setattr(tiling, "dual_crossings", searched)
     run_suite()
-    # 264 lusztig_points calls on 23 words: the rows of each word once, one
+    # 264 lusztig_points calls on 23 words: each word tiled once, one
     # H-description per (crossing-row set, lambda, n); 164 enumerations
-    assert counts == {"rows": 23, "hreps": 112, "points": 164}
+    assert counts == {"tilings": 23, "hreps": 112, "points": 164}
     # one search per (word, s), shared by the crossing rows and the dyck claims
     assert len(searches) == 69 and set(searches.values()) == {1}
     assert polytope._RUN.get() is None
@@ -341,7 +341,7 @@ def test_run_suite_builds_rows_and_points_once(monkeypatch):
     for _ in range(2):
         lusztig_points(ik_word(3, 2), (0, 1, 0))
         verify_dyck_correspondence(3, 2)
-    assert counts == {"rows": 25, "hreps": 114, "points": 166}
+    assert counts == {"tilings": 27, "hreps": 114, "points": 166}
     # one search in the run, then one per call
     assert [searches[ik_word(3, 2), s] for s in (1, 2, 3)] == [5, 5, 5]
 
@@ -370,8 +370,8 @@ def test_words_with_equal_row_sets_share_one_system(monkeypatch):
         P, Q = lusztig_hrep(u, lam), lusztig_hrep(v, lam)
         assert P.rows != Q.rows and set(P.rows) == set(Q.rows)
     counts = Counter()
-    _counted(monkeypatch, tiling, "_crossing_rows", counts, "rows")
-    _counted(monkeypatch, tiling, "lusztig_hrep", counts, "hreps")
+    _counted(monkeypatch, tiling, "build_tiling", counts, "tilings")
+    _counted(monkeypatch, tiling, "_hrep", counts, "hreps")
     _counted(monkeypatch, tiling, "lattice_points", counts, "points")
     with polytope._one_run():
         for lam in weights:
@@ -379,11 +379,11 @@ def test_words_with_equal_row_sets_share_one_system(monkeypatch):
             assert lusztig_points(u, lam) is lusztig_points(v, lam, 3)
             assert lusztig_points(v, lam) is lusztig_points(u, lam, 3)
     # each word is still tiled and searched for its own rows
-    assert counts == {"rows": 2, "hreps": 3, "points": 3}
+    assert counts == {"tilings": 2, "hreps": 3, "points": 3}
     counts.clear()
     for lam in weights:  # outside a run every call computes
         assert lusztig_points(u, lam) == lusztig_points(v, lam, 3)
-    assert counts == {"rows": 6, "hreps": 6, "points": 6}
+    assert counts == {"tilings": 6, "hreps": 6, "points": 6}
 
 
 def test_a_word_with_a_lost_row_gets_its_own_witness(monkeypatch):
@@ -391,19 +391,61 @@ def test_a_word_with_a_lost_row_gets_its_own_witness(monkeypatch):
     # the row (2, (-1, 0, 1, 0, 1, 0)): its polytope grows at (0,0,1), and
     # its count is its own although the three words before it share theirs
     lossy, lost = (2, 3, 1, 2, 3, 1), (2, (-1, 0, 1, 0, 1, 0))
-    row_set = frozenset(tiling._crossing_rows(lossy, 3))
-    words = [w for w in all_reduced_words(3) if frozenset(tiling._crossing_rows(w, 3)) == row_set]
+    row_set = tiling._system(lossy, 3).row_set
+    words = [w for w in all_reduced_words(3) if tiling._system(w, 3).row_set == row_set]
     assert len(words) == 4 and words[-1] == lossy and lost in row_set
-    rows_ = tiling._crossing_rows
+    system_ = tiling._system
 
     def dropped(word, n):
-        rows = rows_(word, n)
-        return tuple(r for r in rows if r != lost) if word == lossy else rows
+        system = system_(word, n)
+        if word != lossy:
+            return system
+        rows = tuple(r for r in system.rows if r != lost)
+        return system._replace(rows=rows, row_set=frozenset(rows))
 
-    monkeypatch.setattr(tiling, "_crossing_rows", dropped)
+    monkeypatch.setattr(tiling, "_system", dropped)
     reports = run_suite({"words": [[3, [0, 0, 1]], [3, [0, 1, 0]]]})
     assert [r.passed for r in reports] == [False, True]
     assert reports[0].witnesses == [{"word": list(lossy), "count": 5, "expected": 4}]
+
+
+def test_a_run_memo_holds_one_entry_per_shared_value():
+    # every claim shares its work through polytope._once, under one key
+    # kind per value: a word's system is one entry, whatever reads it
+    with polytope._one_run():
+        verify_main(3, (1, 0, 1))
+        verify_fundamental(3, 2, 1)
+        verify_word_counts(3, (0, 1, 0))
+        verify_dyck_correspondence(3, 2)
+        memo = dict(polytope._RUN.get())
+    assert {key[0] for key in memo} == {"plan", "word", "lusztig", "fflv", "words"}
+    # the i_k words of main, fundamental and dyck are among the 16 words of
+    # the words claim: one system each, shared by all four claims
+    words = [key for key in memo if key[0] == "word"]
+    assert sorted(words) == sorted(("word", w, 3) for w in all_reduced_words(3))
+    assert all(isinstance(memo[key], tiling._System) for key in words)
+
+
+def test_a_failed_system_is_not_stored(monkeypatch):
+    search = tiling.dual_crossings
+
+    def failing(T, s):
+        raise RuntimeError("search failed")
+
+    word = ik_word(3, 2)
+    with polytope._one_run():
+        monkeypatch.setattr(tiling, "dual_crossings", failing)
+        try:
+            lusztig_points(word, (0, 1, 0))
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("expected the search's RuntimeError")
+        assert not any(key[0] == "word" for key in polytope._RUN.get())
+        monkeypatch.setattr(tiling, "dual_crossings", search)
+        system = tiling._system(word, 3)
+        assert tiling._system(word, 3) is system
+        assert list(polytope._RUN.get()) == [("word", word, 3)]
 
 
 def test_run_suite_pauses_the_collector(monkeypatch):
