@@ -54,7 +54,8 @@ class Workload(NamedTuple):
 
 WORKLOADS = {
     "suite": Workload(_suite, (polytope, tiling, roots), {
-        "enum_nodes": ("rec", None),  # the enumerator's search nodes
+        # _search returns (points, search nodes) for lattice_points
+        "enum_nodes": ("_search", lambda found: found[1]),
         "enumerations": ("lattice_points", None),
         "points": ("lattice_points", len),
         "plans": ("_plan", None),

@@ -299,18 +299,22 @@ def lattice_points(P: HPolytope) -> PointSet:
     inside its bound.  A negative bound means P is empty, so no search is
     made.  A coordinate with bound 0 is 0 in every point and gets no level.
     Each level reads only the rows with a nonzero coefficient there (the
-    plan's columns) and propagates the feasible interval from them, using
-    coefficient signs and the worst case of the row's free suffix; the
-    chosen value updates those rows' budgets in place and the level
-    restores them when it is done.  The last level emits its
-    whole interval in one loop.  A row is checked against its worst case
-    once, at the root; below that, a row a level does not touch cannot
-    prune, because its last chosen coordinate already kept its budget at or
-    above the worst case of what is left.  A bound-0 level could not prune
-    either: its coordinate adds c * 0 = 0 to every row's suffix minimum, so
-    each row's slack there equals its slack after the last level that
-    touched it (or after the root check), which is already >= 0, and the
-    level's interval would always be [0, 0].
+    plan's columns), split once per polytope into its positive and its
+    negative entries, each with the worst case of the row's free suffix:
+    a positive entry can only lower the level's upper end and a negative
+    entry only raise its lower end.  The chosen value updates those rows'
+    budgets in place, and leaving the level restores them.  The search is
+    one loop over a stack of levels, each holding its current value and the
+    top of its interval, that backtracks instead of returning from a call,
+    so the number of coordinates meets no recursion limit.  The last level
+    emits its whole interval in one loop.  A row is checked against its
+    worst case once, at the root; below that, a row a level does not touch
+    cannot prune, because its last chosen coordinate already kept its
+    budget at or above the worst case of what is left.  A bound-0 level
+    could not prune either: its coordinate adds c * 0 = 0 to every row's
+    suffix minimum, so each row's slack there equals its slack after the
+    last level that touched it (or after the root check), which is already
+    >= 0, and the level's interval would always be [0, 0].
 
     Every call enumerates: the point set is not memoised, since the
     callers that repeat a polytope inside ``_one_run()`` share their points
@@ -320,69 +324,90 @@ def lattice_points(P: HPolytope) -> PointSet:
     polytopes that differ only in their right-hand sides have in common; a
     failed plan is not stored.  Outside a run every call plans afresh.
     """
+    return PointSet._trusted(_search(P)[0], P.dim)
+
+
+def _search(P: HPolytope) -> tuple[list[Point], int]:
+    """The points of ``lattice_points(P)``, unsorted, and the number of
+    search nodes: the levels entered, pruned ones included."""
     N = P.dim
     order, bound, cols = _box(P)
     if any(b < 0 for b in bound):
-        return PointSet._trusted((), N)
-    order = [d for d in order if bound[d]]  # the live coordinates; the rest stay 0
-    box = [bound[d] for d in order]
-    K = len(order)
-    # levels[k]: (row, coefficient, least value of the row over levels > k)
-    levels: list[list[tuple[int, int, int]]] = [[] for _ in range(K)]
+        return [], 0
+    # levels[k]: (coordinate, bound, positive entries, negative entries,
+    # column); an entry is (row, |coefficient|, least value of the row over
+    # the levels below k), the column the plan's (row, coefficient) pairs
+    levels = []
     least = [0] * len(P.rows)  # least value of each row over the levels scanned, all at the end
-    for k in range(K - 1, -1, -1):
-        for r, c in cols[order[k]]:
-            levels[k].append((r, c, least[r]))
-            if c < 0:
-                least[r] += c * box[k]
+    for d in reversed(order):
+        b = bound[d]
+        if not b:  # not a live coordinate: it stays 0
+            continue
+        pos = []
+        neg = []
+        for r, c in cols[d]:
+            if c > 0:
+                pos.append((r, c, least[r]))
+            else:
+                neg.append((r, -c, least[r]))
+                least[r] += c * b
+        levels.append((d, b, pos, neg, cols[d]))
+    levels.reverse()
     budget = [b for _, b in P.rows]
     if any(map(lt, budget, least)):
-        return PointSet._trusted((), N)
-    if not K:  # the search below starts at level 0, which needs a live coordinate
-        return PointSet._trusted([(0,) * N], N)
+        return [], 0
+    if not levels:  # the search below starts at level 0, which needs a live coordinate
+        return [(0,) * N], 0
 
     out: list[Point] = []
     x = [0] * N
-    last = K - 1
-
-    def rec(k: int) -> None:
-        lo, hi = 0, box[k]
-        rows = levels[k]
-        for r, c, suffix_min in rows:
+    top = [0] * len(levels)  # top[k]: the upper end of level k's interval
+    last = len(levels) - 1
+    nodes = 0
+    k = 0
+    while True:
+        nodes += 1
+        d, hi, pos, neg, col = levels[k]
+        lo = 0
+        # plain comparisons: min()/max() calls here cost about 30% of the search
+        for r, c, suffix_min in pos:
             slack = budget[r] - suffix_min
-            # plain comparisons: min()/max() calls here cost about 30% of the search
-            if c > 0:
-                if slack < c * hi:
-                    hi = slack // c
-            elif slack < 0:
-                need = -(slack // -c)  # ceil(-slack / -c)
+            if slack < c * hi:
+                hi = slack // c
+        for r, c, suffix_min in neg:
+            slack = budget[r] - suffix_min
+            if slack < 0:
+                need = -(slack // c)  # ceil(-slack / c)
                 if need > lo:
                     lo = need
-        if lo > hi:
-            return
-        d = order[k]
-        if k == last:
+        if lo <= hi:
+            if k < last:
+                if lo:  # most levels start at 0
+                    for r, c in col:
+                        budget[r] -= c * lo
+                x[d] = lo
+                top[k] = hi
+                k += 1
+                continue
             for v in range(lo, hi + 1):
                 x[d] = v
                 out.append(tuple(x))
-            return
-        for r, c, _ in rows:
-            budget[r] -= c * lo
-        for v in range(lo, hi + 1):
-            x[d] = v
-            rec(k + 1)
-            for r, c, _ in rows:
-                budget[r] -= c
-        for r, c, _ in rows:
-            budget[r] += c * (hi + 1)
-
-    try:
-        rec(0)
-    finally:
-        # rec refers to itself; without this the cycle keeps out, x, budget
-        # and levels alive until the cyclic collector runs
-        del rec
-    return PointSet._trusted(out, N)
+        # back up to the deepest level with a value left, restoring the
+        # budgets of every level that has none
+        while k:
+            k -= 1
+            d, _, _, _, col = levels[k]
+            v = x[d]
+            if v < top[k]:
+                for r, c in col:
+                    budget[r] -= c
+                x[d] = v + 1
+                k += 1
+                break
+            for r, c in col:
+                budget[r] += c * v
+        else:
+            return out, nodes
 
 
 def sumset(A: PointSet, B: PointSet) -> PointSet:

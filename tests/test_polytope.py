@@ -267,8 +267,8 @@ def test_sparse_enumerator_matches_dense_oracle():
 
 def test_enumerator_counters_pinned(layer_counters):
     # one default run_suite(), counted on polytope.py, tiling.py and
-    # roots.py: polytopes enumerated, the points they hold, search-node
-    # calls and PointSet membership lookups.  The last level emits its
+    # roots.py: polytopes enumerated, the points they hold, search nodes
+    # and PointSet membership lookups.  The last level emits its
     # interval in one loop, so no node is a single point, and a coordinate
     # with bound 0 (417 of the 1 006 enumerated) gets no level; a change
     # that adds dead-end nodes breaks nodes <= 2 * points.  The claims sum
@@ -315,6 +315,15 @@ def test_dimension_zero_has_one_point_or_none():
     assert list(lattice_points(HPolytope.make(0, [((), 0)]))) == [()]
     assert len(lattice_points(HPolytope.make(0, [((), -1)]))) == 0
     assert certified_box(HPolytope.make(0, [((), -1)])) == ([], [])
+
+
+def test_search_depth_meets_no_recursion_limit():
+    # the simplex x_1 + ... + x_1200 <= 1 needs one search level per
+    # coordinate, more than Python's default recursion limit of 1 000
+    dim = 1200
+    pts = lattice_points(HPolytope.make(dim, [((1,) * dim, 1)]))
+    assert len(pts) == dim + 1
+    assert (0,) * dim in pts and (0,) * (dim - 1) + (1,) in pts
 
 
 def test_one_run_memoises_plans_but_not_failures(monkeypatch):
