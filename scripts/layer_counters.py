@@ -71,6 +71,8 @@ WORKLOADS = {
         "tilings": ("build_tiling", None),
         "crossing_searches": ("dual_crossings", None),
         "crossing_nodes": ("_extend_paths", None),  # one per tile a crossing path enters
+        "filter_calls": ("reineke_filter", None),
+        "crossings_kept": ("reineke_filter", len),
     }, count_gc=True),
     "words": Workload(workloads.words, (tiling,), {
         "dfs_nodes": ("_extend_paths", None),  # one per tile a crossing path enters

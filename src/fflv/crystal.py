@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fflv import _check_dominant, fflv_points
-from .polytope import PointSet
+from .polytope import PointSet, _Value
 from .roots import Root, fundamental_weight, root_index, weight_of_point
 
 Point = tuple[int, ...]
@@ -40,11 +41,12 @@ class CandidateEdge(NamedTuple):
     pivot: int | None   # the j (a<k) or i (a>k) of the moved box; None on a=k
 
 
-class CrystalGraph:
+class CrystalGraph(_Value):
     """A colored graph on lattice points.  Equality and hash read n, lam,
     vertices and edges, never ``weights``."""
 
     __slots__ = ("n", "lam", "vertices", "edges", "weights")
+    _value = ("n", "lam", "vertices", "edges")
 
     def __init__(
         self,
@@ -62,23 +64,6 @@ class CrystalGraph:
         self.vertices = vertices
         self.edges = edges
         self.weights = weights
-
-    def _fields(self) -> tuple:
-        return (self.n, self.lam, self.vertices, self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"CrystalGraph(n={self.n!r}, lam={self.lam!r}, "
-            f"vertices={self.vertices!r}, edges={self.edges!r})"
-        )
 
     def weight_of(self, v: Point) -> tuple[int, ...]:
         if self.weights is not None:
@@ -793,10 +778,12 @@ def conjecture_search(
         raise ValueError(f"sigma must be a permutation of [1, {n}]")
     if budget is None:
         budget = SEARCH_BUDGET
-    elif budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    elif mode == "greedy":
-        raise ValueError("budget applies only to exhaustive mode")
+    else:
+        budget = index(budget)  # a float or a string raises TypeError, never truncates
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
+        if mode == "greedy":
+            raise ValueError("budget applies only to exhaustive mode")
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)

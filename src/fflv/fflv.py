@@ -41,28 +41,38 @@ def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
     return lam
 
 
-def dyck_paths(n: int) -> list[DyckPath]:
-    """All Dyck paths, grouped by (i, j) with i <= j.
+def root_paths(start: Root, end: Root) -> list[tuple[Root, ...]]:
+    """The monotone paths of the root poset from ``start`` to ``end``.
 
-    A path from alpha_{i,i} to alpha_{j,j} moves alpha_{s,t} -> alpha_{s+1,t}
-    (when s+1 <= t) or alpha_{s,t} -> alpha_{s,t+1} (when t+1 <= j); since t
-    never decreases, restricting t <= j loses nothing.
+    A path moves alpha_{s,t} -> alpha_{s,t+1} (when t < end.j) or
+    alpha_{s,t} -> alpha_{s+1,t} (when s < end.i and s+1 <= t, so it stays
+    inside the positive roots).  Depth-first, the alpha_{s+1,t} branch
+    listed first.
     """
-    out: list[DyckPath] = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            stack: list[tuple[Root, ...]] = [(Root(i, i),)]
-            while stack:
-                path = stack.pop()
-                s, t = path[-1]
-                if (s, t) == (j, j):
-                    out.append(DyckPath(path, i, j))
-                    continue
-                if t + 1 <= j:
-                    stack.append(path + (Root(s, t + 1),))
-                if s + 1 <= t:
-                    stack.append(path + (Root(s + 1, t),))
+    out: list[tuple[Root, ...]] = []
+    stack: list[tuple[Root, ...]] = [(start,)]
+    while stack:
+        path = stack.pop()
+        s, t = path[-1]
+        if (s, t) == end:
+            out.append(path)
+            continue
+        if t < end.j:
+            stack.append(path + (Root(s, t + 1),))
+        if s < end.i and s < t:
+            stack.append(path + (Root(s + 1, t),))
     return out
+
+
+def dyck_paths(n: int) -> list[DyckPath]:
+    """All Dyck paths, grouped by (i, j) with i <= j: the root paths from
+    alpha_{i,i} to alpha_{j,j}."""
+    return [
+        DyckPath(path, i, j)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+        for path in root_paths(Root(i, i), Root(j, j))
+    ]
 
 
 @cache

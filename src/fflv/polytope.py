@@ -48,10 +48,8 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     word's tiling system (``tiling._system``), the Lusztig points of each
     crossing-row set and lambda, each rank's reduced words and each
     enumeration plan.  The value must be immutable: every later caller in
-    the run gets the same object.  The shared crossings of a word's system
-    are read-only by convention, since ``Tile`` and ``DualCrossing`` are
-    not frozen.  An exception propagates and nothing is stored.  Outside a
-    run the key is built and unused.
+    the run gets the same object.  An exception propagates and nothing is
+    stored.  Outside a run the key is built and unused.
     """
     memo = _RUN.get()
     if memo is None:
@@ -59,6 +57,29 @@ def _once(key: object, compute: Callable[[], T]) -> T:
     if key not in memo:
         memo[key] = compute()
     return memo[key]
+
+
+class _Value:
+    """A ``__slots__`` base for value classes: equality, hash and repr read
+    the fields the class names in ``_value``, in that order."""
+
+    __slots__ = ()
+    _value: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._value)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class HPolytope(NamedTuple):
@@ -166,7 +187,9 @@ class PointSet:
 
 
 def contains(P: HPolytope, x: Sequence[int]) -> bool:
-    x = tuple(x)
+    """Does P hold the integer point x?  Coordinates must be integers: a
+    float or a string raises TypeError, never rounds."""
+    x = tuple(map(index, x))
     if len(x) != P.dim:
         raise ValueError(f"point has dimension {len(x)}, polytope has {P.dim}")
     if P.nonneg and any(v < 0 for v in x):

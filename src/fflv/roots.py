@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from operator import index
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -173,9 +174,11 @@ def random_reduced_word(n: int, rng: random.Random) -> Word:
 
 
 def fundamental_weight(n: int, k: int, r: int = 1) -> tuple[int, ...]:
-    """The weight r * omega_k of rank n."""
+    """The weight r * omega_k of rank n.  r must be an integer: a float or
+    a string raises TypeError, never truncates."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    r = index(r)
     return tuple(r if t == k else 0 for t in range(1, n + 1))
 
 

@@ -24,7 +24,7 @@ import math
 from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
-from .polytope import HPolytope, PointSet, _once, lattice_points
+from .polytope import HPolytope, PointSet, _once, _Value, lattice_points
 from .roots import (
     Root,
     fundamental_weight,
@@ -46,10 +46,10 @@ class Edge(NamedTuple):
     bottom: frozenset[int]
 
 
-class Tile:
+class Tile(_Value):
     """A rhombic tile; equal, and equally hashed, when all fields are."""
 
-    __slots__ = ("id", "s", "t", "lower", "upper", "root")
+    __slots__ = _value = ("id", "s", "t", "lower", "upper", "root")
 
     def __init__(
         self,
@@ -66,23 +66,6 @@ class Tile:
         self.lower = lower
         self.upper = upper
         self.root = root
-
-    def _fields(self) -> tuple:
-        return (self.id, self.s, self.t, self.lower, self.upper, self.root)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Tile(id={self.id!r}, s={self.s!r}, t={self.t!r}, lower={self.lower!r}, "
-            f"upper={self.upper!r}, root={self.root!r})"
-        )
 
     @property
     def labels(self) -> tuple[int, int]:
@@ -152,10 +135,10 @@ class PeelOrder(NamedTuple):
     num_layers: int
 
 
-class DualCrossing:
+class DualCrossing(_Value):
     """A dual s-crossing; equal, and equally hashed, when all fields are."""
 
-    __slots__ = ("tiles", "s", "strip_sequence", "entering_leaving")
+    __slots__ = _value = ("tiles", "s", "strip_sequence", "entering_leaving")
 
     def __init__(
         self,
@@ -170,24 +153,6 @@ class DualCrossing:
         self.s = s
         self.strip_sequence = strip_sequence
         self.entering_leaving = entering_leaving
-
-    def _fields(self) -> tuple:
-        return (self.tiles, self.s, self.strip_sequence, self.entering_leaving)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"DualCrossing(tiles={self.tiles!r}, s={self.s!r}, "
-            f"strip_sequence={self.strip_sequence!r}, "
-            f"entering_leaving={self.entering_leaving!r})"
-        )
 
 
 def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
@@ -486,29 +451,31 @@ def _lusztig_args(
 class _System(NamedTuple):
     """What a word's tiling gives its Lusztig polytope, lambda aside."""
 
-    crossings: tuple[tuple[DualCrossing, ...], ...]  # unfiltered, indexed by s - 1
+    found: tuple[int, ...]  # the number of dual crossings found, indexed by s - 1
     rows: tuple[tuple[int, tuple[int, ...]], ...]  # (s, coefficients) per filtered crossing
     row_set: frozenset[tuple[int, tuple[int, ...]]]
 
 
 def _system(word: tuple[int, ...], n: int) -> _System:
-    """The word's dual s-crossings for every s in [1, n], all searched on one
-    tiling, and the rows of the crossings the Reineke filter keeps, as a
-    tuple and as a set.  Inside ``_one_run()`` it is built once per
-    (word, n), shared by the H-description, the points key and the dyck
-    claim; a frozenset caches its hash, so the run hashes each row set once.
+    """How many dual s-crossings the word has for every s in [1, n], all
+    searched on one tiling, and the rows of the crossings the Reineke filter
+    keeps, in the order found, as a tuple and as a set.  Inside
+    ``_one_run()`` it is built once per (word, n), shared by the
+    H-description, the points key and the dyck claim; a frozenset caches
+    its hash, so the run hashes each row set once.
     """
     def build() -> _System:
         idx = root_index(n)
         dim = num_roots(n)
         T = build_tiling(word, n)
-        crossings = tuple(tuple(dual_crossings(T, s)) for s in range(1, n + 1))
-        rows = tuple(
-            (s, _crossing_row(s, cr, idx, dim))
-            for s, found in enumerate(crossings, 1)
-            for cr in reineke_filter(found)
-        )
-        return _System(crossings, rows, frozenset(rows))
+        found = []
+        rows = []
+        for s in range(1, n + 1):
+            crossings = dual_crossings(T, s)
+            found.append(len(crossings))
+            rows += [(s, _crossing_row(s, cr, idx, dim)) for cr in reineke_filter(crossings)]
+        rows = tuple(rows)
+        return _System(tuple(found), rows, frozenset(rows))
 
     return _once(("word", word, n), build)
 

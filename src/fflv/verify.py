@@ -15,10 +15,10 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .claims import CLAIMS, check_case, default_sweep
-from .fflv import fflv_hrep, fflv_points, fundamental_points, weyl_dim
+from .fflv import fflv_hrep, fflv_points, fundamental_points, root_paths, weyl_dim
 from .polytope import PointSet, _once, _one_run, contains, sumset
-from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, root_index
-from .tiling import _crossing_row, _system, lusztig_points, reineke_filter
+from .roots import Root, all_reduced_words, fundamental_weight, ik_word, num_roots, positive_roots
+from .tiling import _system, lusztig_points
 
 MAX_WITNESSES = 5
 
@@ -134,24 +134,6 @@ def verify_word_counts(n: int, lam: Sequence[int]) -> VerificationReport:
     return _report("words", (n, lam), witnesses, t0)
 
 
-def _grid_path_supports(n: int, k: int) -> set[frozenset[Root]]:
-    """Supports of monotone staircase paths (1, k) -> (k, n) inside the
-    rectangle [1, k] x [k, n]."""
-    out: set[frozenset[Root]] = set()
-    stack: list[list[tuple[int, int]]] = [[(1, k)]]
-    while stack:
-        path = stack.pop()
-        s, t = path[-1]
-        if (s, t) == (k, n):
-            out.add(frozenset(Root(i, j) for i, j in path))
-            continue
-        if s + 1 <= k:
-            stack.append(path + [(s + 1, t)])
-        if t + 1 <= n:
-            stack.append(path + [(s, t + 1)])
-    return out
-
-
 def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
     """The s = k rows of the i_k-Lusztig system, restricted to the rectangle
     {alpha_{i,j} : i <= k <= j}, pick out precisely the staircase paths:
@@ -165,22 +147,19 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
     check_case("dyck", (n, k))
     t0 = time.perf_counter()
     witnesses: list = []
-    idx = root_index(n)
-    roots = sorted(idx, key=idx.get)
+    roots = positive_roots(n)
     rect = {r for r in roots if r.i <= k <= r.j}
 
-    # the unfiltered crossings the crossing rows share inside a run; the
-    # claim filters them itself
-    crossings = _system(ik_word(n, k), n).crossings[k - 1]
-    kept = reineke_filter(crossings)
-    if len(kept) != len(crossings):
+    # the word's system, shared with its Lusztig points inside a run
+    system = _system(ik_word(n, k), n)
+    kept = [coeffs for s, coeffs in system.rows if s == k]
+    if len(kept) != system.found[k - 1]:
         witnesses.append(
-            {"reason": f"Reineke filter dropped {len(crossings) - len(kept)} crossings at s={k}"}
+            {"reason": f"Reineke filter dropped {system.found[k - 1] - len(kept)} crossings at s={k}"}
         )
 
     restricted: set[frozenset[Root]] = set()
-    for cr in kept:
-        coeffs = _crossing_row(k, cr, idx, len(roots))
+    for coeffs in kept:
         bad = [
             str(r)
             for r, c in zip(roots, coeffs)
@@ -194,7 +173,8 @@ def verify_dyck_correspondence(n: int, k: int) -> VerificationReport:
             frozenset(r for r, c in zip(roots, coeffs) if c > 0 and r in rect)
         )
 
-    paths = _grid_path_supports(n, k)
+    # the staircase paths, (1, k) -> (k, n) inside the rectangle
+    paths = set(map(frozenset, root_paths(Root(1, k), Root(k, n))))
     maximal = {
         s for s in restricted if not any(s < other for other in restricted)
     }
@@ -237,21 +217,8 @@ def run_suite(
     ``ValueError`` instead of failing mid-sweep or passing vacuously.
 
     The claims run inside one ``polytope._one_run()``, since ``main``,
-    ``fundamental`` and ``words`` share summands and FFLV sets.  Through
-    ``polytope._once`` the run builds once:
-
-    * each word's system (``tiling._system``): its tiling, its dual
-      crossing searches, one per s, and the rows of the crossings the
-      Reineke filter keeps, as a tuple and as a set; the ``dyck`` claims
-      read its crossings and apply their own filter;
-    * the points of each (crossing-row set, lambda, n), shared by the words
-      whose rows are equal as sets, such as the words of one commutation
-      class (``tiling.lusztig_points``);
-    * the points of each (n, lambda) FFLV polytope (``fflv.fflv_points``);
-    * the reduced words of each rank (``verify_word_counts``);
-    * the enumeration plan of each coefficient matrix: its order, capping
-      rows and columns, shared by every right-hand side (``polytope._box``).
-
+    ``fundamental``, ``words`` and ``dyck`` share FFLV sets, word systems,
+    summands, reduced words and enumeration plans (see ``polytope._once``).
     Every word is still tiled and searched, so a word whose rows differ
     from its class's gets its own points and its own witness.  A passing
     ``main`` or ``fundamental`` claim compares the sorted point tuples; only

@@ -628,14 +628,6 @@ def candidate_edges(n, lam, x):
     return _moves(n, pts, x)
 
 
-def candidate_map(n, lam):
-    """Candidates grouped by (vertex, color), in deterministic order."""
-    from fflv.crystal import _candidate_map
-    from fflv.fflv import fflv_points
-
-    return _candidate_map(n, fflv_points(n, tuple(lam)))
-
-
 def crossing_functional(T, s, cr):
     """Coefficient vector (canonical root order) of the crossing's
     inequality, and per tile its labels, root, epsilon, turning and coeff.

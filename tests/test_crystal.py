@@ -762,6 +762,19 @@ def test_conjecture_budget_flag(monkeypatch):
                 pass
             else:
                 raise AssertionError(f"budget {budget} accepted in {mode} mode")
+        for budget in (2.5, 3.0, "3"):  # never truncated or compared as a float
+            try:
+                conjecture_search(2, (1, 1), mode=mode, budget=budget)
+            except TypeError:
+                pass
+            else:
+                raise AssertionError(f"budget {budget!r} accepted in {mode} mode")
+    try:
+        conjecture_search(2, (1, 1), mode="greedy", budget=3)
+    except ValueError as exc:
+        assert str(exc) == "budget applies only to exhaustive mode"
+    else:
+        raise AssertionError("a budget accepted in greedy mode")
 
 
 def test_conjecture_greedy_recovers_sl3_graphs():

@@ -10,6 +10,7 @@ from fflv.fflv import (
     fflv_hrep,
     fflv_points,
     fundamental_points,
+    root_paths,
     weyl_dim,
 )
 from fflv.polytope import PointSet, contains, sumset
@@ -41,6 +42,28 @@ def test_dyck_paths_step_rule():
                 assert (s2, t2) in {(s + 1, t), (s, t + 1)}
             # no repeats inside a single path
             assert len(set(path.roots)) == len(path.roots)
+
+
+def test_root_paths_are_the_dyck_and_staircase_paths():
+    # Dyck paths are the root paths alpha_{i,i} -> alpha_{j,j}, in order
+    for n in (1, 2, 3, 4):
+        assert [p.roots for p in dyck_paths(n)] == [
+            path
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            for path in root_paths(Root(i, i), Root(j, j))
+        ]
+    assert root_paths(Root(1, 1), Root(2, 2)) == [
+        (Root(1, 1), Root(1, 2), Root(2, 2)),
+    ]
+    # the staircase paths of the k-rectangle [1, k] x [k, n]
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            paths = root_paths(Root(1, k), Root(k, n))
+            assert len(paths) == comb(n - 1, k - 1)
+            assert set(map(frozenset, paths)) == oracles.grid_path_supports(k, n)
+    # an end the steps cannot reach has no path
+    assert root_paths(Root(2, 2), Root(1, 3)) == []
 
 
 def test_dyck_path_counts_match_dp_oracle():

@@ -155,6 +155,19 @@ def test_fundamental_weight():
     assert fundamental_weight(3, 2, 0) == (0, 0, 0)
     assert fundamental_weight(3, 2, 2) == (0, 2, 0)
     assert fundamental_weight(4, 4, 3) == (0, 0, 0, 3)
+    for r in (2.5, 2.0, "2"):  # never truncated or passed through
+        try:
+            fundamental_weight(2, 1, r)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"fundamental_weight accepted r={r!r}")
+    try:
+        fundamental_weight(2, 3, 2.5)  # a bad k keeps its error text
+    except ValueError as exc:
+        assert str(exc) == "need 1 <= k <= n, got k=3, n=2"
+    else:
+        raise AssertionError("k > n accepted")
 
 
 def test_weight_of_point_frozen():

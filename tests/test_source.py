@@ -53,6 +53,19 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_only_polytope_defines_value_methods():
+    # value classes are NamedTuples or take equality, hash and repr from
+    # polytope._Value: an __eq__ or __hash__ written elsewhere is a second copy
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in SOURCES
+        if path.name != "polytope.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+    ]
+    assert found == []
+
+
 def _names_run(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Name) and node.id == "_RUN"

@@ -134,10 +134,19 @@ def test_verify_word_counts_caps_witnesses(monkeypatch):
     assert all(w["count"] == 3 and w["expected"] == 4 for w in report.witnesses)
 
 
-def test_verify_dyck_detects_dropped_crossing(monkeypatch):
-    import fflv.verify as verify
+def _drops_last_at(s):
+    """A Reineke filter that also drops the last crossing it keeps at s, when
+    it keeps several: dropping a lone crossing, or the first at s = 2 of
+    i_2 at n = 3, leaves that word's polytope without a certified box."""
+    def filtered(crossings):
+        kept = reineke_filter(crossings)
+        return kept[:-1] if len(kept) > 1 and kept[0].s == s else kept
 
-    monkeypatch.setattr(verify, "reineke_filter", lambda crs: reineke_filter(crs)[1:])
+    return filtered
+
+
+def test_verify_dyck_detects_dropped_crossing(monkeypatch):
+    monkeypatch.setattr(tiling, "reineke_filter", _drops_last_at(2))
     report = verify_dyck_correspondence(3, 2)
     assert not report.passed
     assert 1 <= len(report.witnesses) <= MAX_WITNESSES
@@ -145,12 +154,10 @@ def test_verify_dyck_detects_dropped_crossing(monkeypatch):
 
 
 def test_shared_crossings_keep_the_dyck_filter_check(monkeypatch):
-    # inside a run the dyck claim reads the crossings the fundamental claim's
-    # rows were built from, and still applies its own filter to them
-    import fflv.tiling as tiling
-    import fflv.verify as verify
-
-    monkeypatch.setattr(verify, "reineke_filter", lambda crs: reineke_filter(crs)[1:])
+    # inside a run the dyck claim reads the rows and crossing counts of the
+    # system the fundamental claim's points were built from, and still sees
+    # what the filter dropped
+    monkeypatch.setattr(tiling, "reineke_filter", _drops_last_at(2))
     direct = verify_dyck_correspondence(3, 2)
     searches = []
     crossings = tiling.dual_crossings
@@ -159,7 +166,7 @@ def test_shared_crossings_keep_the_dyck_filter_check(monkeypatch):
     )
     fundamental, dyck = run_suite({"fundamental": [[3, 2, 1]], "dyck": [[3, 2]]})
     assert searches == [1, 2, 3]  # the rows' searches; the dyck claim runs none
-    assert fundamental.passed  # the crossing rows keep tiling's own filter
+    assert fundamental.passed  # the row lost at s = 2 cuts no point of 1 * omega_2
     assert not dyck.passed
     assert dyck.witnesses == direct.witnesses
 
@@ -424,6 +431,30 @@ def test_a_run_memo_holds_one_entry_per_shared_value():
     words = [key for key in memo if key[0] == "word"]
     assert sorted(words) == sorted(("word", w, 3) for w in all_reduced_words(3))
     assert all(isinstance(memo[key], tiling._System) for key in words)
+
+
+def test_a_run_memo_holds_only_immutable_values():
+    # every later caller in a run gets the object _once stored, so the
+    # default sweep's memo holds nothing but ints, strings, tuples,
+    # frozensets and point sets, at any depth
+    import fflv.verify as verify
+    from fflv.claims import CLAIMS
+
+    with polytope._one_run():
+        for kind, cases in default_sweep().items():
+            for case in cases:
+                getattr(verify, CLAIMS[kind].function)(*case)
+        memo = dict(polytope._RUN.get())
+    assert {key[0] for key in memo} == {"plan", "word", "lusztig", "fflv", "words"}
+    found = Counter()
+    stack = list(memo.values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (tuple, frozenset)):  # NamedTuples included
+            stack.extend(value)
+        elif not isinstance(value, (int, str, PointSet)):
+            found[type(value).__name__] += 1
+    assert found == Counter()
 
 
 def test_a_failed_system_is_not_stored(monkeypatch):
