@@ -1,8 +1,9 @@
 """The claim registry: each claim kind, its parameters and its default cases.
 
 ``fflv.verify`` runs the claims; the ``fflv`` command builds its ``verify``
-subcommands from ``CLAIMS``.  This module imports only the standard library,
-so the command can build its parser without loading the polytope layers.
+subcommands from ``CLAIMS``.  Besides the standard library this module
+imports only ``fflv.roots``, which owns the rules for n, lambda and k, so
+the command can build its parser without loading the polytope layers.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import copy
 import itertools
 from typing import NamedTuple
+
+from .roots import check_k, check_rank, check_weight
 
 
 def _weights(n: int, total: int) -> list[list[int]]:
@@ -67,25 +70,11 @@ def _ints(values) -> bool:
     return all(type(v) is int for v in values)  # bool is an int subclass
 
 
-def _param_problem(name: str, value, n: int) -> str | None:
-    """Why ``value`` cannot be parameter ``name`` of a rank-n case, or None."""
-    if name == "n" and value < 1:
-        return f"n={value} must be >= 1"
-    if name == "lam" and len(value) != n:
-        return f"lambda has {len(value)} entries, expected {n}"
-    if name == "lam" and any(v < 0 for v in value):
-        return "lambda must be dominant (all entries >= 0)"
-    if name == "k" and not 1 <= value <= n:
-        return f"k={value} outside [1, {n}]"
-    if name == "r" and value < 1:
-        return f"r={value} must be >= 1"
-    return None
-
-
 def check_case(kind: str, case) -> None:
     """Raise ``ValueError`` unless ``case`` lists the parameters of a claim of
-    the registered ``kind``: integers (``bool`` is not one here) with n >= 1
-    and at most its ``max_n``, ``lam`` n of them >= 0, k in [1, n], r >= 1."""
+    the registered ``kind``: integers (``bool`` is not one here) that keep
+    the rules of ``fflv.roots`` for n, ``lam`` and k, with r >= 1 and n at
+    most the claim's ``max_n``."""
     claim = CLAIMS[kind]
     if not (
         isinstance(case, (list, tuple))
@@ -96,10 +85,16 @@ def check_case(kind: str, case) -> None:
         )
     ):
         raise ValueError(f"malformed {kind} case {case!r}")
-    n = case[0]
-    problems = [_param_problem(name, value, n) for name, value in zip(claim.params, case)]
-    if claim.max_n is not None and n > claim.max_n:
-        problems.append(f"the {kind} check is desk scale: n <= {claim.max_n}")
-    problem = next((p for p in problems if p), None)
-    if problem:
-        raise ValueError(f"invalid {kind} case {case!r}: {problem}")
+    try:
+        n = check_rank(case[0])
+        for name, value in zip(claim.params[1:], case[1:]):
+            if name == "lam":
+                check_weight(n, value)
+            elif name == "k":
+                check_k(n, value)
+            elif name == "r" and value < 1:  # the claims need a nonzero weight
+                raise ValueError(f"r={value} must be >= 1")
+        if claim.max_n is not None and n > claim.max_n:
+            raise ValueError(f"the {kind} check is desk scale: n <= {claim.max_n}")
+    except ValueError as exc:
+        raise ValueError(f"invalid {kind} case {case!r}: {exc}") from None

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Sequence
 from .claims import CLAIMS
 from .roots import (
     ik_word,
-    is_reduced,
     lexmax_word,
     lexmin_word,
     positive_roots,
@@ -68,12 +67,6 @@ def _parse_lambda(raw: str, n: int) -> tuple[int, ...]:
     if len(parts) > n:
         raise ValueError(f"need at most {n} nonnegative entries in {raw!r}")
     return tuple(parts) + (0,) * (n - len(parts))
-
-
-def _check_rank(n: int) -> None:
-    """Reject a rank below 1 with the message ``roots`` and ``fflv`` give."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
 
 
 def _parse_word(raw: str, n: int) -> tuple[int, ...]:
@@ -136,7 +129,6 @@ def cmd_roots(args) -> int:
 
 
 def cmd_word(args) -> int:
-    _check_rank(args.n)
     if args.ik is not None:
         word = ik_word(args.n, args.ik)
     elif args.lexmax:
@@ -145,11 +137,10 @@ def cmd_word(args) -> int:
         word = _parse_word(args.word, args.n)
     else:
         word = lexmin_word(args.n)
-    if not is_reduced(word, args.n):
-        raise ValueError(f"not a reduced word for the longest element: {word}")
+    enum = root_enumeration(word, args.n)  # raises on a bad rank or a non-reduced word
     lines = [_word_str(word)]
     if args.enumerate:
-        lines.append(" ".join(str(r) for r in root_enumeration(word, n=args.n)))
+        lines.append(" ".join(str(r) for r in enum))
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -168,7 +159,6 @@ def cmd_fflv(args) -> int:
 def cmd_tiling(args) -> int:
     from .tiling import build_tiling, tiling_to_json, tiling_to_svg
 
-    _check_rank(args.n)
     word = _parse_word(args.word, args.n)
     T = build_tiling(word, n=args.n)
     if args.format == "svg":
@@ -185,7 +175,6 @@ def cmd_tiling(args) -> int:
 def cmd_lusztig(args) -> int:
     from .tiling import lusztig_hrep, lusztig_points
 
-    _check_rank(args.n)
     word = _parse_word(args.word, args.n)
     lam = _parse_lambda(args.lam, args.n)
     if args.mode == "hrep":

@@ -25,9 +25,9 @@ from functools import cache
 from operator import index
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .fflv import _check_dominant, fflv_points
+from .fflv import fflv_points
 from .polytope import PointSet, _Value
-from .roots import Root, fundamental_weight, root_index, weight_of_point
+from .roots import Root, check_weight, fundamental_weight, root_index, weight_of_point
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
@@ -201,7 +201,7 @@ class WordCrystal:
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
         self.m = n + 1
-        self.lam = _check_dominant(n, lam)
+        self.lam = check_weight(n, lam)
         hw: list[int] = []
         for k in range(n, 0, -1):
             hw.extend(list(range(1, k + 1)) * self.lam[k - 1])
@@ -588,8 +588,6 @@ def sl3_blt(a: int, b: int) -> CrystalGraph:
 
 def critical_points(a: int, b: int) -> PointSet:
     """Lattice points of FFLV_2(a w_1 + b w_2) on the wall x_{alpha_1} = x_{alpha_2}."""
-    if a < 0 or b < 0:
-        raise ValueError("need a, b >= 0")
     pts = [p for p in fflv_points(2, (a, b)) if p[0] == p[2]]
     return PointSet(pts, dim=3)
 
@@ -816,11 +814,13 @@ def fixed_k_check(n: int, k: int, r: int) -> bool:
     forced, judged by its pairing with the oracle; for r >= 2 uniqueness genuinely fails (two j's can be feasible
     at one vertex), so the check falls back to searching the fixed-k
     selections for a valid crystal.  A search that stops at
-    ``SEARCH_BUDGET`` nodes without one raises RuntimeError.
+    ``SEARCH_BUDGET`` nodes without one raises RuntimeError.  n, k and r
+    are checked by ``fundamental_weight``; r = 0 has no crystal to recover
+    and raises ValueError too.
     """
-    if not (1 <= k <= n and r >= 1):
-        raise ValueError(f"bad arguments n={n}, k={k}, r={r}")
     lam = fundamental_weight(n, k, r)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     pts = fflv_points(n, lam)
     weights = {v: weight_of_point(lam, v) for v in pts}
     cand = {

@@ -9,11 +9,10 @@ lambda_j, where the path runs from alpha_{i,i} to alpha_{j,j}.
 from __future__ import annotations
 
 from functools import cache
-from operator import index
 from typing import NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, _once, lattice_points
-from .roots import Root, num_roots, root_index, weight_mu
+from .roots import Root, check_k, check_weight, num_roots, root_index, weight_mu
 
 
 class DyckPath(NamedTuple):
@@ -25,20 +24,6 @@ class DyckPath(NamedTuple):
 class FundamentalPoint(NamedTuple):
     subset: tuple[int, ...]
     point: tuple[int, ...]
-
-
-def _check_dominant(n: int, lam: Sequence[int]) -> tuple[int, ...]:
-    """lambda as a tuple of ints; raises unless it is a dominant weight of
-    rank n and n is an integer >= 1."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
-    lam = tuple(map(index, lam))
-    if len(lam) != n:
-        raise ValueError(f"weight has {len(lam)} entries, expected {n}")
-    if any(v < 0 for v in lam):
-        raise ValueError(f"weight must be dominant (all entries >= 0): {lam}")
-    index(n)  # a float or a string n raises TypeError, after the checks above
-    return lam
 
 
 def root_paths(start: Root, end: Root) -> list[tuple[Root, ...]]:
@@ -98,7 +83,7 @@ def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
     The rows' coefficients come from the per-rank cache ``_dyck_rows``;
     only the right-hand sides are computed per call.
     """
-    lam = _check_dominant(n, lam)
+    lam = check_weight(n, lam)
     rows = tuple((coeffs, sum(lam[i - 1 : j])) for coeffs, i, j in _dyck_rows(n))
     return HPolytope(dim=num_roots(n), rows=rows, nonneg=True)
 
@@ -114,7 +99,7 @@ def fflv_points(n: int, lam: Sequence[int]) -> PointSet:
     and shared; a failure is not stored.  Outside a run every call
     enumerates.
     """
-    lam = _check_dominant(n, lam)
+    lam = check_weight(n, lam)
     return _once(("fflv", n, lam), lambda: lattice_points(fflv_hrep(n, lam)))
 
 
@@ -125,8 +110,7 @@ def fundamental_points(n: int, k: int) -> list[FundamentalPoint]:
     and p_1 < ... < p_{k-s} be [k] \\ J; the point has value 1 exactly at the
     roots alpha_{p_r, j_{k-r+1} - 1}.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    k = check_k(n, k)
     from itertools import combinations
 
     idx = root_index(n)
@@ -143,7 +127,7 @@ def fundamental_points(n: int, k: int) -> list[FundamentalPoint]:
 
 def weyl_dim(n: int, lam: Sequence[int]) -> int:
     """dim V(lambda) by the Weyl formula, in exact arithmetic."""
-    lam = _check_dominant(n, lam)
+    lam = check_weight(n, lam)
     mu = weight_mu(lam)
     m = n + 1
     num = den = 1

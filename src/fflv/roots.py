@@ -9,6 +9,11 @@ letters in [1, n] of length N = n(n+1)/2 such that every letter swaps an
 ascent of the running permutation.  Each reduced word induces an enumeration
 of the positive roots; the special words ``ik_word(n, k)`` enumerate the
 roots containing k first.
+
+This module owns the input rules of the package: ``check_rank``,
+``check_weight``, ``check_k``, ``check_word`` and ``fundamental_weight``
+are the only places a rank, a weight, a k, a word's letters or a multiple
+r is checked, so every entry point rejects bad input with one text.
 """
 
 from __future__ import annotations
@@ -38,11 +43,46 @@ def num_roots(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def check_rank(n: int) -> int:
+    """n as an int; raises ValueError below 1 and TypeError unless n is an
+    integer (a float or a string is never truncated)."""
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    return index(n)
+
+
+def check_weight(n: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """lambda as a tuple of ints; raises unless it is a dominant weight of
+    rank n and n is a rank."""
+    n = check_rank(n)
+    lam = tuple(map(index, lam))
+    if len(lam) != n:
+        raise ValueError(f"weight has {len(lam)} entries, expected {n}")
+    if any(v < 0 for v in lam):
+        raise ValueError(f"weight must be dominant (all entries >= 0): {lam}")
+    return lam
+
+
+def check_k(n: int, k: int) -> int:
+    """k as an int; raises unless n is a rank and 1 <= k <= n."""
+    check_rank(n)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return index(k)
+
+
+def check_word(word: Sequence[int], n: int | None = None) -> tuple[Word, int]:
+    """The word's letters as ints and its rank, the largest letter when n
+    is None; raises unless the rank is >= 1.  Whether the word is reduced
+    is ``root_enumeration``'s check."""
+    word = tuple(map(index, word))
+    return word, check_rank(max(word, default=0) if n is None else n)
+
+
 @cache
 def _canonical_roots(n: int) -> tuple[Root, ...]:
     """The per-rank table behind ``positive_roots`` and ``root_index``."""
-    if n < 1:
-        raise ValueError("rank must be >= 1")
+    n = check_rank(n)
     return tuple(Root(i, j) for i in range(1, n + 1) for j in range(i, n + 1))
 
 
@@ -58,27 +98,14 @@ def root_index(n: int) -> Mapping[Root, int]:
 
 
 def is_reduced(word: Sequence[int], n: int | None = None) -> bool:
-    """True iff ``word`` is a reduced expression for the longest element.
-
-    Multiplies the word into a one-line permutation, insisting that every
-    letter swaps an ascent (otherwise the length would drop).  After N
-    ascent swaps the permutation is automatically the longest one; the final
-    comparison is kept as a cheap sanity net.
-    """
-    word = tuple(word)
-    if n is None:
-        n = max(word, default=0)
-    if n < 1 or any(not 1 <= a <= n for a in word):
+    """True iff ``word`` is a reduced expression for the longest element of
+    rank n (of its largest letter when n is None); a rank below 1 has none.
+    A float or a string letter raises TypeError, as in ``check_word``."""
+    try:
+        root_enumeration(word, n)
+    except ValueError:
         return False
-    if len(word) != num_roots(n):
-        return False
-    m = n + 1
-    perm = list(range(1, m + 1))
-    for a in word:
-        if perm[a - 1] > perm[a]:
-            return False
-        perm[a - 1], perm[a] = perm[a], perm[a - 1]
-    return perm == list(range(m, 0, -1))
+    return True
 
 
 def lexmin_word(n: int) -> Word:
@@ -105,8 +132,7 @@ def ik_word(n: int, k: int) -> Word:
     interval contains k, column by column; the remaining two factors finish
     w0 without ever touching those roots again.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    k = check_k(n, k)
     out: list[int] = []
     for t in range(k, n + 1):
         out.extend(range(t, t - k, -1))
@@ -120,21 +146,24 @@ def ik_word(n: int, k: int) -> Word:
 def root_enumeration(word: Sequence[int], n: int | None = None) -> list[Root]:
     """The positive roots in the order induced by a reduced word.
 
-    At step k with letter a the running one-line permutation has an ascent
-    lo < hi at positions (a, a+1); the step records alpha_{lo, hi-1} and
-    swaps the entries.
+    Multiplies the word into a one-line permutation: at each step the
+    letter a must swap an ascent lo < hi at positions (a, a+1), else the
+    length would drop, and the step records alpha_{lo, hi-1}.  After N
+    ascent swaps the permutation is the longest one.  Raises ValueError on
+    a word that is not reduced; the letters and the rank are checked by
+    ``check_word``.
     """
-    word = tuple(word)
-    if n is None:
-        n = max(word, default=0)
-    if not is_reduced(word, n):
-        raise ValueError(f"not a reduced word for the longest element: {word}")
+    word, n = check_word(word, n)
     perm = list(range(1, n + 2))
     out: list[Root] = []
     for a in word:
+        if not 1 <= a <= n or perm[a - 1] > perm[a]:
+            break
         lo, hi = perm[a - 1], perm[a]
         out.append(Root(lo, hi - 1))
         perm[a - 1], perm[a] = hi, lo
+    if not len(out) == len(word) == num_roots(n):
+        raise ValueError(f"not a reduced word for the longest element: {word}")
     return out
 
 
@@ -144,7 +173,7 @@ def all_reduced_words(n: int) -> list[Word]:
     Exhaustive walk over ascent swaps; 2 words at n=2, 16 at n=3.  Intended
     for small n only.
     """
-    m = n + 1
+    m = check_rank(n) + 1
     target = tuple(range(m, 0, -1))
     out: list[Word] = []
     stack: list[tuple[tuple[int, ...], Word]] = [(tuple(range(1, m + 1)), ())]
@@ -174,11 +203,13 @@ def random_reduced_word(n: int, rng: random.Random) -> Word:
 
 
 def fundamental_weight(n: int, k: int, r: int = 1) -> tuple[int, ...]:
-    """The weight r * omega_k of rank n.  r must be an integer: a float or
-    a string raises TypeError, never truncates."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    """The weight r * omega_k of rank n: the one check of (n, k, r).  r must
+    be an integer >= 0: a float or a string raises TypeError, never
+    truncates."""
+    k = check_k(n, k)
     r = index(r)
+    if r < 0:
+        raise ValueError(f"need r >= 0, got r={r}")
     return tuple(r if t == k else 0 for t in range(1, n + 1))
 
 

@@ -21,12 +21,13 @@ for pictures only.
 from __future__ import annotations
 
 import math
-from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, _once, _Value, lattice_points
 from .roots import (
     Root,
+    check_weight,
+    check_word,
     fundamental_weight,
     ik_word,
     num_roots,
@@ -163,9 +164,7 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     alpha_{s, t-1}, matching the word's root enumeration step for step.
     Letters must be integers: a float or a string raises TypeError.
     """
-    word = tuple(map(index, word))
-    if n is None:
-        n = max(word, default=0)
+    word, n = check_word(word, n)
     enum = root_enumeration(word, n)  # raises on a non-reduced word
     m = n + 1
     ids = iter(range(10 ** 9))
@@ -421,7 +420,8 @@ def lusztig_hrep(word: Sequence[int], lam: Sequence[int], n: int | None = None) 
     built once per (word, n).  The word's letters, lambda and n must be
     integers: a float or a string raises TypeError, never truncates.
     """
-    word, lam, n = _lusztig_args(word, lam, n)
+    word, n = check_word(word, n)
+    lam = check_weight(n, lam)
     return _hrep(_system(word, n).rows, lam, n)
 
 
@@ -430,22 +430,6 @@ def _hrep(rows: Sequence[tuple[int, tuple[int, ...]]], lam: tuple[int, ...], n: 
     with rhs lambda_s; a repeated (coefficients, rhs) is kept once."""
     unique = dict.fromkeys((coeffs, lam[s - 1]) for s, coeffs in rows)
     return HPolytope(dim=num_roots(n), rows=tuple(unique), nonneg=True)
-
-
-def _lusztig_args(
-    word: Sequence[int], lam: Sequence[int], n: int | None
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The word, lambda and n as ints, n resolved to the word's largest
-    letter when None; raises as ``lusztig_hrep`` documents."""
-    word = tuple(map(index, word))
-    if n is None:
-        n = max(word, default=0)
-    lam = tuple(map(index, lam))
-    if len(lam) != n:
-        raise ValueError(f"weight has {len(lam)} entries, expected {n}")
-    if any(v < 0 for v in lam):
-        raise ValueError(f"weight must be dominant: {lam}")
-    return word, lam, index(n)
 
 
 class _System(NamedTuple):
@@ -500,7 +484,8 @@ def lusztig_points(
     gets its own points.  A failure is not stored.  Outside a run every
     call computes, tiling and searching the word once.
     """
-    word, lam, n = _lusztig_args(word, lam, n)
+    word, n = check_word(word, n)
+    lam = check_weight(n, lam)
     system = _system(word, n)
     return _once(
         ("lusztig", n, system.row_set, lam),
@@ -513,16 +498,15 @@ def check_rectangle_support(n: int, k: int, r: int) -> bool:
     the k-rectangle {alpha_{i,j} : i <= k <= j}?
 
     Cross-checked positionally: that rectangle must be exactly the head (the
-    first k(n-k+1) roots) of the i^k enumeration.
+    first k(n-k+1) roots) of the i^k enumeration.  n, k and r are checked
+    by ``fundamental_weight``.
     """
-    if not (1 <= k <= n and r >= 0):
-        raise ValueError(f"bad arguments n={n}, k={k}, r={r}")
+    lam = fundamental_weight(n, k, r)
     roots = positive_roots(n)
     rect = {rt for rt in roots if rt.i <= k <= rt.j}
     head = set(root_enumeration(ik_word(n, k), n)[: k * (n - k + 1)])
     if head != rect:
         return False
-    lam = fundamental_weight(n, k, r)
     pts = lusztig_points(ik_word(n, k), lam, n)
     outside = [d for d, rt in enumerate(roots) if rt not in rect]
     return all(all(p[d] == 0 for d in outside) for p in pts)

@@ -2,6 +2,9 @@
 
 import random
 
+from fflv.claims import check_case
+from fflv.crystal import WordCrystal, fixed_k_check
+from fflv.fflv import fflv_points, fundamental_points
 from fflv.roots import (
     Root,
     all_reduced_words,
@@ -18,6 +21,7 @@ from fflv.roots import (
     weight_mu,
     weight_of_point,
 )
+from fflv.tiling import build_tiling, check_rectangle_support, lusztig_hrep, lusztig_points
 
 import oracles
 
@@ -168,6 +172,75 @@ def test_fundamental_weight():
         assert str(exc) == "need 1 <= k <= n, got k=3, n=2"
     else:
         raise AssertionError("k > n accepted")
+
+
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+# bad input -> (what it changes in a good input, exception type, message)
+_BAD_INPUTS = {
+    "rank 0": ({"n": 0}, ValueError, "rank must be >= 1"),
+    "rank -1": ({"n": -1}, ValueError, "rank must be >= 1"),
+    "float rank": ({"n": 2.0}, TypeError, _NOT_AN_INT),
+    "weight of the wrong length": ({"lam": (1,)}, ValueError, "weight has 1 entries, expected 2"),
+    "negative weight entry": (
+        {"lam": (1, -1)}, ValueError, "weight must be dominant (all entries >= 0): (1, -1)"
+    ),
+    "k = 0": ({"k": 0}, ValueError, "need 1 <= k <= n, got k=0, n=2"),
+    "k = n + 1": ({"k": 3}, ValueError, "need 1 <= k <= n, got k=3, n=2"),
+    "r = -1": ({"r": -1}, ValueError, "need r >= 0, got r=-1"),  # -omega_k is not dominant
+    "float letter": ({"word": (1.0, 2, 1)}, TypeError, _NOT_AN_INT),
+}
+_GOOD = {"n": 2, "lam": (1, 1), "k": 1, "r": 1, "word": (1, 2, 1)}
+
+
+def _case_reason(kind, *case):
+    """check_case's message without its ``invalid <kind> case ...:`` prefix."""
+    try:
+        check_case(kind, list(case))
+    except ValueError as exc:
+        prefix, reason = str(exc).split(": ", 1)
+        assert prefix == f"invalid {kind} case {list(case)!r}", prefix
+        raise ValueError(reason) from None
+
+
+# entry point -> (the inputs it reads, call)
+_ENTRY_POINTS = {
+    "fflv_points": ("n lam", lambda a: fflv_points(a["n"], a["lam"])),
+    "lusztig_points": ("n lam word", lambda a: lusztig_points(a["word"], a["lam"], a["n"])),
+    "lusztig_hrep": ("n lam word", lambda a: lusztig_hrep(a["word"], a["lam"], a["n"])),
+    "WordCrystal": ("n lam", lambda a: WordCrystal(a["n"], a["lam"])),
+    "ik_word": ("n k", lambda a: ik_word(a["n"], a["k"])),
+    "fundamental_points": ("n k", lambda a: fundamental_points(a["n"], a["k"])),
+    "fundamental_weight": ("n k r", lambda a: fundamental_weight(a["n"], a["k"], a["r"])),
+    "check_rectangle_support": ("n k r", lambda a: check_rectangle_support(a["n"], a["k"], a["r"])),
+    "fixed_k_check": ("n k r", lambda a: fixed_k_check(a["n"], a["k"], a["r"])),
+    "build_tiling": ("n word", lambda a: build_tiling(a["word"], a["n"])),
+    "all_reduced_words": ("n", lambda a: all_reduced_words(a["n"])),  # no [()] below rank 1
+    "check_case main": ("n lam", lambda a: _case_reason("main", a["n"], list(a["lam"]))),
+    "check_case dyck": ("n k", lambda a: _case_reason("dyck", a["n"], a["k"])),
+}
+_MALFORMED_CASE = {"float rank"}  # check_case takes only ints: a float is malformed first
+
+
+def test_each_input_rule_has_one_reason_everywhere():
+    # every entry point that reads an input rejects it through the one
+    # checker in fflv.roots: one exception type and one message per rule
+    checked = 0
+    for bad, (change, exc_type, message) in _BAD_INPUTS.items():
+        args = {**_GOOD, **change}
+        for name, (reads, call) in _ENTRY_POINTS.items():
+            if not set(change) <= set(reads.split()):
+                continue
+            if name.startswith("check_case") and bad in _MALFORMED_CASE:
+                continue
+            try:
+                call(args)
+            except Exception as exc:
+                assert (type(exc), str(exc)) == (exc_type, message), (bad, name)
+            else:
+                raise AssertionError(f"{name} accepted {bad}")
+            checked += 1
+    assert checked == 65
 
 
 def test_weight_of_point_frozen():

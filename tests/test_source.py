@@ -95,3 +95,21 @@ def test_only_polytope_reads_the_run_memo():
         if _names_run(node) and not isinstance(getattr(node, "ctx", None), ast.Store)
     }
     assert readers == {"_one_run", "_once"}
+
+
+# the text of each input rule's error; fflv.roots checks each rule once
+_RULE_TEXTS = ("rank must be >= 1", "weight must be dominant", "entries, expected", "need 1 <= k <= n")
+
+
+def test_only_roots_writes_the_input_rules():
+    # a rank, weight or k checked anywhere else is a second copy, which can
+    # drift from the first in what it accepts and in what it says
+    found = [
+        f"{path.name}:{text}"
+        for path in SOURCES
+        for text in _RULE_TEXTS
+        if text in path.read_text() and path.name != "roots.py"
+    ]
+    assert found == []
+    roots = (pathlib.Path(fflv.__file__).parent / "roots.py").read_text()
+    assert [roots.count(text) for text in _RULE_TEXTS] == [1, 1, 1, 1]
