@@ -79,7 +79,7 @@ WORKLOADS = {
         "crossings_found": ("dual_crossings", len),
         "crossings_kept": ("reineke_filter", len),
         "peel_calls": ("peel_order", None),
-        "peel_layers": ("peel_order", lambda layers: layers.num_layers),
+        "peel_layers": ("peel_order", lambda layer: max(layer.values())),
         "hrep_rows": ("_hrep", lambda P: len(P.rows)),
     }),
     "crystal": Workload(workloads.crystal_cases, (crystal, roots), {

@@ -110,7 +110,7 @@ def _emit_points(pts, args) -> None:
     if args.mode == "count":
         _emit(str(len(pts)), args.out)
     elif args.format == "json":
-        _emit(pts.dumps(), args.out)
+        _emit(_dumps(pts.to_json()), args.out)
     else:
         _emit("\n".join(" ".join(map(str, p)) for p in pts), args.out)
 

@@ -86,7 +86,7 @@ class CrystalGraph(_Value):
         return cls(
             n=obj["n"],
             lam=tuple(obj["lambda"]),
-            vertices=PointSet.from_json(obj["vertices"]),
+            vertices=PointSet(obj["vertices"]),
             edges=frozenset(
                 (tuple(e["source"]), e["color"], tuple(e["target"]))
                 for e in obj["edges"]
@@ -456,12 +456,9 @@ def _apply_chain(op: list[list[int]], i: int, colors: Iterable[int]) -> int:
     return i
 
 
-def oracle_iso_report(G: CrystalGraph, lam: Sequence[int]) -> tuple[bool, str]:
-    """Deterministic traversal pairing G with the word oracle for lambda."""
-    return _iso_report(G, word_oracle(G.n, lam))
-
-
 def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
+    """Deterministic traversal pairing G with the oracle crystal W: whether
+    they pair, and the first mismatch met when not."""
     ix = _index(G)
     if ix.stray:
         return False, ix.stray[0][1]
@@ -508,7 +505,7 @@ def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
 
 
 def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
-    return oracle_iso_report(G, lam)[0]
+    return _iso_report(G, word_oracle(G.n, lam))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +768,7 @@ def conjecture_search(
         sigma = tuple(range(1, n + 1))
     elif mode != "greedy":
         raise ValueError("sigma applies only to greedy mode")
-    sigma = tuple(sigma)
+    sigma = tuple(map(index, sigma))  # a float or a string raises TypeError
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"sigma must be a permutation of [1, {n}]")
     if budget is None:

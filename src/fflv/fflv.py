@@ -85,7 +85,7 @@ def fflv_hrep(n: int, lam: Sequence[int]) -> HPolytope:
     """
     lam = check_weight(n, lam)
     rows = tuple((coeffs, sum(lam[i - 1 : j])) for coeffs, i, j in _dyck_rows(n))
-    return HPolytope(dim=num_roots(n), rows=rows, nonneg=True)
+    return HPolytope(dim=num_roots(n), rows=rows)
 
 
 def fflv_points(n: int, lam: Sequence[int]) -> PointSet:

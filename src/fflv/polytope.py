@@ -1,17 +1,16 @@
 """Exact integer H-polytope machinery.
 
-An ``HPolytope`` is a list of rows ``coeffs . x <= rhs`` over Z^N, usually
-with the implicit constraint x >= 0.  ``lattice_points`` enumerates all its
-integer points inside a box that ``certified_box`` proves from the rows
-alone; everything downstream (Minkowski sums, membership) works on the
-resulting ``PointSet``.
+An ``HPolytope`` is a list of rows ``coeffs . x <= rhs`` over Z^N, with
+the implicit constraint x >= 0: every polytope of the package lies there.
+``lattice_points`` enumerates all its integer points inside a box that
+``certified_box`` proves from the rows alone; everything downstream
+(Minkowski sums, membership) works on the resulting ``PointSet``.
 
 All arithmetic is exact: Python integers only, no floats, no epsilons.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -83,39 +82,33 @@ class _Value:
 
 
 class HPolytope(NamedTuple):
+    """The rows ``coeffs . x <= rhs`` over Z^dim, with x >= 0 implied."""
+
     dim: int
     rows: tuple[RowT, ...]
-    nonneg: bool = True
 
     @classmethod
-    def make(
-        cls,
-        dim: int,
-        rows: Iterable[tuple[Sequence[int], int]],
-        nonneg: bool = True,
-    ) -> "HPolytope":
+    def make(cls, dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> "HPolytope":
         norm = []
         for coeffs, rhs in rows:
             coeffs = tuple(map(index, coeffs))
             if len(coeffs) != dim:
                 raise ValueError(f"row has {len(coeffs)} coefficients, dim is {dim}")
             norm.append((coeffs, index(rhs)))
-        return cls(dim=dim, rows=tuple(norm), nonneg=nonneg)
+        return cls(dim=dim, rows=tuple(norm))
 
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "nonneg": self.nonneg,
+            "nonneg": True,
             "rows": [{"a": list(a), "b": b} for a, b in self.rows],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "HPolytope":
-        return cls.make(
-            dim=obj["dim"],
-            rows=[(row["a"], row["b"]) for row in obj["rows"]],
-            nonneg=obj["nonneg"],
-        )
+        if obj["nonneg"] is not True:
+            raise ValueError("only polytopes in x >= 0 are supported")
+        return cls.make(dim=obj["dim"], rows=[(row["a"], row["b"]) for row in obj["rows"]])
 
 
 class PointSet:
@@ -177,14 +170,6 @@ class PointSet:
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in self._pts]
 
-    @classmethod
-    def from_json(cls, arr: list, dim: int | None = None) -> "PointSet":
-        return cls(arr, dim=dim)
-
-    def dumps(self) -> str:
-        """Canonical JSON text (used for byte-stable CLI output)."""
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
 
 def contains(P: HPolytope, x: Sequence[int]) -> bool:
     """Does P hold the integer point x?  Coordinates must be integers: a
@@ -192,7 +177,7 @@ def contains(P: HPolytope, x: Sequence[int]) -> bool:
     x = tuple(map(index, x))
     if len(x) != P.dim:
         raise ValueError(f"point has dimension {len(x)}, polytope has {P.dim}")
-    if P.nonneg and any(v < 0 for v in x):
+    if any(v < 0 for v in x):
         return False
     return all(
         sum(c * v for c, v in zip(a, x)) <= b for a, b in P.rows
@@ -297,8 +282,6 @@ def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tupl
     is shared by every polytope with the same dimension and coefficients;
     outside one it is built for this call alone.
     """
-    if not P.nonneg:
-        raise ValueError("a certified box needs the implicit x >= 0 constraints")
     key = ("plan", P.dim, tuple(a for a, _ in P.rows))
     order, steps, cols = _once(key, lambda: _plan(P.dim, P.rows))
     worst = [b for _, b in P.rows]

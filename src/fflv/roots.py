@@ -111,13 +111,14 @@ def is_reduced(word: Sequence[int], n: int | None = None) -> bool:
 def lexmin_word(n: int) -> Word:
     """(1, 2,1, 3,2,1, ..., n,...,1) - the lexicographically minimal word."""
     out: list[int] = []
-    for r in range(1, n + 1):
+    for r in range(1, check_rank(n) + 1):
         out.extend(range(r, 0, -1))
     return tuple(out)
 
 
 def lexmax_word(n: int) -> Word:
     """(n, n-1,n, ..., 1,...,n) - the lexicographically maximal word."""
+    n = check_rank(n)
     out: list[int] = []
     for r in range(n, 0, -1):
         out.extend(range(r, n + 1))
@@ -192,6 +193,7 @@ def all_reduced_words(n: int) -> list[Word]:
 
 def random_reduced_word(n: int, rng: random.Random) -> Word:
     """A reduced word sampled by a random ascent walk (not uniform)."""
+    n = check_rank(n)
     m = n + 1
     perm = list(range(1, m + 1))
     acc: list[int] = []

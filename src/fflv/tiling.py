@@ -10,9 +10,9 @@ tile with label pair {s, t}; tiles correspond to positive roots via
 
 On top of the tiling: strips (the m-1 tiles carrying a fixed label, read
 in fold order), peeling partial orders for each of the 2m boundary
-windows, dual Reineke s-crossings with their strip sequences, assembled
-inside the one search that finds them, and the resulting inequality
-system for the Lusztig polytope of the word.
+windows, dual Reineke s-crossings, assembled inside the one search that
+finds them, and the resulting inequality system for the Lusztig polytope
+of the word.
 
 No planar coordinates are stored; the optional SVG renderer assigns them
 for pictures only.
@@ -21,6 +21,7 @@ for pictures only.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Mapping, NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, _once, _Value, lattice_points
@@ -86,8 +87,9 @@ class Tile(_Value):
 
 class Tiling:
     """The tiles and edges of a word's tiling, with the adjacency derived from
-    ``incidence`` (edge -> the tiles it borders); the constructor raises
-    ``RuntimeError`` when two tiles share more than one edge."""
+    ``incidence`` (edge -> the tiles it borders, every edge in creation
+    order); the constructor raises ``RuntimeError`` when two tiles share
+    more than one edge."""
 
     def __init__(
         self,
@@ -95,7 +97,6 @@ class Tiling:
         m: int,
         word: tuple[int, ...],
         tiles: tuple[Tile, ...],
-        edges: tuple[Edge, ...],
         left_boundary: tuple[Edge, ...],   # L_1 .. L_m, bottom to top
         right_boundary: tuple[Edge, ...],  # R_1 .. R_m, top to bottom of the final border
         borders: tuple[tuple[Edge, ...], ...],  # B^(0) .. B^(N), each bottom to top
@@ -105,7 +106,6 @@ class Tiling:
         self.m = m
         self.word = word
         self.tiles = tiles
-        self.edges = edges
         self.left_boundary = left_boundary
         self.right_boundary = right_boundary
         self.borders = borders
@@ -130,30 +130,28 @@ class Tiling:
         }
 
 
-class PeelOrder(NamedTuple):
-    s: int
-    layer: dict[int, int]  # tile id -> layer (1-based)
-    num_layers: int
-
-
 class DualCrossing(_Value):
     """A dual s-crossing; equal, and equally hashed, when all fields are."""
 
-    __slots__ = _value = ("tiles", "s", "strip_sequence", "entering_leaving")
+    __slots__ = _value = ("tiles", "s", "entering_leaving")
 
     def __init__(
         self,
         tiles: tuple[Tile, ...],
         s: int,
-        strip_sequence: tuple[int, ...],
         # per tile: the strip label it is entered / left through; equal entries
         # mean an interior tile of that strip, distinct entries a turning tile
         entering_leaving: tuple[tuple[int, int], ...],
     ) -> None:
         self.tiles = tiles
         self.s = s
-        self.strip_sequence = strip_sequence
         self.entering_leaving = entering_leaving
+
+    @property
+    def strip_sequence(self) -> tuple[int, ...]:
+        """The strips the crossing travels in: s, then the label each
+        turning tile is left through."""
+        return (self.s,) + tuple(b for a, b in self.entering_leaving if a != b)
 
 
 def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
@@ -173,7 +171,7 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     )
     border: list[Edge] = list(left)
     borders = [tuple(border)]
-    all_edges: list[Edge] = list(left)
+    inc: dict[Edge, list[Tile]] = {e: [] for e in left}  # every edge, in creation order
     created = {(e.bottom, e.label) for e in left}
     tiles: list[Tile] = []
     for a, root in zip(word, enum):
@@ -193,7 +191,7 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
             if key in created:  # each geometric edge may be created only once
                 raise RuntimeError(f"edge {key} created twice (word {word})")
             created.add(key)
-            all_edges.append(e)
+            inc[e] = []
         tiles.append(
             Tile(
                 id=len(tiles),
@@ -211,7 +209,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     if [e.label for e in right] != list(range(1, m + 1)):
         raise RuntimeError(f"right boundary out of label order (word {word})")
 
-    inc: dict[Edge, list[Tile]] = {e: [] for e in all_edges}
     for tile in tiles:
         for e in tile.all_edges:
             inc[e].append(tile)
@@ -223,7 +220,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         m=m,
         word=word,
         tiles=tuple(tiles),
-        edges=tuple(all_edges),
         left_boundary=left,
         right_boundary=right,
         borders=tuple(borders),
@@ -237,22 +233,27 @@ def strip(T: Tiling, t: int) -> tuple[Tile, ...]:
     Every border holds one edge labelled t, and a tile carrying t replaces
     it by the tile's other edge labelled t, so the fold creates the tiles of
     strip t in the order the strip runs: they are the tiles carrying t in
-    ``T.tiles`` order.
+    ``T.tiles`` order.  The label must be an integer: a float or a string
+    raises TypeError.
     """
+    t = index(t)
     if not 1 <= t <= T.m:
         raise ValueError(f"label {t} out of range [1, {T.m}]")
     return tuple(tile for tile in T.tiles if tile.s == t or tile.t == t)
 
 
-def peel_order(T: Tiling, s: int) -> PeelOrder:
-    """Iterated peeling from the boundary window b_{m+s+1} .. b_{2m+s}.
+def peel_order(T: Tiling, s: int) -> dict[int, int]:
+    """Iterated peeling from the boundary window b_{m+s+1} .. b_{2m+s}:
+    tile id -> layer (1-based), in peeling order.
 
     Layer 1 is every tile meeting the window in exactly two of its four
     edges; peeling swaps those edges for the tiles' other two and repeats.
     All tiles of a layer are peeled simultaneously.  Each tile's count of
     border edges is taken once and then kept current through the incidence
-    of every edge a peel flips.
+    of every edge a peel flips.  The window must be an integer: a float or
+    a string raises TypeError.
     """
+    s = index(s)
     m = T.m
     if not 1 <= s <= 2 * m:
         raise ValueError(f"peel index {s} out of range [1, {2 * m}]")
@@ -284,7 +285,7 @@ def peel_order(T: Tiling, s: int) -> PeelOrder:
                     on_border[other.id] += delta
             layer[tid] = level
         remaining = [tid for tid in remaining if tid not in layer]
-    return PeelOrder(s=s, layer=layer, num_layers=level)
+    return layer
 
 
 def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
@@ -297,11 +298,13 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     peel layers; every pruned subtree holds no path to the end tile, so the
     crossings and their order are those of the full search.  The search
     carries the labels of the edges it crosses and assembles each crossing
-    as it reaches the end tile.
+    as it reaches the end tile.  s must be an integer: a float or a string
+    raises TypeError.
     """
+    s = index(s)
     if not 1 <= s <= T.n:
         raise ValueError(f"need 1 <= s <= {T.n}, got {s}")
-    layer = peel_order(T, T.m + s).layer
+    layer = peel_order(T, T.m + s)
     start = strip(T, s)[-1]
     end = strip(T, s + 1)[-1]
 
@@ -349,8 +352,7 @@ def _extend_paths(
     if tile.id == end_id:
         if _fits(tile, enter, s + 1):
             roles.append((enter, s + 1))
-            seq = (s,) + tuple(b for a, b in roles if a != b)  # the turns
-            out.append(DualCrossing(tuple(path), s, seq, tuple(roles)))
+            out.append(DualCrossing(tuple(path), s, tuple(roles)))
             roles.pop()
         return
     for nb in steps[tile.id]:
@@ -429,7 +431,7 @@ def _hrep(rows: Sequence[tuple[int, tuple[int, ...]]], lam: tuple[int, ...], n: 
     """The H-polytope of the crossing rows ``rows``, each (s, coefficients),
     with rhs lambda_s; a repeated (coefficients, rhs) is kept once."""
     unique = dict.fromkeys((coeffs, lam[s - 1]) for s, coeffs in rows)
-    return HPolytope(dim=num_roots(n), rows=tuple(unique), nonneg=True)
+    return HPolytope(dim=num_roots(n), rows=tuple(unique))
 
 
 class _System(NamedTuple):
@@ -519,7 +521,7 @@ def check_rectangle_support(n: int, k: int, r: int) -> bool:
 def tiling_to_json(T: Tiling) -> dict:
     strips = {t: [tile.id for tile in strip(T, t)] for t in range(1, T.m + 1)}
     peels = {
-        s: {tid: lv for tid, lv in sorted(peel_order(T, s).layer.items())}
+        s: {tid: lv for tid, lv in sorted(peel_order(T, s).items())}
         for s in range(1, 2 * T.m + 1)
     }
     return {
@@ -538,7 +540,7 @@ def tiling_to_json(T: Tiling) -> dict:
         ],
         "edges": [
             {"id": e.id, "label": e.label, "bottom": sorted(e.bottom)}
-            for e in T.edges
+            for e in T.incidence
         ],
         "strips": strips,
         "peel_layers": peels,

@@ -655,8 +655,9 @@ def crossing_functional(T, s, cr):
 
 
 def assemble_crossing(T, s, tiles):
-    """The crossing a found tile sequence makes, or None: the package's
-    per-path assembly before it moved into the crossing search.
+    """The crossing a found tile sequence makes and its strip sequence, or
+    None: the package's per-path assembly before it moved into the crossing
+    search.
 
     The label of the edge consecutive tiles share says which strip the
     sequence travels in; a tile entered and left through the same label a
@@ -684,4 +685,4 @@ def assemble_crossing(T, s, tiles):
     for x in between[1:]:
         if x != seq[-1]:
             seq.append(x)
-    return DualCrossing(tuple(tiles), s, tuple(seq), tuple(roles))
+    return DualCrossing(tuple(tiles), s, tuple(roles)), tuple(seq)

@@ -49,13 +49,50 @@ def test_fflv_count_and_points_roundtrip():
     code, out = run_cli("fflv", "--n", "2", "--lambda", "1,1", "--mode", "count")
     assert (code, out) == (0, "8\n")
     code, out = run_cli("fflv", "--n", "2", "--lambda", "1,1", "--format", "json")
-    assert PointSet.from_json(json.loads(out)) == fflv_points(2, (1, 1))
+    assert PointSet(json.loads(out)) == fflv_points(2, (1, 1))
 
 
 def test_fflv_hrep_roundtrip():
     code, out = run_cli("fflv", "--n", "2", "--lambda", "2,1",
                         "--mode", "hrep", "--format", "json")
     assert HPolytope.from_json(json.loads(out)) == fflv_hrep(2, (2, 1))
+
+
+def test_json_bytes_are_pinned():
+    # the exact bytes, not only a round trip: the implicit x >= 0 is written
+    # as "nonneg":true, and the edges of a tiling come in creation order
+    assert run_cli("fflv", "--n", "2", "--lambda", "1,1", "--mode", "hrep", "--format", "json") == (
+        0,
+        '{"dim":3,"nonneg":true,"rows":[{"a":[1,0,0],"b":1},{"a":[1,1,1],"b":2},'
+        '{"a":[0,0,1],"b":1}]}\n',
+    )
+    assert run_cli("tiling", "--n", "2", "--word", "lexmin", "--format", "json") == (
+        0,
+        '{"edges":[{"bottom":[],"id":0,"label":1},{"bottom":[1],"id":1,"label":2},'
+        '{"bottom":[1,2],"id":2,"label":3},{"bottom":[],"id":3,"label":2},'
+        '{"bottom":[2],"id":4,"label":1},{"bottom":[2],"id":5,"label":3},'
+        '{"bottom":[2,3],"id":6,"label":1},{"bottom":[],"id":7,"label":3},'
+        '{"bottom":[3],"id":8,"label":2}],"m":3,"n":2,'
+        '"peel_layers":{"1":{"0":2,"1":3,"2":1},"2":{"0":1,"1":3,"2":2},"3":{"0":1,"1":2,"2":3},'
+        '"4":{"0":2,"1":1,"2":3},"5":{"0":3,"1":1,"2":2},"6":{"0":3,"1":2,"2":1}},'
+        '"strips":{"1":[0,1],"2":[0,2],"3":[1,2]},'
+        '"tiles":[{"id":0,"labels":[1,2],"lower":[0,1],"root":[1,1],"upper":[3,4]},'
+        '{"id":1,"labels":[1,3],"lower":[4,2],"root":[1,2],"upper":[5,6]},'
+        '{"id":2,"labels":[2,3],"lower":[3,5],"root":[2,2],"upper":[7,8]}],"word":[1,2,1]}\n',
+    )
+
+
+def test_hrep_json_must_be_nonnegative():
+    # every polytope of the package lies in x >= 0; outside input that
+    # claims otherwise is rejected, not read as the nonnegative polytope
+    obj = fflv_hrep(2, (1, 1)).to_json()
+    for value in (False, None, 1):
+        try:
+            HPolytope.from_json({**obj, "nonneg": value})
+        except ValueError as exc:
+            assert str(exc) == "only polytopes in x >= 0 are supported"
+        else:
+            raise AssertionError(f"nonneg={value!r} accepted")
 
 
 def test_lambda_trailing_zeros_default():
@@ -258,7 +295,7 @@ def test_out_flag_writes_file():
                             "--format", "json", "--out", path)
         assert code == 0 and out == ""
         with open(path) as fh:
-            assert PointSet.from_json(json.load(fh)) == fflv_points(2, (1, 1))
+            assert PointSet(json.load(fh)) == fflv_points(2, (1, 1))
 
 
 def test_bad_flags_exit_two():
@@ -294,6 +331,7 @@ def test_bad_flags_exit_two():
         ("crystal", "pb", "--n", "0", "--lambda", ""),
         ("conjecture", "--n", "0", "--lambda", ""),
         ("word", "--n", "0"),
+        ("word", "--n", "0", "--lexmax"),
         ("word", "--n", "0", "--ik", "1"),
         ("tiling", "--n", "0", "--word", "lexmin"),
         ("lusztig", "--n", "0", "--word", "1", "--lambda", ""),
@@ -454,6 +492,21 @@ def test_verify_suite_never_loads_the_crystal_layer():
     assert code == "0" and "'fflv.verify'" in loaded
     assert "'fflv.crystal'" not in loaded and "'fractions'" not in loaded
     assert "'dataclasses'" not in loaded and "'inspect'" not in loaded
+
+
+def test_startup_counters_report_each_command(monkeypatch, capsys, startup_counters):
+    # scripts/startup_counters.py runs each command in a fresh interpreter:
+    # narrowed to two commands, each must succeed, load the CLI and load
+    # none of the costly stdlib modules
+    names = ("word", "verify suite")
+    monkeypatch.setattr(startup_counters, "COMMANDS", {name: startup_counters.COMMANDS[name] for name in names})
+    startup_counters.main()
+    out = json.loads(capsys.readouterr().out)
+    assert tuple(out) == names
+    for name, report in out.items():
+        assert report["exit"] == 0, name
+        assert "fflv.cli" in report["fflv_modules"], name
+        assert report["costly_modules"] == [], name
 
 
 def test_crystal_command_imports_its_layer():

@@ -17,7 +17,6 @@ from fflv.crystal import (
     critical_points,
     crystal_to_dot,
     fixed_k_check,
-    oracle_iso_report,
     pb_graph,
     sl3_bgt,
     sl3_blt,
@@ -167,7 +166,7 @@ def test_word_oracle_checks_its_weight():
     g = sl3_bgt(1, 1)
     for name, bad in (
         ("extra entry", lambda: check_oracle_iso(g, (1, 1, 7))),
-        ("missing entry", lambda: oracle_iso_report(g, (1,))),
+        ("missing entry", lambda: check_oracle_iso(g, (1,))),
         ("negative entry", lambda: word_oracle(2, (1, -1))),
     ):
         try:
@@ -358,7 +357,7 @@ def test_validators_reject_edges_that_leave_the_graph():
             "passed": False,
             "violations": [{"axiom": "edge-range", "vertex": (0, 0, 0), "detail": detail}],
         }
-        assert oracle_iso_report(bad, (1, 1)) == (False, detail)
+        assert _iso_report(bad, word_oracle(2, (1, 1))) == (False, detail)
         assert not check_oracle_iso(bad, (1, 1))
     # an end outside the vertex set, on a graph with and one without weights
     for h, u in ((word_oracle(2, (1, 1)).export_graph(), (1, 2, 1)), (g, (0, 0, 0))):
@@ -367,7 +366,7 @@ def test_validators_reject_edges_that_leave_the_graph():
         assert check_local_axioms(bad)["violations"] == [
             {"axiom": "edge-range", "vertex": u, "detail": detail}
         ]
-        assert oracle_iso_report(bad, (1, 1)) == (False, detail)
+        assert _iso_report(bad, word_oracle(2, (1, 1))) == (False, detail)
         # a stray source is flagged at itself
         bad = with_edge(h, ((9, 9, 9), 1, u))
         assert check_local_axioms(bad)["violations"][0]["vertex"] == (9, 9, 9)
@@ -458,7 +457,7 @@ def test_sl3_families_are_crystals():
                 assert set(g.vertices) == set(fflv_points(2, (a, b)))
                 report = check_local_axioms(g)
                 assert report["passed"], (build.__name__, a, b, report["violations"][:3])
-                ok, why = oracle_iso_report(g, (a, b))
+                ok, why = _iso_report(g, word_oracle(2, (a, b)))
                 assert ok, (build.__name__, a, b, why)
 
 
@@ -769,6 +768,13 @@ def test_conjecture_budget_flag(monkeypatch):
                 pass
             else:
                 raise AssertionError(f"budget {budget!r} accepted in {mode} mode")
+    for sigma in ((1.0, 2.0), (1, 2.5), ("1", "2"), "12"):  # read like the budget
+        try:
+            conjecture_search(2, (1, 1), sigma=sigma, mode="greedy")
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"sigma {sigma!r} accepted")
     try:
         conjecture_search(2, (1, 1), mode="greedy", budget=3)
     except ValueError as exc:

@@ -84,7 +84,6 @@ def test_fflv_hrep_frozen_n2():
         ((0, 0, 1), 5),
         ((1, 1, 1), 8),
     }
-    assert P.nonneg
 
 
 def test_fflv_hrep_zero_weight():

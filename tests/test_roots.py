@@ -216,6 +216,9 @@ _ENTRY_POINTS = {
     "fixed_k_check": ("n k r", lambda a: fixed_k_check(a["n"], a["k"], a["r"])),
     "build_tiling": ("n word", lambda a: build_tiling(a["word"], a["n"])),
     "all_reduced_words": ("n", lambda a: all_reduced_words(a["n"])),  # no [()] below rank 1
+    "lexmin_word": ("n", lambda a: lexmin_word(a["n"])),  # no () below rank 1
+    "lexmax_word": ("n", lambda a: lexmax_word(a["n"])),
+    "random_reduced_word": ("n", lambda a: random_reduced_word(a["n"], random.Random(1))),
     "check_case main": ("n lam", lambda a: _case_reason("main", a["n"], list(a["lam"]))),
     "check_case dyck": ("n k", lambda a: _case_reason("dyck", a["n"], a["k"])),
 }
@@ -240,7 +243,7 @@ def test_each_input_rule_has_one_reason_everywhere():
             else:
                 raise AssertionError(f"{name} accepted {bad}")
             checked += 1
-    assert checked == 65
+    assert checked == 74
 
 
 def test_weight_of_point_frozen():

@@ -159,7 +159,7 @@ def test_tiles_sharing_two_edges_are_rejected():
     incidence[second] = (a, b)
     _expect_runtime_error(
         lambda: Tiling(
-            T.n, T.m, T.word, T.tiles, T.edges,
+            T.n, T.m, T.word, T.tiles,
             T.left_boundary, T.right_boundary, T.borders, incidence,
         ),
         f"tiles {a.id} and {b.id} share more than one edge",
@@ -181,29 +181,40 @@ def test_tiles_and_crossings_are_values():
     crs, again = dual_crossings(one, 1), dual_crossings(two, 1)
     assert crs == again and {hash(c) for c in crs} == {hash(c) for c in again}
     cr = crs[0]
-    twin = DualCrossing(cr.tiles, cr.s, cr.strip_sequence, cr.entering_leaving)
+    twin = DualCrossing(cr.tiles, cr.s, cr.entering_leaving)
     assert twin == cr and hash(twin) == hash(cr) and {twin: 1}[cr] == 1
-    assert DualCrossing(cr.tiles, cr.s + 1, cr.strip_sequence, cr.entering_leaving) != cr
+    assert twin.strip_sequence == cr.strip_sequence
+    assert DualCrossing(cr.tiles, cr.s + 1, cr.entering_leaving) != cr
+
+
+def test_labels_and_windows_must_be_integers():
+    # a float label or window is never truncated or used as an index
+    T = build_tiling((1, 2, 1))
+    for call in (strip, peel_order, dual_crossings):
+        for bad in (1.0, 2.0):
+            try:
+                call(T, bad)
+            except TypeError as exc:
+                assert str(exc) == "'float' object cannot be interpreted as an integer"
+            else:
+                raise AssertionError(f"{call.__name__} accepted {bad!r}")
 
 
 def test_peel_frozen_121():
     T = build_tiling((1, 2, 1))
-    po = peel_order(T, 4)
-    assert po.layer == {1: 1, 0: 2, 2: 3}  # T2 first, then T1, then T3
+    assert peel_order(T, 4) == {1: 1, 0: 2, 2: 3}  # T2 first, then T1, then T3
 
 
 def test_peel_frozen_212():
     T = build_tiling((2, 1, 2))
-    po = peel_order(T, 5)
-    assert po.layer == {2: 1, 0: 2, 1: 3}  # U3, U1, U2
+    assert peel_order(T, 5) == {2: 1, 0: 2, 1: 3}  # U3, U1, U2
 
 
 def test_peel_from_right_boundary_n2():
     # with the window equal to the right boundary, layer 1 is the unique
     # tile meeting it in two edges
     T = build_tiling(lexmin_word(2))
-    po = peel_order(T, 2 * T.m)
-    first = [tid for tid, lv in po.layer.items() if lv == 1]
+    first = [tid for tid, lv in peel_order(T, 2 * T.m).items() if lv == 1]
     assert first == [2]  # the {2,3} tile
 
 
@@ -212,9 +223,7 @@ def test_peel_never_stalls_small():
         for word in all_reduced_words(n):
             T = build_tiling(word)
             for s in range(1, 2 * T.m + 1):
-                po = peel_order(T, s)
-                assert sorted(po.layer) == list(range(len(T.tiles)))
-                assert max(po.layer.values()) == po.num_layers
+                assert sorted(peel_order(T, s)) == list(range(len(T.tiles)))
 
 
 def test_peel_random_words():
@@ -513,10 +522,8 @@ def test_tiling_layers_match_the_unpruned_oracles():
             assert T.shared_label.get((b, a)) == T.shared_label.get((a, b))
         layers = {}
         for s in range(1, 2 * T.m + 1):
-            po = peel_order(T, s)
             layers[s] = oracles.recount_peel_layers(T, s)
-            assert list(po.layer.items()) == list(layers[s].items())
-            assert po.num_layers == max(po.layer.values())
+            assert list(peel_order(T, s).items()) == list(layers[s].items())
         lam = tuple(range(1, n + 1))
         rows = []
         for t in range(1, T.m + 1):
@@ -527,8 +534,11 @@ def test_tiling_layers_match_the_unpruned_oracles():
                 oracles.assemble_crossing(T, s, tuple(T.tiles[i] for i in path))
                 for path in oracles.ascending_neighbour_paths(T, layers[T.m + s], start, end)
             ]
-            crossings = [cr for cr in candidates if cr is not None]
-            assert dual_crossings(T, s) == crossings
+            assembled = [a for a in candidates if a is not None]
+            crossings = [cr for cr, _ in assembled]
+            found = dual_crossings(T, s)
+            assert found == crossings
+            assert [cr.strip_sequence for cr in found] == [seq for _, seq in assembled]
             for cr in reineke_filter(crossings):
                 row = (oracles.crossing_functional(T, s, cr)[0], lam[s - 1])
                 if row not in rows:
