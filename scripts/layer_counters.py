@@ -7,8 +7,7 @@ Runs the workload once and checks every case, as a benchmark pass does:
 ``crystal`` are the case lists of ``perfbench/workloads.py``.  A profile
 hook on the modules ``WORKLOADS`` lists counts, by function name and
 without touching the library, the calls of a function or a size read from
-what it returns.  For ``suite`` it also counts the cyclic collector's passes
-that start during the run (``gc_collections``).
+what it returns.
 
 Prints one JSON object.  The counts repeat exactly for a given seed.  A case
 whose check fails is an error: its counts would describe a broken pass.  So
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import gc
 import json
 import os
 import sys
@@ -47,9 +45,6 @@ class Workload(NamedTuple):
     # counter -> (function name, None to count its calls, or a reader of
     # what it returns); the first counter must not read 0
     counters: dict
-    # whether to count the cyclic collector's passes during the cases, as
-    # gc_collections
-    count_gc: bool = False
 
 
 WORKLOADS = {
@@ -73,7 +68,7 @@ WORKLOADS = {
         "crossing_nodes": ("_extend_paths", None),  # one per tile a crossing path enters
         "filter_calls": ("reineke_filter", None),
         "crossings_kept": ("reineke_filter", len),
-    }, count_gc=True),
+    }),
     "words": Workload(workloads.words, (tiling,), {
         "dfs_nodes": ("_extend_paths", None),  # one per tile a crossing path enters
         "crossings_found": ("dual_crossings", len),
@@ -115,8 +110,6 @@ def count(workload: str, seed: int = workloads.DEFAULT_SEED) -> dict:
     if unknown:
         raise ValueError(f"{workload} counters name no function of its modules: {', '.join(unknown)}")
     counts = dict.fromkeys(spec.counters, 0)
-    if spec.count_gc:
-        counts["gc_collections"] = 0
     calls: dict[str, list] = {}
     returns: dict[str, list] = {}
     for key, (name, read) in spec.counters.items():
@@ -137,37 +130,12 @@ def count(workload: str, seed: int = workloads.DEFAULT_SEED) -> dict:
             for key, read in returns.get(code.co_name, ()):
                 counts[key] += read(arg)
 
-    running = False
-
-    def collected(phase, info):
-        if running and phase == "start":
-            counts["gc_collections"] += 1
-
-    def run(case):
-        """The case's output; with ``count_gc``, the collector's passes that
-        start while it runs go to gc_collections.  A collection first
-        empties the young generation, so only the case's own allocations
-        can start a pass.  The flag, not the callback list, marks the end:
-        removing the callback allocates a bound method, which may start the
-        pass a paused collector deferred."""
-        nonlocal running
-        if not spec.count_gc:
-            return case.run()
-        gc.collect()
-        gc.callbacks.append(collected)
-        running = True
-        try:
-            return case.run()
-        finally:
-            running = False
-            gc.callbacks.remove(collected)
-
     cases = spec.cases(seed)
     failures = []
     sys.setprofile(hook)
     try:
         for case in cases:
-            message = case.check(run(case))
+            message = case.check(case.run())
             if message is not None:
                 failures.append(f"{case.name}: {message}")
     finally:

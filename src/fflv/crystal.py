@@ -14,7 +14,10 @@ Four layers:
   exhaustive by one budgeted backtracking engine that grows the
   isomorphism with the word oracle from the highest weight and branches
   only over candidate targets that fit it, so every graph it assembles
-  is a crystal by construction.
+  is a crystal by construction.  That engine runs every search here, the
+  fixed-k check included: where each (vertex, color) has at most one
+  fixed-k move the graph is forced, and it is the crystal exactly when
+  the engine finds one that takes every move.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ EdgeT = tuple[Point, int, Point]  # (source, color, target)
 
 
 class CandidateEdge(NamedTuple):
-    source: Point
+    """A feasible move f_{a,k} out of a point, which its caller holds."""
+
     a: int              # color
     k: int              # which word's operator produced the move
     target: Point
@@ -156,7 +160,7 @@ def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
         shift[plus] += 1
         y = tuple(shift)
         if y in pts:
-            out.append(CandidateEdge(x, a, k, y, pivot))
+            out.append(CandidateEdge(a, k, y, pivot))
     return out
 
 
@@ -166,7 +170,7 @@ def pb_graph(n: int, lam: Sequence[int]) -> CrystalGraph:
     pts = fflv_points(n, lam)
     inside = set(pts)
     edges = frozenset(
-        (ce.source, ce.a, ce.target) for x in pts for ce in _moves(n, inside, x)
+        (x, ce.a, ce.target) for x in pts for ce in _moves(n, inside, x)
     )
     return CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges)
 
@@ -522,7 +526,9 @@ def _sl3_crystal(a: int, b: int, f1: _Rule, f2: _Rule) -> CrystalGraph:
     """The graph on FFLV_2(a w_1 + b w_2)_Z with an edge x -> f_c(x) of
     color c wherever f_c is defined at x and lands on a lattice point.
     Each vertex leaves by at most one edge per color; two edges of one
-    color entering a vertex raise RuntimeError."""
+    color entering a vertex raise RuntimeError.  a and b must be integers:
+    a float or a string raises TypeError."""
+    a, b = index(a), index(b)
     if a < 1 or b < 1:
         raise ValueError("need a, b >= 1")
     pts = fflv_points(2, (a, b))
@@ -645,16 +651,16 @@ def _greedy_color_choice(
 
 
 def _crystals(
-    n: int,
-    lam: tuple[int, ...],
     pts: PointSet,
     cand: dict[tuple[Point, int], list[CandidateEdge]],
     W: WordCrystal,
     budget: int,
-    weights: dict[Point, tuple[int, ...]],
 ) -> tuple[list[CrystalGraph], int, bool]:
     """The edge selections from ``cand`` that are crystals isomorphic to W,
-    by one backtracking search that builds the isomorphism as it goes.
+    by one backtracking search that builds the isomorphism as it goes.  It
+    is the one search of this module: ``conjecture_search`` runs it on all
+    candidate moves, ``fixed_k_check`` on the fixed-k ones.  n and lambda
+    are W's; the weight of each point is computed once, here.
 
     The vertex of highest weight is paired with ``W.highest``; paired
     vertices are then visited in the order they were paired, each in color
@@ -672,6 +678,8 @@ def _crystals(
     step); the nodes visited, one per step (one color at one vertex); and
     False for ``complete`` when the search stopped at node ``budget + 1``.
     """
+    n, lam = W.n, W.lam
+    weights = {v: weight_of_point(lam, v) for v in pts}
     graphs: list[CrystalGraph] = []
     if len(pts) != len(W.vertices):
         return graphs, 0, True
@@ -780,10 +788,10 @@ def conjecture_search(
         if mode == "greedy":
             raise ValueError("budget applies only to exhaustive mode")
     pts = fflv_points(n, lam)
-    weights = {v: weight_of_point(lam, v) for v in pts}
     cand = _candidate_map(n, pts)
 
     if mode == "greedy":
+        weights = {v: weight_of_point(lam, v) for v in pts}
         sigma_pos = {k: i for i, k in enumerate(sigma)}
         edges: list[EdgeT] = []
         for a in range(1, n + 1):
@@ -794,12 +802,10 @@ def conjecture_search(
         g = CrystalGraph(
             n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
         )
-        valid = _iso_report(g, word_oracle(n, lam))[0]
+        valid = check_oracle_iso(g, lam)
         return SearchResult([g] if valid else [], True, "greedy", 0, 1)
 
-    graphs, nodes, complete = _crystals(
-        n, lam, pts, cand, word_oracle(n, lam), budget, weights
-    )
+    graphs, nodes, complete = _crystals(pts, cand, word_oracle(n, lam), budget)
     graphs.sort(key=lambda g: sorted(g.edges))
     return SearchResult(graphs, complete, "exhaustive", nodes, len(graphs))
 
@@ -807,35 +813,30 @@ def conjecture_search(
 def fixed_k_check(n: int, k: int, r: int) -> bool:
     """Does restricting every color to its fixed-k move recover B(r w_k)?
 
-    With r = 1 the feasible move is unique at each vertex and the graph is
-    forced, judged by its pairing with the oracle; for r >= 2 uniqueness genuinely fails (two j's can be feasible
-    at one vertex), so the check falls back to searching the fixed-k
-    selections for a valid crystal.  A search that stops at
-    ``SEARCH_BUDGET`` nodes without one raises RuntimeError.  n, k and r
-    are checked by ``fundamental_weight``; r = 0 has no crystal to recover
-    and raises ValueError too.
+    One run of the search engine over the fixed-k moves decides.  Where
+    every (vertex, color) has at most one such move the graph is forced:
+    the engine has no choice to make and takes a move exactly where the
+    oracle has that f-edge, so the answer is whether it finds a crystal
+    that takes every move.  Otherwise (from r = 2 on, two j's can be
+    feasible at one vertex) it is whether the engine finds a crystal among
+    the selections.  A search that stops at ``SEARCH_BUDGET`` nodes without
+    one raises RuntimeError; a forced one needs at most |V| * n + 1 nodes.
+    n, k and r are checked by ``fundamental_weight``; r = 0 has no crystal
+    to recover and raises ValueError too.
     """
     lam = fundamental_weight(n, k, r)
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     pts = fflv_points(n, lam)
-    weights = {v: weight_of_point(lam, v) for v in pts}
     cand = {
         key: [ce for ce in ces if ce.k == k]
         for key, ces in _candidate_map(n, pts).items()
     }
-    W = word_oracle(n, lam)
-    if all(len(ces) <= 1 for ces in cand.values()):
-        edges = frozenset(
-            (ces[0].source, ces[0].a, ces[0].target)
-            for ces in cand.values()
-            if ces
-        )
-        forced = CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges, weights=weights)
-        return _iso_report(forced, W)[0]
-    graphs, _, complete = _crystals(n, lam, pts, cand, W, SEARCH_BUDGET, weights)
+    graphs, _, complete = _crystals(pts, cand, word_oracle(n, lam), SEARCH_BUDGET)
     if not (graphs or complete):
         raise RuntimeError(
             f"fixed-k search n={n}, k={k}, r={r} stopped after {SEARCH_BUDGET} nodes"
         )
+    if all(len(ces) <= 1 for ces in cand.values()):
+        return bool(graphs) and len(graphs[0].edges) == sum(map(len, cand.values()))
     return bool(graphs)

@@ -12,7 +12,7 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from .polytope import HPolytope, PointSet, _once, lattice_points
-from .roots import Root, check_k, check_weight, num_roots, root_index, weight_mu
+from .roots import Root, check_k, check_rank, check_weight, num_roots, root_index, weight_mu
 
 
 class DyckPath(NamedTuple):
@@ -51,7 +51,8 @@ def root_paths(start: Root, end: Root) -> list[tuple[Root, ...]]:
 
 def dyck_paths(n: int) -> list[DyckPath]:
     """All Dyck paths, grouped by (i, j) with i <= j: the root paths from
-    alpha_{i,i} to alpha_{j,j}."""
+    alpha_{i,i} to alpha_{j,j}.  n is read by ``check_rank``."""
+    n = check_rank(n)
     return [
         DyckPath(path, i, j)
         for i in range(1, n + 1)

@@ -46,9 +46,10 @@ def num_roots(n: int) -> int:
 def check_rank(n: int) -> int:
     """n as an int; raises ValueError below 1 and TypeError unless n is an
     integer (a float or a string is never truncated)."""
+    n = index(n)
     if n < 1:
         raise ValueError("rank must be >= 1")
-    return index(n)
+    return n
 
 
 def check_weight(n: int, lam: Sequence[int]) -> tuple[int, ...]:
@@ -64,11 +65,12 @@ def check_weight(n: int, lam: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_k(n: int, k: int) -> int:
-    """k as an int; raises unless n is a rank and 1 <= k <= n."""
-    check_rank(n)
+    """k as an int; raises unless n is a rank and 1 <= k <= n.  A float or
+    a string k raises TypeError."""
+    n, k = check_rank(n), index(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return index(k)
+    return k
 
 
 def check_word(word: Sequence[int], n: int | None = None) -> tuple[Word, int]:

@@ -99,7 +99,6 @@ class Tiling:
         tiles: tuple[Tile, ...],
         left_boundary: tuple[Edge, ...],   # L_1 .. L_m, bottom to top
         right_boundary: tuple[Edge, ...],  # R_1 .. R_m, top to bottom of the final border
-        borders: tuple[tuple[Edge, ...], ...],  # B^(0) .. B^(N), each bottom to top
         incidence: dict[Edge, tuple[Tile, ...]],
     ) -> None:
         self.n = n
@@ -108,7 +107,6 @@ class Tiling:
         self.tiles = tiles
         self.left_boundary = left_boundary
         self.right_boundary = right_boundary
-        self.borders = borders
         self.incidence = incidence
         # (a, b) -> label of the one edge tiles a and b share, both orders
         self.shared_label: dict[tuple[int, int], int] = {}
@@ -170,7 +168,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         Edge(next(ids), i, frozenset(range(1, i))) for i in range(1, m + 1)
     )
     border: list[Edge] = list(left)
-    borders = [tuple(border)]
     inc: dict[Edge, list[Tile]] = {e: [] for e in left}  # every edge, in creation order
     created = {(e.bottom, e.label) for e in left}
     tiles: list[Tile] = []
@@ -203,7 +200,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
             )
         )
         border[a - 1], border[a] = up_bottom, up_top
-        borders.append(tuple(border))
 
     right = tuple(reversed(border))
     if [e.label for e in right] != list(range(1, m + 1)):
@@ -222,7 +218,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         tiles=tuple(tiles),
         left_boundary=left,
         right_boundary=right,
-        borders=tuple(borders),
         incidence={e: tuple(v) for e, v in inc.items()},
     )
 

@@ -307,6 +307,25 @@ def walk_strip(T, t):
     return tuple(chain)
 
 
+def replay_borders(T):
+    """The borders B^(0) .. B^(N) of T, each bottom to top, replayed from
+    the left boundary: letter a's tile must consume the border edges at
+    heights a-1 and a (its ``lower``) and puts its ``upper`` in their place,
+    and the last border must be the right boundary read upwards.
+    RuntimeError when the tiles do not replay.
+    """
+    border = list(T.left_boundary)
+    borders = [tuple(border)]
+    for a, tile in zip(T.word, T.tiles):
+        if tuple(border[a - 1 : a + 1]) != tile.lower:
+            raise RuntimeError(f"tile {tile.id} does not meet the border at letter {a}")
+        border[a - 1 : a + 1] = tile.upper
+        borders.append(tuple(border))
+    if borders[-1] != tuple(reversed(T.right_boundary)):
+        raise RuntimeError("the last border is not the right boundary")
+    return borders
+
+
 def product_search(n, pts, cand, weights, is_crystal):
     """The product-then-filter crystal search: every color's string
     decompositions, combined by Cartesian product, each combination kept
@@ -601,17 +620,17 @@ def root_moves(n, pts, x):
                     if x[idx[Root(a + 1, j)]] >= 1:
                         y = shifted(Root(a + 1, j), Root(a, j))
                         if y in pts:
-                            out.append(CandidateEdge(x, a, k, y, j))
+                            out.append(CandidateEdge(a, k, y, j))
             elif a > k:
                 for i in range(1, k + 1):
                     if x[idx[Root(i, a - 1)]] >= 1:
                         y = shifted(Root(i, a - 1), Root(i, a))
                         if y in pts:
-                            out.append(CandidateEdge(x, a, k, y, i))
+                            out.append(CandidateEdge(a, k, y, i))
             else:
                 y = shifted(None, Root(k, k))
                 if y in pts:
-                    out.append(CandidateEdge(x, a, k, y, None))
+                    out.append(CandidateEdge(a, k, y, None))
     return out
 
 

@@ -615,27 +615,45 @@ def test_engine_matches_product_search():
         ), (n, lam)
 
 
-def test_fixed_k_matches_product_search():
+def _fixed_k_reference(n, k, lam, moves):
+    """fixed_k_check's verdict from the candidate map ``moves``: a forced
+    graph of all fixed-k moves judged by both validators, else the
+    product-then-filter search over them."""
+    pts = fflv_points(n, lam)
+    cand = {key: [ce for ce in ces if ce.k == k] for key, ces in moves.items()}
+    if all(len(ces) <= 1 for ces in cand.values()):
+        forced = frozenset((x, a, ces[0].target) for (x, a), ces in cand.items() if ces)
+        return _both_validators(
+            CrystalGraph(n=n, lam=lam, vertices=pts, edges=forced), word_oracle(n, lam)
+        )
+    return bool(_product_crystals(n, lam, cand, pts))
+
+
+def test_fixed_k_matches_product_search(monkeypatch):
+    import fflv.crystal as crystal
+
     for n in (1, 2, 3):
         for k in range(1, n + 1):
             for r in (1, 2):
                 lam = tuple(r if t == k else 0 for t in range(1, n + 1))
-                pts = fflv_points(n, lam)
-                cand = {
-                    key: [ce for ce in ces if ce.k == k]
-                    for key, ces in _candidate_map(n, pts).items()
-                }
-                if all(len(ces) <= 1 for ces in cand.values()):
-                    forced = frozenset(
-                        (ces[0].source, ces[0].a, ces[0].target) for ces in cand.values() if ces
-                    )
-                    expected = _both_validators(
-                        CrystalGraph(n=n, lam=lam, vertices=pts, edges=forced),
-                        word_oracle(n, lam),
-                    )
-                else:
-                    expected = bool(_product_crystals(n, lam, cand, pts))
-                assert fixed_k_check(n, k, r) == expected, (n, k, r)
+                moves = _candidate_map(n, fflv_points(n, lam))
+                assert fixed_k_check(n, k, r) == _fixed_k_reference(n, k, lam, moves), (n, k, r)
+    # a surplus fixed-k move where the oracle has no f-edge: color 1 at the
+    # highest weight of omega_2, with the target of its one color-2 move.
+    # The graph stays forced and is no crystal, though the selection that
+    # leaves the surplus out still is one
+    n, k, lam = 3, 2, (0, 1, 0)
+    pts = fflv_points(n, lam)
+    moves = _candidate_map(n, pts)
+    top = (0,) * 6
+    (down,) = moves[(top, 2)]
+    assert moves[(top, 1)] == [] and down.k == k
+    moves[(top, 1)] = [down._replace(a=1)]
+    fixed = {key: [ce for ce in ces if ce.k == k] for key, ces in moves.items()}
+    assert len(_product_crystals(n, lam, fixed, pts)) == 1
+    assert not _fixed_k_reference(n, k, lam, moves)
+    monkeypatch.setattr(crystal, "_candidate_map", lambda n, pts: moves)
+    assert not fixed_k_check(n, k, 1)
 
 
 def test_conjecture_budget_counts_engine_nodes():
@@ -701,32 +719,38 @@ def test_oracle_pairing_alone_decides(monkeypatch):
         raise AssertionError("validator called")
 
     # engine leaves are isomorphic to the oracle by construction: the
-    # exhaustive search and the fixed-k search call no validator
+    # exhaustive search and both kinds of fixed-k check, a search among
+    # selections (3,2,2) and a forced graph (3,2,1), call no validator
     monkeypatch.setattr(crystal, "_iso_report", forbidden)
     monkeypatch.setattr(crystal, "check_local_axioms", forbidden)
     assert len(conjecture_search(2, (2, 2)).graphs) == 2
     assert len(conjecture_search(3, (1, 0, 1)).graphs) == 2
     assert fixed_k_check(3, 2, 2)
-    # a greedy selection and a forced fixed-k graph are judged by the
-    # oracle pairing alone
+    assert fixed_k_check(3, 2, 1)
+    # a greedy selection is judged by the oracle pairing alone, once,
+    # through check_oracle_iso
     calls = Counter()
 
-    def counted(g, W):
-        calls[g.lam] += 1
-        return _iso_report(g, W)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(crystal, "_iso_report", counted)
+    monkeypatch.setattr(crystal, "_iso_report", counted("_iso_report", _iso_report))
+    monkeypatch.setattr(
+        crystal, "check_oracle_iso", counted("check_oracle_iso", check_oracle_iso)
+    )
     assert len(conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy").graphs) == 1
-    assert fixed_k_check(3, 2, 1)
-    assert calls == Counter({(1, 1): 1, (0, 1, 0): 1})
+    assert calls == Counter(_iso_report=1, check_oracle_iso=1)
 
 
 def test_crystal_counters_pinned(layer_counters):
     # scripts/layer_counters.py counts by function name: a renamed
     # validator or search step must fail here, not read 0
     assert layer_counters.count("crystal", 1) == {
-        "seed": 1, "cases": 125, "search_nodes": 1018, "pairings": 26,
-        "iso_report_calls": 79, "local_axiom_calls": 50, "weight_calls": 4061,
+        "seed": 1, "cases": 125, "search_nodes": 1172, "pairings": 37,
+        "iso_report_calls": 68, "local_axiom_calls": 50, "weight_calls": 4061,
         "move_calls": 2123, "candidates": 6208,
     }
 

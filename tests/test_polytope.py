@@ -276,8 +276,8 @@ def test_enumerator_counters_pinned(layer_counters):
     # (n, lambda) once and each Lusztig (crossing-row set, lambda, n) once,
     # so the words of one commutation class build one H-description and
     # one enumeration per lambda (112 for the 264 summand calls).  It plans
-    # each of the 18 coefficient matrices it enumerates once, lists each
-    # rank's words once and runs its claims with the cyclic collector paused
+    # each of the 18 coefficient matrices it enumerates once and lists each
+    # rank's words once
     counts = layer_counters.count("suite")
     assert counts == {
         "seed": 1, "cases": 1, "enum_nodes": 3913, "enumerations": 164,
@@ -291,7 +291,6 @@ def test_enumerator_counters_pinned(layer_counters):
         # filter keeps 159 of the 161 crossings found
         "tilings": 23, "crossing_searches": 69, "crossing_nodes": 373,
         "filter_calls": 69, "crossings_kept": 159,
-        "gc_collections": 0,
     }
     assert counts["enum_nodes"] <= 2 * counts["points"]
 

@@ -3,8 +3,8 @@
 import random
 
 from fflv.claims import check_case
-from fflv.crystal import WordCrystal, fixed_k_check
-from fflv.fflv import fflv_points, fundamental_points
+from fflv.crystal import WordCrystal, fixed_k_check, sl3_bgt, sl3_blt
+from fflv.fflv import dyck_paths, fflv_points, fundamental_points
 from fflv.roots import (
     Root,
     all_reduced_words,
@@ -181,12 +181,14 @@ _BAD_INPUTS = {
     "rank 0": ({"n": 0}, ValueError, "rank must be >= 1"),
     "rank -1": ({"n": -1}, ValueError, "rank must be >= 1"),
     "float rank": ({"n": 2.0}, TypeError, _NOT_AN_INT),
+    "float rank 0.5": ({"n": 0.5}, TypeError, _NOT_AN_INT),  # the type is checked first
     "weight of the wrong length": ({"lam": (1,)}, ValueError, "weight has 1 entries, expected 2"),
     "negative weight entry": (
         {"lam": (1, -1)}, ValueError, "weight must be dominant (all entries >= 0): (1, -1)"
     ),
     "k = 0": ({"k": 0}, ValueError, "need 1 <= k <= n, got k=0, n=2"),
     "k = n + 1": ({"k": 3}, ValueError, "need 1 <= k <= n, got k=3, n=2"),
+    "float k 0.5": ({"k": 0.5}, TypeError, _NOT_AN_INT),
     "r = -1": ({"r": -1}, ValueError, "need r >= 0, got r=-1"),  # -omega_k is not dominant
     "float letter": ({"word": (1.0, 2, 1)}, TypeError, _NOT_AN_INT),
 }
@@ -219,10 +221,12 @@ _ENTRY_POINTS = {
     "lexmin_word": ("n", lambda a: lexmin_word(a["n"])),  # no () below rank 1
     "lexmax_word": ("n", lambda a: lexmax_word(a["n"])),
     "random_reduced_word": ("n", lambda a: random_reduced_word(a["n"], random.Random(1))),
+    "dyck_paths": ("n", lambda a: dyck_paths(a["n"])),  # no [] below rank 1
     "check_case main": ("n lam", lambda a: _case_reason("main", a["n"], list(a["lam"]))),
     "check_case dyck": ("n k", lambda a: _case_reason("dyck", a["n"], a["k"])),
 }
-_MALFORMED_CASE = {"float rank"}  # check_case takes only ints: a float is malformed first
+# check_case takes only ints: a float is malformed first
+_MALFORMED_CASE = {"float rank", "float rank 0.5", "float k 0.5"}
 
 
 def test_each_input_rule_has_one_reason_everywhere():
@@ -243,7 +247,19 @@ def test_each_input_rule_has_one_reason_everywhere():
             else:
                 raise AssertionError(f"{name} accepted {bad}")
             checked += 1
-    assert checked == 74
+    assert checked == 97
+
+
+def test_sl3_sizes_must_be_integers():
+    # a float a or b raises TypeError before the range check, below 1 too
+    for build in (sl3_bgt, sl3_blt):
+        for a, b in ((0.5, 1), (1, 0.5), (2.0, 1)):
+            try:
+                build(a, b)
+            except TypeError as exc:
+                assert str(exc) == _NOT_AN_INT
+            else:
+                raise AssertionError(f"{build.__name__}({a}, {b}) accepted")
 
 
 def test_weight_of_point_frozen():
