@@ -7,8 +7,11 @@ loaded: the ``fflv.*`` modules, the total source bytes of those modules
 (each one is compiled again at every start when no bytecode cache is
 written), how many modules of any kind were loaded, and which of the
 costly stdlib modules below it loaded (``dataclasses`` imports ``inspect``,
-which imports ``ast``, ``dis`` and ``tokenize``).  Prints one JSON object;
-the counts repeat exactly for a given checkout and Python.
+which imports ``ast``, ``dis`` and ``tokenize``).  ``parser_actions``
+counts the arguments, help actions included, that ``build_parser(argv)``
+creates over the whole parser tree for that command; the full tree has
+79.  Prints one JSON object; the counts repeat exactly for a given
+checkout and Python.
 """
 
 from __future__ import annotations
@@ -33,10 +36,13 @@ COMMANDS = {
 COSTLY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 PROBE = """
-import contextlib, io, json, os, sys
-from fflv.cli import dispatch
+import argparse, contextlib, io, json, os, sys
+from fflv.cli import build_parser, dispatch
 with contextlib.redirect_stdout(io.StringIO()):
     code = dispatch(sys.argv[1:])
+def actions(parser):
+    return sum(sum(map(actions, a.choices.values())) if isinstance(a, argparse._SubParsersAction) else 1
+               for a in parser._actions)
 mods = sorted(m for m in sys.modules if m == "fflv" or m.startswith("fflv."))
 print(json.dumps({
     "exit": code,
@@ -44,6 +50,7 @@ print(json.dumps({
     "fflv_source_bytes": sum(os.path.getsize(sys.modules[m].__file__) for m in mods),
     "modules_loaded": len(sys.modules),
     "costly_modules": [m for m in %r if m in sys.modules],
+    "parser_actions": actions(build_parser(sys.argv[1:])),
 }))
 """ % (COSTLY,)
 

@@ -6,6 +6,8 @@ stdout unless ``--out FILE`` is given; serialization is canonical, so
 identical invocations produce byte-identical output.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on bad flags or bad input.
 
+One table, ``_COMMANDS``, declares every command: its help, its handler
+and its arguments; the ``verify`` subcommands come from the claim registry.
 Each subcommand imports the layers it runs when it runs, so start-up loads
 only this module, ``fflv.roots`` and the claim registry ``fflv.claims``;
 ``dispatch`` adds arguments only to the parser of the command it runs.
@@ -276,144 +278,92 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-# The flag of each claim parameter (see ``claims.Claim``), shared by ``_common``.
+# The flag of each claim parameter (see ``claims.Claim``): an argument spec
+# that is a parameter's name adds its flag.
 _PARAM_FLAGS = {
     "n": ("--n", {"type": _decimal, "required": True}),
-    "lam": ("--lambda", {"required": True,
+    "lam": ("--lambda", {"dest": "lam", "required": True,
                          "help": "comma-separated weights; trailing zeros optional"}),
     "k": ("--k", {"type": _decimal, "required": True}),
     "r": ("--r", {"type": _decimal, "default": 1}),
 }
 
 
-def _add_param(p, name: str) -> None:
-    flag, kwargs = _PARAM_FLAGS[name]
-    p.add_argument(flag, dest=name, **kwargs)
+def _format(*choices: str) -> tuple:
+    return ("--format", {"choices": choices, "default": choices[0]})
 
 
-def _common(p, lam=False, fmt=None) -> None:
-    _add_param(p, "n")
-    if lam:
-        _add_param(p, "lam")
-    if fmt:
-        p.add_argument("--format", choices=fmt, default=fmt[0])
-    p.add_argument("--out", default=None)
+_OUT = ("--out", {})
+_JSON = ("--json", {"action": "store_true", "help": "emit the JSON report array"})
+_WORD = ("--word", {"required": True, "help": "lexmin | lexmax | ik:K | comma-separated letters"})
+_MODE = ("--mode", {"choices": ("points", "hrep", "count"), "default": "points"})
 
 
-def _args_roots(p, argv) -> None:
-    _common(p, fmt=("text", "json"))
-    p.set_defaults(func=cmd_roots)
+def _add_args(parser, specs) -> None:
+    """Add the arguments ``specs`` declare, in order.  A spec is the name of
+    a claim parameter, a pair (flag, ``add_argument`` keywords), or a dict
+    ``{"required": ..., "group": specs}`` for a mutually exclusive group."""
+    for spec in specs:
+        if isinstance(spec, dict):
+            _add_args(parser.add_mutually_exclusive_group(required=spec["required"]), spec["group"])
+        else:
+            flag, kwargs = _PARAM_FLAGS[spec] if isinstance(spec, str) else spec
+            parser.add_argument(flag, **kwargs)
 
 
-def _args_word(p, argv) -> None:
-    p.add_argument("--n", type=_decimal, required=True)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--lexmin", action="store_true")
-    grp.add_argument("--lexmax", action="store_true")
-    grp.add_argument("--ik", type=_decimal, default=None, metavar="K")
-    grp.add_argument("--word", default=None, help="explicit comma-separated letters")
-    p.add_argument("--enumerate", action="store_true",
-                   help="also print the induced order on positive roots")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_word)
+# (dest, {name: (help, handler, argument specs) or (help, nested table)});
+# a command whose help is None is left out of its parent's help
+_COMMANDS = ("command", {
+    "roots": ("positive roots in canonical order", cmd_roots, ("n", _format("text", "json"), _OUT)),
+    "word": ("reduced words of the longest element", cmd_word, (
+        "n",
+        {"required": False, "group": (
+            ("--lexmin", {"action": "store_true"}),
+            ("--lexmax", {"action": "store_true"}),
+            ("--ik", {"type": _decimal, "metavar": "K"}),
+            ("--word", {"help": "explicit comma-separated letters"}),
+        )},
+        ("--enumerate", {"action": "store_true", "help": "also print the induced order on positive roots"}),
+        _OUT,
+    )),
+    "fflv": ("FFLV polytope of a weight", cmd_fflv, ("n", "lam", _format("text", "json"), _OUT, _MODE)),
+    "tiling": ("rhombic tiling of a reduced word", cmd_tiling,
+               ("n", _format("text", "json", "svg"), _OUT, _WORD)),
+    "lusztig": ("Lusztig polytope of a reduced word", cmd_lusztig,
+                ("n", "lam", _format("text", "json"), _OUT, _WORD, _MODE)),
+    "crystal": ("crystal graphs on FFLV lattice points", ("which", {
+        "sl3": ("the explicit crystals B^>(a,b) / B^<(a,b)", cmd_crystal_sl3, (
+            {"required": True, "group": (("--gt", {"action": "store_true"}),
+                                         ("--lt", {"action": "store_true"}))},
+            ("--a", {"type": _decimal, "required": True}),
+            ("--b", {"type": _decimal, "required": True}),
+            _format("dot", "json", "text"),
+            _OUT,
+        )),
+        "pb": ("all candidate moves (usually a multigraph)", cmd_crystal_pb,
+               ("n", "lam", _format("dot", "json", "text"), _OUT)),
+    })),
+    "conjecture": ("search for crystal structures", cmd_conjecture, (
+        "n", "lam", _format("text", "json"), _OUT,
+        ("--mode", {"choices": ("exhaustive", "greedy"), "default": "exhaustive"}),
+        ("--sigma", {"help": "color preference, e.g. 2,1"}),
+        ("--budget", {"type": _decimal}),
+    )),
+    "verify": ("replay verification claims", ("what", {
+        **{kind: (None, cmd_verify, (*claim.params, _OUT, _JSON)) for kind, claim in CLAIMS.items()},
+        "suite": (None, cmd_verify, (
+            ("--config", {"help": "JSON file overriding the default sweep"}),
+            ("--kinds", {"help": "comma-separated claim kinds to run"}),
+            _OUT,
+            _JSON,
+        )),
+    })),
+})
 
 
-def _args_fflv(p, argv) -> None:
-    _common(p, lam=True, fmt=("text", "json"))
-    p.add_argument("--mode", choices=("points", "hrep", "count"), default="points")
-    p.set_defaults(func=cmd_fflv)
-
-
-def _args_tiling(p, argv) -> None:
-    _common(p, fmt=("text", "json", "svg"))
-    p.add_argument("--word", required=True,
-                   help="lexmin | lexmax | ik:K | comma-separated letters")
-    p.set_defaults(func=cmd_tiling)
-
-
-def _args_lusztig(p, argv) -> None:
-    _common(p, lam=True, fmt=("text", "json"))
-    p.add_argument("--word", required=True,
-                   help="lexmin | lexmax | ik:K | comma-separated letters")
-    p.add_argument("--mode", choices=("points", "hrep", "count"), default="points")
-    p.set_defaults(func=cmd_lusztig)
-
-
-def _args_crystal_sl3(q, argv) -> None:
-    grp = q.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--gt", action="store_true")
-    grp.add_argument("--lt", action="store_true")
-    q.add_argument("--a", type=_decimal, required=True)
-    q.add_argument("--b", type=_decimal, required=True)
-    q.add_argument("--format", choices=("dot", "json", "text"), default="dot")
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_crystal_sl3)
-
-
-def _args_crystal_pb(q, argv) -> None:
-    _common(q, lam=True, fmt=("dot", "json", "text"))
-    q.set_defaults(func=cmd_crystal_pb)
-
-
-def _args_crystal(p, argv) -> None:
-    _add_commands(p, "which", {
-        "sl3": ("the explicit crystals B^>(a,b) / B^<(a,b)", _args_crystal_sl3),
-        "pb": ("all candidate moves (usually a multigraph)", _args_crystal_pb),
-    }, argv)
-
-
-def _args_conjecture(p, argv) -> None:
-    _common(p, lam=True, fmt=("text", "json"))
-    p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
-    p.add_argument("--sigma", default=None, help="color preference, e.g. 2,1")
-    p.add_argument("--budget", type=_decimal, default=None)
-    p.set_defaults(func=cmd_conjecture)
-
-
-def _args_json(q) -> None:
-    q.add_argument("--json", action="store_true", help="emit the JSON report array")
-    q.set_defaults(func=cmd_verify)
-
-
-def _args_claim(kind: str):
-    def add(q, argv) -> None:
-        for name in CLAIMS[kind].params:
-            _add_param(q, name)
-        q.add_argument("--out", default=None)
-        _args_json(q)
-
-    return add
-
-
-def _args_suite(q, argv) -> None:
-    q.add_argument("--config", default=None, help="JSON file overriding the default sweep")
-    q.add_argument("--kinds", default=None, help="comma-separated claim kinds to run")
-    q.add_argument("--out", default=None)
-    _args_json(q)
-
-
-def _args_verify(p, argv) -> None:
-    kinds = {kind: (None, _args_claim(kind)) for kind in CLAIMS}
-    _add_commands(p, "what", {**kinds, "suite": (None, _args_suite)}, argv)
-
-
-# name -> (help, function(parser, the arguments after the name) adding the
-# command's arguments; only the nested ``crystal`` and ``verify`` read the
-# second argument, to pick their own subcommand)
-_COMMANDS = {
-    "roots": ("positive roots in canonical order", _args_roots),
-    "word": ("reduced words of the longest element", _args_word),
-    "fflv": ("FFLV polytope of a weight", _args_fflv),
-    "tiling": ("rhombic tiling of a reduced word", _args_tiling),
-    "lusztig": ("Lusztig polytope of a reduced word", _args_lusztig),
-    "crystal": ("crystal graphs on FFLV lattice points", _args_crystal),
-    "conjecture": ("search for crystal structures", _args_conjecture),
-    "verify": ("replay verification claims", _args_verify),
-}
-
-
-def _add_commands(parser, dest: str, commands: dict, argv: Sequence[str] | None) -> None:
-    """Register each command's name and help under a required subcommand.
+def _add_commands(parser, table, argv: Sequence[str] | None) -> None:
+    """Register the commands of ``table`` (see ``_COMMANDS``) by name and
+    help under a required subcommand stored at its dest.
 
     Only the command that parsing ``argv`` picks gets its arguments: the
     first of ``argv`` that is not an option, since no parser here has an
@@ -421,14 +371,19 @@ def _add_commands(parser, dest: str, commands: dict, argv: Sequence[str] | None)
     read only the names and helps, so every ``--help`` and every error
     prints what the full tree prints.  ``argv=None`` builds the full tree.
     """
+    dest, commands = table
     sub = parser.add_subparsers(dest=dest, required=True)
     i = next((i for i, a in enumerate(argv or ()) if not a.startswith("-")), None)
-    for name, (text, add_args) in commands.items():
+    for name, (text, *body) in commands.items():
         q = sub.add_parser(name) if text is None else sub.add_parser(name, help=text)
-        if argv is None:
-            add_args(q, None)
-        elif i is not None and argv[i] == name:
-            add_args(q, argv[i + 1:])
+        if argv is not None and (i is None or argv[i] != name):
+            continue
+        rest = None if argv is None else argv[i + 1:]
+        if len(body) == 1:  # a nested table
+            _add_commands(q, body[0], rest)
+        else:
+            _add_args(q, body[1])
+            q.set_defaults(func=body[0])
 
 
 def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
@@ -438,7 +393,7 @@ def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         prog="fflv",
         description="FFLV and Lusztig polytopes, rhombic tilings, and crystal graphs.",
     )
-    _add_commands(parser, "command", _COMMANDS, argv)
+    _add_commands(parser, _COMMANDS, argv)
     return parser
 
 

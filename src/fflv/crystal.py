@@ -85,18 +85,6 @@ class CrystalGraph(_Value):
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CrystalGraph":
-        return cls(
-            n=obj["n"],
-            lam=tuple(obj["lambda"]),
-            vertices=PointSet(obj["vertices"]),
-            edges=frozenset(
-                (tuple(e["source"]), e["color"], tuple(e["target"]))
-                for e in obj["edges"]
-            ),
-        )
-
 
 DOT_COLORS = ("red", "blue", "green", "orange", "purple", "brown")
 

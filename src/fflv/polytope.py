@@ -81,6 +81,15 @@ class _Value:
         return f"{self.__class__.__name__}({fields})"
 
 
+def _check_dim(dim: int) -> int:
+    """dim as an int; raises ValueError below 0 and TypeError unless dim is
+    an integer."""
+    dim = index(dim)
+    if dim < 0:
+        raise ValueError("dim must be >= 0")
+    return dim
+
+
 class HPolytope(NamedTuple):
     """The rows ``coeffs . x <= rhs`` over Z^dim, with x >= 0 implied."""
 
@@ -89,6 +98,7 @@ class HPolytope(NamedTuple):
 
     @classmethod
     def make(cls, dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> "HPolytope":
+        dim = _check_dim(dim)
         norm = []
         for coeffs, rhs in rows:
             coeffs = tuple(map(index, coeffs))
@@ -104,12 +114,6 @@ class HPolytope(NamedTuple):
             "rows": [{"a": list(a), "b": b} for a, b in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "HPolytope":
-        if obj["nonneg"] is not True:
-            raise ValueError("only polytopes in x >= 0 are supported")
-        return cls.make(dim=obj["dim"], rows=[(row["a"], row["b"]) for row in obj["rows"]])
-
 
 class PointSet:
     """A deduplicated set of integer points, stored sorted.
@@ -122,6 +126,8 @@ class PointSet:
     __slots__ = ("dim", "_pts")
 
     def __init__(self, points: Iterable[Sequence[int]], dim: int | None = None):
+        if dim is not None:
+            dim = _check_dim(dim)
         pts = sorted({tuple(map(index, p)) for p in points})
         if pts:
             d = len(pts[0])

@@ -845,11 +845,6 @@ def test_fixed_k_exhausted_search_raises(monkeypatch):
     assert fixed_k_check(3, 2, 2)
 
 
-def test_crystal_json_roundtrip():
-    g = sl3_bgt(2, 1)
-    assert CrystalGraph.from_json(g.to_json()) == g
-
-
 def test_crystal_dot_output():
     g = sl3_bgt(1, 1)
     dot = crystal_to_dot(g)

@@ -1,6 +1,7 @@
 """H-polytope enumeration, sumsets, and the support function of a sumset."""
 
 import gc
+import json
 import random
 
 import pytest
@@ -543,8 +544,23 @@ def test_non_integer_input_is_rejected():
             raise AssertionError(f"{name} should be rejected")
 
 
+def test_dim_must_be_a_nonnegative_integer():
+    # dim comes from outside through HPolytope.make and PointSet(..., dim=):
+    # a float or a string raises TypeError, a negative dim ValueError, even
+    # with no row or point to compare it with (HPolytope.make(-1, []) made a
+    # polytope whose one lattice point was ())
+    for build in (lambda dim: HPolytope.make(dim, []), lambda dim: PointSet([], dim=dim)):
+        with pytest.raises(ValueError, match="^dim must be >= 0$"):
+            build(-1)
+        for dim in (2.0, "2"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build(dim)
+
+
 def test_json_round_trips():
     P = fflv2(2, 1)
-    assert HPolytope.from_json(P.to_json()) == P
+    obj = json.loads(json.dumps(P.to_json()))
+    assert obj == P.to_json()
+    assert HPolytope.make(obj["dim"], [(row["a"], row["b"]) for row in obj["rows"]]) == P
     A = PointSet(EIGHT)
     assert PointSet(A.to_json()) == A

@@ -113,3 +113,19 @@ def test_only_roots_writes_the_input_rules():
     assert found == []
     roots = (pathlib.Path(fflv.__file__).parent / "roots.py").read_text()
     assert [roots.count(text) for text in _RULE_TEXTS] == [1, 1, 1, 1]
+
+
+def test_cli_adds_arguments_in_one_place():
+    # the command table declares every argument and _add_args adds them all:
+    # an add_argument call anywhere else is a second way to declare a flag
+    path = pathlib.Path(fflv.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{getattr(stmt, 'name', 'module')}:{node.lineno}"
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+    ]
+    assert found and all(f.startswith("_add_args:") for f in found), found
