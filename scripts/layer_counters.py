@@ -81,9 +81,9 @@ WORKLOADS = {
         # _crystals returns (crystals, nodes visited, complete)
         "search_nodes": ("_crystals", lambda found: found[1]),
         "pairings": ("_crystals", lambda found: len(found[0])),
-        "iso_report_calls": ("_iso_report", None),
+        "iso_report_calls": ("check_oracle_iso", None),
         "local_axiom_calls": ("check_local_axioms", None),
-        "weight_calls": ("weight_of_point", None),
+        "weight_calls": ("_weight_of_point", None),
         "move_calls": ("_moves", None),
         "candidates": ("_moves", len),
     }),

@@ -7,17 +7,16 @@ Four layers:
   rule per color that gives f_c of a lattice point, plus their critical
   points;
 * two validators -- the normative isomorphism check against an
-  independent tensor-word oracle crystal, and a reconstructed
-  Stembridge-style local-axiom check that localizes failures;
+  independent tensor-word oracle crystal, which gives one verdict, and a
+  reconstructed Stembridge-style local-axiom check, the one validator that
+  says where a graph fails;
 * a search over edge selections from PB_n(lambda) hunting for the
   conjectured n! crystal structures: greedy by a sigma-preference, or
   exhaustive by one budgeted backtracking engine that grows the
   isomorphism with the word oracle from the highest weight and branches
   only over candidate targets that fit it, so every graph it assembles
   is a crystal by construction.  That engine runs every search here, the
-  fixed-k check included: where each (vertex, color) has at most one
-  fixed-k move the graph is forced, and it is the crystal exactly when
-  the engine finds one that takes every move.
+  fixed-k check included.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fflv import fflv_points
 from .polytope import PointSet, _Value
-from .roots import Root, check_weight, fundamental_weight, root_index, weight_of_point
+from .roots import Root, _weight_of_point, check_weight, fundamental_weight, root_index
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
@@ -72,7 +71,7 @@ class CrystalGraph(_Value):
     def weight_of(self, v: Point) -> tuple[int, ...]:
         if self.weights is not None:
             return self.weights[v]
-        return weight_of_point(self.lam, v)
+        return _weight_of_point(self.lam, v)
 
     def to_json(self) -> dict:
         return {
@@ -183,11 +182,11 @@ class WordCrystal:
 
     Independent of everything polytopal: vertices are words over [1, m],
     the highest word stacks column words 1..k (lambda_k copies each, k
-    descending), and f_a / e_a act by the usual bracket cancellation --
-    letters a count '+', letters a+1 count '-', a '-' cancels the nearest
-    surviving '+' to its left; f_a flips the leftmost surviving '+',
-    e_a the rightmost surviving '-'.  lambda must be a dominant weight with
-    n entries, as for ``fflv_points``; anything else raises ValueError.
+    descending), and f_a acts by the usual bracket cancellation -- letters
+    a count '+', letters a+1 count '-', a '-' cancels the nearest surviving
+    '+' to its left, and f_a flips the leftmost surviving '+'.  lambda must
+    be a dominant weight with n entries, as for ``fflv_points``; anything
+    else raises ValueError.
     """
 
     def __init__(self, n: int, lam: Sequence[int]):
@@ -202,33 +201,17 @@ class WordCrystal:
         self._f: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._close()
 
-    def _signature(self, word: tuple[int, ...], a: int) -> tuple[list[int], list[int]]:
-        plus: list[int] = []
-        minus: list[int] = []
+    def f(self, word: tuple[int, ...], a: int) -> tuple[int, ...] | None:
+        plus: list[int] = []  # positions of the surviving '+'
         for pos, c in enumerate(word):
             if c == a:
                 plus.append(pos)
-            elif c == a + 1:
-                if plus:
-                    plus.pop()
-                else:
-                    minus.append(pos)
-        return plus, minus
-
-    def f(self, word: tuple[int, ...], a: int) -> tuple[int, ...] | None:
-        plus, _ = self._signature(word, a)
+            elif c == a + 1 and plus:
+                plus.pop()
         if not plus:
             return None
         out = list(word)
         out[plus[0]] = a + 1
-        return tuple(out)
-
-    def e(self, word: tuple[int, ...], a: int) -> tuple[int, ...] | None:
-        _, minus = self._signature(word, a)
-        if not minus:
-            return None
-        out = list(word)
-        out[minus[-1]] = a
         return tuple(out)
 
     def content(self, word: tuple[int, ...]) -> tuple[int, ...]:
@@ -448,22 +431,23 @@ def _apply_chain(op: list[list[int]], i: int, colors: Iterable[int]) -> int:
     return i
 
 
-def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
-    """Deterministic traversal pairing G with the oracle crystal W: whether
-    they pair, and the first mismatch met when not."""
+def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
+    """Is G isomorphic, weights included, to the word oracle B(lambda)?
+
+    One deterministic traversal pairs the single source of G with the
+    highest word and follows the f-edges of both graphs together; it stops
+    at the first mismatch.  ``check_local_axioms`` says where a graph fails.
+    """
+    W = word_oracle(G.n, lam)
     ix = _index(G)
-    if ix.stray:
-        return False, ix.stray[0][1]
-    if ix.multi:
-        return False, "multi-edges: not a partial permutation per color"
+    if ix.stray or ix.multi:
+        return False
     verts, f, wt = ix.verts, ix.f, ix.wt
     entered = set(itertools.chain.from_iterable(f[1:]))
     sources = [i for i in range(len(verts)) if i not in entered]
-    if len(sources) != 1:
-        return False, f"{len(sources)} sources, expected 1"
+    if len(sources) != 1 or wt[sources[0]] != W.content(W.highest):
+        return False
     src = sources[0]
-    if wt[src] != W.content(W.highest):
-        return False, f"source weight {wt[src]} != highest weight"
     word: list[tuple[int, ...] | None] = [None] * len(verts)  # id -> paired word
     word[src] = W.highest
     used: set[tuple[int, ...]] = {W.highest}
@@ -475,29 +459,19 @@ def _iso_report(G: CrystalGraph, W: WordCrystal) -> tuple[bool, str]:
             j = f[a][i]
             gw = W._f.get((w, a))
             if (j == -1) != (gw is None):
-                return False, f"color-{a} edge mismatch at {verts[i]} / word {w}"
+                return False
             if j == -1:
                 continue
             if word[j] is not None:
                 if word[j] != gw:
-                    return False, f"inconsistent pairing at {verts[j]}"
+                    return False
             else:
-                if gw in used:
-                    return False, f"two vertices map to word {gw}"
-                if wt[j] != W.content(gw):
-                    return False, f"weight mismatch at {verts[j]}"
+                if gw in used or wt[j] != W.content(gw):
+                    return False
                 word[j] = gw
                 used.add(gw)
                 queue.append(j)
-    if len(used) != len(verts):
-        return False, f"only {len(used)} of {len(verts)} vertices reached"
-    if len(used) != len(W.vertices):
-        return False, f"oracle has {len(W.vertices)} vertices, matched {len(used)}"
-    return True, ""
-
-
-def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
-    return _iso_report(G, word_oracle(G.n, lam))[0]
+    return len(used) == len(verts) == len(W.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +641,7 @@ def _crystals(
     False for ``complete`` when the search stopped at node ``budget + 1``.
     """
     n, lam = W.n, W.lam
-    weights = {v: weight_of_point(lam, v) for v in pts}
+    weights = {v: _weight_of_point(lam, v) for v in pts}
     graphs: list[CrystalGraph] = []
     if len(pts) != len(W.vertices):
         return graphs, 0, True
@@ -779,7 +753,7 @@ def conjecture_search(
     cand = _candidate_map(n, pts)
 
     if mode == "greedy":
-        weights = {v: weight_of_point(lam, v) for v in pts}
+        weights = {v: _weight_of_point(lam, v) for v in pts}
         sigma_pos = {k: i for i, k in enumerate(sigma)}
         edges: list[EdgeT] = []
         for a in range(1, n + 1):
@@ -801,16 +775,21 @@ def conjecture_search(
 def fixed_k_check(n: int, k: int, r: int) -> bool:
     """Does restricting every color to its fixed-k move recover B(r w_k)?
 
-    One run of the search engine over the fixed-k moves decides.  Where
-    every (vertex, color) has at most one such move the graph is forced:
-    the engine has no choice to make and takes a move exactly where the
-    oracle has that f-edge, so the answer is whether it finds a crystal
-    that takes every move.  Otherwise (from r = 2 on, two j's can be
-    feasible at one vertex) it is whether the engine finds a crystal among
-    the selections.  A search that stops at ``SEARCH_BUDGET`` nodes without
-    one raises RuntimeError; a forced one needs at most |V| * n + 1 nodes.
-    n, k and r are checked by ``fundamental_weight``; r = 0 has no crystal
-    to recover and raises ValueError too.
+    One run of the search engine over the fixed-k moves decides, by one of
+    two rules.  Forced, where every (vertex, color) has at most one fixed-k
+    move: the engine takes a move exactly where the oracle has that f-edge,
+    and the answer is whether it finds a crystal that takes every move.
+    Search among choices, from r = 2 on, where two j's can be feasible at
+    one vertex: the answer is whether it finds a crystal among the
+    selections, and a move it leaves unused does not count.  At (n, k, r) =
+    (3,2,2), (3,2,3), (4,2,2) and (4,3,2) the one crystal found leaves 2, 8,
+    7 and 7 (vertex, color) pairs with a fixed-k move but no f-edge of
+    B(r w_k), so the forced rule would answer False there.
+
+    A search that stops at ``SEARCH_BUDGET`` nodes without a crystal raises
+    RuntimeError; a forced one needs at most |V| * n + 1 nodes.  n, k and r
+    are checked by ``fundamental_weight``; r = 0 has no crystal to recover
+    and raises ValueError too.
     """
     lam = fundamental_weight(n, k, r)
     if r < 1:

@@ -31,10 +31,6 @@ class Root(NamedTuple):
     i: int
     j: int
 
-    @property
-    def height(self) -> int:
-        return self.j - self.i + 1
-
     def __str__(self) -> str:
         return f"a[{self.i},{self.j}]"
 
@@ -97,17 +93,6 @@ def positive_roots(n: int) -> list[Root]:
 def root_index(n: int) -> Mapping[Root, int]:
     """Position of every root in the canonical order (read-only, one per rank)."""
     return MappingProxyType({r: p for p, r in enumerate(_canonical_roots(n))})
-
-
-def is_reduced(word: Sequence[int], n: int | None = None) -> bool:
-    """True iff ``word`` is a reduced expression for the longest element of
-    rank n (of its largest letter when n is None); a rank below 1 has none.
-    A float or a string letter raises TypeError, as in ``check_word``."""
-    try:
-        root_enumeration(word, n)
-    except ValueError:
-        return False
-    return True
 
 
 def lexmin_word(n: int) -> Word:
@@ -230,8 +215,14 @@ def weight_of_point(lam: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
     """Content vector in Z^m of the point x (indexed by the canonical roots).
 
     Each unit of x_{i,j} subtracts e_i - e_{j+1} from mu, i.e. moves one box
-    from row i to row j+1.
+    from row i to row j+1.  lambda must be a dominant weight of rank
+    len(lambda) >= 1, else ValueError.
     """
+    return _weight_of_point(check_weight(len(lam), lam), x)
+
+
+def _weight_of_point(lam: tuple[int, ...], x: Sequence[int]) -> tuple[int, ...]:
+    """``weight_of_point`` for a lambda its caller has checked."""
     n = len(lam)
     if len(x) != num_roots(n):
         raise ValueError("point has wrong dimension for this weight")

@@ -43,7 +43,6 @@ class PeelStallError(RuntimeError):
 
 
 class Edge(NamedTuple):
-    id: int
     label: int
     bottom: frozenset[int]
 
@@ -163,13 +162,9 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
     word, n = check_word(word, n)
     enum = root_enumeration(word, n)  # raises on a non-reduced word
     m = n + 1
-    ids = iter(range(10 ** 9))
-    left = tuple(
-        Edge(next(ids), i, frozenset(range(1, i))) for i in range(1, m + 1)
-    )
+    left = tuple(Edge(i, frozenset(range(1, i))) for i in range(1, m + 1))
     border: list[Edge] = list(left)
     inc: dict[Edge, list[Tile]] = {e: [] for e in left}  # every edge, in creation order
-    created = {(e.bottom, e.label) for e in left}
     tiles: list[Tile] = []
     for a, root in zip(word, enum):
         lo, hi = border[a - 1], border[a]
@@ -181,13 +176,11 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         s, t, V = lo.label, hi.label, lo.bottom
         if root != Root(s, t - 1):
             raise RuntimeError(f"tile {s},{t} is not root {root} (word {word})")
-        up_bottom = Edge(next(ids), t, V)
-        up_top = Edge(next(ids), s, V | {t})
+        up_bottom = Edge(t, V)
+        up_top = Edge(s, V | {t})
         for e in (up_bottom, up_top):
-            key = (e.bottom, e.label)
-            if key in created:  # each geometric edge may be created only once
-                raise RuntimeError(f"edge {key} created twice (word {word})")
-            created.add(key)
+            if e in inc:  # each edge may be created only once
+                raise RuntimeError(f"edge {(e.bottom, e.label)} created twice (word {word})")
             inc[e] = []
         tiles.append(
             Tile(
@@ -514,6 +507,7 @@ def check_rectangle_support(n: int, k: int, r: int) -> bool:
 
 
 def tiling_to_json(T: Tiling) -> dict:
+    eid = {e: i for i, e in enumerate(T.incidence)}  # edges in creation order
     strips = {t: [tile.id for tile in strip(T, t)] for t in range(1, T.m + 1)}
     peels = {
         s: {tid: lv for tid, lv in sorted(peel_order(T, s).items())}
@@ -528,14 +522,14 @@ def tiling_to_json(T: Tiling) -> dict:
                 "id": tile.id,
                 "labels": list(tile.labels),
                 "root": list(tile.root),
-                "lower": [e.id for e in tile.lower],
-                "upper": [e.id for e in tile.upper],
+                "lower": [eid[e] for e in tile.lower],
+                "upper": [eid[e] for e in tile.upper],
             }
             for tile in T.tiles
         ],
         "edges": [
-            {"id": e.id, "label": e.label, "bottom": sorted(e.bottom)}
-            for e in T.incidence
+            {"id": i, "label": e.label, "bottom": sorted(e.bottom)}
+            for e, i in eid.items()
         ],
         "strips": strips,
         "peel_layers": peels,

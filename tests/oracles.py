@@ -294,7 +294,7 @@ def walk_strip(T, t):
         if not nxt:
             break
         if len(nxt) != 1:
-            raise RuntimeError(f"strip {t}: edge {e.id} borders {len(nxt)} further tiles")
+            raise RuntimeError(f"strip {t}: edge {e} borders {len(nxt)} further tiles")
         tile = nxt[0]
         chain.append(tile)
         ahead = [d for d in tile.all_edges if d.label == t and d != e]
@@ -545,7 +545,8 @@ def _apply_chain(op, v, colors):
 
 
 def dict_iso_report(G, W):
-    """_iso_report as it was: (ok, message) of the pairing of G with W."""
+    """The pairing of G with the word oracle W, as a reference for
+    ``check_oracle_iso``: (ok, the first mismatch met when not)."""
     out = {}
     inc = {}
     for u, a, v in G.edges:

@@ -6,9 +6,10 @@ from collections import Counter
 
 from fflv.crystal import (
     CrystalGraph,
+    SEARCH_BUDGET,
     WordCrystal,
     _candidate_map,
-    _iso_report,
+    _crystals,
     _moves,
     _sl3_crystal,
     check_local_axioms,
@@ -24,7 +25,7 @@ from fflv.crystal import (
 )
 from fflv.fflv import fflv_points, weyl_dim
 from fflv.polytope import PointSet
-from fflv.roots import weight_of_point
+from fflv.roots import _weight_of_point, fundamental_weight
 
 import oracles
 
@@ -149,10 +150,6 @@ def test_word_oracle_adjoint_frozen():
         (1, 3, 2): (1, 3, 3),
         (2, 3, 2): (2, 3, 3),
     }
-    # eps_2(133) = 2: two e_2 steps, then none
-    assert W.e((1, 3, 3), 2) == (1, 3, 2)
-    assert W.e((1, 3, 2), 2) == (1, 2, 2)
-    assert W.e((1, 2, 2), 2) is None
 
 
 def test_word_oracle_counts_match_weyl_dim():
@@ -339,7 +336,7 @@ def test_validators_match_dict_oracles():
         W = oracle.setdefault((g.n, g.lam), word_oracle(g.n, g.lam))
         report, iso = oracles.dict_local_axioms(g), oracles.dict_iso_report(g, W)
         assert check_local_axioms(g) == report
-        assert _iso_report(g, W) == iso
+        assert check_oracle_iso(g, g.lam) == iso[0]
         assert report["passed"] or not iso[0]  # the pairing passes => the axioms pass
     assert len(graphs) == 1 + 66 + 108 + 50 + 2 + 400
 
@@ -357,7 +354,6 @@ def test_validators_reject_edges_that_leave_the_graph():
             "passed": False,
             "violations": [{"axiom": "edge-range", "vertex": (0, 0, 0), "detail": detail}],
         }
-        assert _iso_report(bad, word_oracle(2, (1, 1))) == (False, detail)
         assert not check_oracle_iso(bad, (1, 1))
     # an end outside the vertex set, on a graph with and one without weights
     for h, u in ((word_oracle(2, (1, 1)).export_graph(), (1, 2, 1)), (g, (0, 0, 0))):
@@ -366,7 +362,7 @@ def test_validators_reject_edges_that_leave_the_graph():
         assert check_local_axioms(bad)["violations"] == [
             {"axiom": "edge-range", "vertex": u, "detail": detail}
         ]
-        assert _iso_report(bad, word_oracle(2, (1, 1))) == (False, detail)
+        assert not check_oracle_iso(bad, (1, 1))
         # a stray source is flagged at itself
         bad = with_edge(h, ((9, 9, 9), 1, u))
         assert check_local_axioms(bad)["violations"][0]["vertex"] == (9, 9, 9)
@@ -457,8 +453,7 @@ def test_sl3_families_are_crystals():
                 assert set(g.vertices) == set(fflv_points(2, (a, b)))
                 report = check_local_axioms(g)
                 assert report["passed"], (build.__name__, a, b, report["violations"][:3])
-                ok, why = _iso_report(g, word_oracle(2, (a, b)))
-                assert ok, (build.__name__, a, b, why)
+                assert check_oracle_iso(g, (a, b)), (build.__name__, a, b)
 
 
 def test_sl3_families_differ_as_graphs():
@@ -589,14 +584,14 @@ def test_conjecture_exhaustive_frozen():
 
 def _both_validators(g, W):
     """The reference verdict: the oracle pairing and the local axioms."""
-    return _iso_report(g, W)[0] and check_local_axioms(g)["passed"]
+    return oracles.dict_iso_report(g, W)[0] and check_local_axioms(g)["passed"]
 
 
 def _product_crystals(n, lam, cand, pts):
     """Crystal edge sets by the product-then-filter oracle, validated by
     both validators on graphs that carry no weight table."""
     W = word_oracle(n, lam)
-    weights = {v: weight_of_point(lam, v) for v in pts}
+    weights = {v: _weight_of_point(lam, v) for v in pts}
     return oracles.product_search(
         n, pts, cand, weights,
         lambda edges: _both_validators(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W),
@@ -656,6 +651,31 @@ def test_fixed_k_matches_product_search(monkeypatch):
     assert not fixed_k_check(n, k, 1)
 
 
+def test_fixed_k_rules_unused_moves():
+    # fixed_k_check's two rules: a forced graph must take every fixed-k
+    # move, a search among choices ignores a move its crystal leaves
+    # unused.  Count the (vertex, color) pairs with a fixed-k move but no
+    # edge in the one crystal the engine finds: the forced rule would
+    # answer False on the four searches among choices
+    choice = {(3, 2, 2): 2, (3, 2, 3): 8, (4, 2, 2): 7, (4, 3, 2): 7}
+    cases = [(n, k, r) for n in (1, 2, 3, 4) for k in range(1, n + 1) for r in (1, 2)]
+    for n, k, r in cases + [(3, 2, 3)]:
+        lam = fundamental_weight(n, k, r)
+        pts = fflv_points(n, lam)
+        cand = {
+            key: [ce for ce in ces if ce.k == k]
+            for key, ces in _candidate_map(n, pts).items()
+        }
+        graphs, _, complete = _crystals(pts, cand, word_oracle(n, lam), SEARCH_BUDGET)
+        assert complete and len(graphs) == 1, (n, k, r)
+        taken = {(u, a) for u, a, _ in graphs[0].edges}
+        unused = sum(1 for key, ces in cand.items() if ces and key not in taken)
+        forced = all(len(ces) <= 1 for ces in cand.values())
+        assert forced == ((n, k, r) not in choice), (n, k, r)
+        assert unused == choice.get((n, k, r), 0), (n, k, r)
+        assert fixed_k_check(n, k, r)
+
+
 def test_conjecture_budget_counts_engine_nodes():
     assert conjecture_search(2, (2, 2)).nodes == 137
     assert conjecture_search(2, (2, 2), budget=137).complete
@@ -671,9 +691,9 @@ def test_weights_computed_once_per_point(monkeypatch):
 
     def counted(lam, x):
         calls[x] += 1
-        return weight_of_point(lam, x)
+        return _weight_of_point(lam, x)
 
-    monkeypatch.setattr(crystal, "weight_of_point", counted)
+    monkeypatch.setattr(crystal, "_weight_of_point", counted)
     for run, n, lam in (
         (lambda: conjecture_search(2, (2, 2)), 2, (2, 2)),
         (lambda: conjecture_search(3, (1, 0, 1)), 3, (1, 0, 1)),
@@ -721,7 +741,7 @@ def test_oracle_pairing_alone_decides(monkeypatch):
     # engine leaves are isomorphic to the oracle by construction: the
     # exhaustive search and both kinds of fixed-k check, a search among
     # selections (3,2,2) and a forced graph (3,2,1), call no validator
-    monkeypatch.setattr(crystal, "_iso_report", forbidden)
+    monkeypatch.setattr(crystal, "check_oracle_iso", forbidden)
     monkeypatch.setattr(crystal, "check_local_axioms", forbidden)
     assert len(conjecture_search(2, (2, 2)).graphs) == 2
     assert len(conjecture_search(3, (1, 0, 1)).graphs) == 2
@@ -737,12 +757,11 @@ def test_oracle_pairing_alone_decides(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(crystal, "_iso_report", counted("_iso_report", _iso_report))
     monkeypatch.setattr(
         crystal, "check_oracle_iso", counted("check_oracle_iso", check_oracle_iso)
     )
     assert len(conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy").graphs) == 1
-    assert calls == Counter(_iso_report=1, check_oracle_iso=1)
+    assert calls == Counter(check_oracle_iso=1)
 
 
 def test_crystal_counters_pinned(layer_counters):

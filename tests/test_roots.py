@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from fflv.claims import check_case
 from fflv.crystal import WordCrystal, fixed_k_check, sl3_bgt, sl3_blt
 from fflv.fflv import dyck_paths, fflv_points, fundamental_points
@@ -10,7 +12,6 @@ from fflv.roots import (
     all_reduced_words,
     fundamental_weight,
     ik_word,
-    is_reduced,
     lexmax_word,
     lexmin_word,
     num_roots,
@@ -45,19 +46,19 @@ def test_positive_roots_shape():
         assert [idx[r] for r in roots] == list(range(len(roots)))
 
 
-def test_root_height():
-    assert Root(1, 1).height == 1
-    assert Root(2, 5).height == 4
-
-
 def test_is_reduced():
-    assert is_reduced((1, 2, 1), 2)
-    assert is_reduced((2, 1, 2), 2)
-    assert not is_reduced((1, 1, 2), 2)
-    assert not is_reduced((1, 2), 2)       # too short
-    assert not is_reduced((1, 2, 1, 1), 2)
-    assert not is_reduced((1, 2, 3), 2)    # letter out of range
-    assert is_reduced((1,), 1)
+    # root_enumeration is the one test of reducedness: it raises on the rest
+    root_enumeration((1, 2, 1), 2)
+    root_enumeration((2, 1, 2), 2)
+    root_enumeration((1,), 1)
+    for word in (
+        (1, 1, 2),
+        (1, 2),        # too short
+        (1, 2, 1, 1),
+        (1, 2, 3),     # letter out of range
+    ):
+        with pytest.raises(ValueError, match="not a reduced word"):
+            root_enumeration(word, 2)
 
 
 def test_special_words_frozen():
@@ -72,11 +73,12 @@ def test_special_words_frozen():
 
 
 def test_special_words_are_reduced():
+    # root_enumeration raises on a word that is not reduced
     for n in range(1, 7):
-        assert is_reduced(lexmin_word(n), n)
-        assert is_reduced(lexmax_word(n), n)
+        root_enumeration(lexmin_word(n), n)
+        root_enumeration(lexmax_word(n), n)
         for k in range(1, n + 1):
-            assert is_reduced(ik_word(n, k), n)
+            root_enumeration(ik_word(n, k), n)
     # i^1 is the lex-minimal word up to the block order
     assert sorted(ik_word(4, 1)) == sorted(lexmin_word(4))
 
@@ -144,7 +146,7 @@ def test_random_reduced_word():
     for n in (2, 3, 4, 5):
         for _ in range(30):
             w = random_reduced_word(n, rng)
-            assert is_reduced(w, n)
+            root_enumeration(w, n)
 
 
 def test_weight_mu():
@@ -269,6 +271,13 @@ def test_weight_of_point_frozen():
     assert weight_of_point((1, 1), (0, 0, 0)) == (2, 1, 0)
     # a box at alpha_12 moves a unit from row 1 to row 3
     assert weight_of_point((1, 1), (0, 1, 0)) == (1, 1, 1)
+
+
+def test_weight_of_point_checks_lambda():
+    with pytest.raises(ValueError, match="dominant"):
+        weight_of_point((-1,), (0,))
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        weight_of_point((), ())
 
 
 def test_weight_of_point_content_is_conserved():
