@@ -1,13 +1,15 @@
 """Crystal structures on FFLV lattice points.
 
-Four layers:
+A ``CrystalGraph`` reads its rank n from lambda, and every builder stores
+the lambda that ``check_weight`` returns.  Four layers:
 
 * candidate moves and the multi-edge graph PB_n(lambda) they form;
 * the explicit sl_3 crystals B^>(a, b) and B^<(a, b), each built from one
   rule per color that gives f_c of a lattice point, plus their critical
   points;
 * two validators -- the normative isomorphism check against an
-  independent tensor-word oracle crystal, which gives one verdict, and a
+  independent tensor-word oracle crystal, which gives one verdict and,
+  like the search engine, pairs from the vertex of highest weight, and a
   reconstructed Stembridge-style local-axiom check, the one validator that
   says where a graph fails;
 * a search over edge selections from PB_n(lambda) hunting for the
@@ -45,15 +47,14 @@ class CandidateEdge(NamedTuple):
 
 
 class CrystalGraph(_Value):
-    """A colored graph on lattice points.  Equality and hash read n, lam,
-    vertices and edges, never ``weights``."""
+    """A colored graph on lattice points, of rank n = ``len(lam)``.  Equality
+    and hash read n, lam, vertices and edges, never ``weights``."""
 
-    __slots__ = ("n", "lam", "vertices", "edges", "weights")
+    __slots__ = ("lam", "vertices", "edges", "weights")
     _value = ("n", "lam", "vertices", "edges")
 
     def __init__(
         self,
-        n: int,
         lam: tuple[int, ...],
         vertices: PointSet,
         edges: frozenset[EdgeT],
@@ -62,11 +63,14 @@ class CrystalGraph(_Value):
         # of the point
         weights: dict[Point, tuple[int, ...]] | None = None,
     ) -> None:
-        self.n = n
         self.lam = lam
         self.vertices = vertices
         self.edges = edges
         self.weights = weights
+
+    @property
+    def n(self) -> int:
+        return len(self.lam)
 
     def weight_of(self, v: Point) -> tuple[int, ...]:
         if self.weights is not None:
@@ -153,13 +157,13 @@ def _moves(n: int, pts: PointSet | set[Point], x: Point) -> list[CandidateEdge]:
 
 def pb_graph(n: int, lam: Sequence[int]) -> CrystalGraph:
     """The union of all candidate moves; usually not a crystal (multi-edges)."""
-    lam = tuple(lam)
+    lam = check_weight(n, tuple(lam))  # a lambda that is not iterable fails before n is read
     pts = fflv_points(n, lam)
     inside = set(pts)
     edges = frozenset(
         (x, ce.a, ce.target) for x in pts for ce in _moves(n, inside, x)
     )
-    return CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges)
+    return CrystalGraph(lam=lam, vertices=pts, edges=edges)
 
 
 def _candidate_map(n: int, pts: PointSet) -> dict[tuple[Point, int], list[CandidateEdge]]:
@@ -191,7 +195,6 @@ class WordCrystal:
 
     def __init__(self, n: int, lam: Sequence[int]):
         self.n = n
-        self.m = n + 1
         self.lam = check_weight(n, lam)
         hw: list[int] = []
         for k in range(n, 0, -1):
@@ -215,7 +218,7 @@ class WordCrystal:
         return tuple(out)
 
     def content(self, word: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(word.count(i) for i in range(1, self.m + 1))
+        return tuple(word.count(i) for i in range(1, self.n + 2))
 
     def _close(self) -> None:
         """Fill vertices and the f table; B(lambda) is generated by the f's
@@ -240,7 +243,6 @@ class WordCrystal:
         )
         weights = {w: self.content(w) for w in self.vertices}
         return CrystalGraph(
-            n=self.n,
             lam=self.lam,
             vertices=PointSet(sorted(self.vertices)),
             edges=edges,
@@ -277,15 +279,16 @@ class _Index(NamedTuple):
 
 
 def _index(G: CrystalGraph) -> _Index:
+    n = G.n
     verts = list(G.vertices)
     vid = {v: i for i, v in enumerate(verts)}
-    f = [[-1] * len(verts) for _ in range(G.n + 1)]
-    e = [[-1] * len(verts) for _ in range(G.n + 1)]
+    f = [[-1] * len(verts) for _ in range(n + 1)]
+    e = [[-1] * len(verts) for _ in range(n + 1)]
     stray: list[EdgeT] = []
     multi = False
     for u, a, v in G.edges:
         i, j = vid.get(u), vid.get(v)
-        if i is None or j is None or not 1 <= a <= G.n:
+        if i is None or j is None or not 1 <= a <= n:
             stray.append((u, a, v))
         elif f[a][i] != -1 or e[a][j] != -1:
             multi = True
@@ -294,7 +297,7 @@ def _index(G: CrystalGraph) -> _Index:
             e[a][j] = i
     stray_report = [
         (u, f"color-{a} edge {u} -> {v}: "
-            + ("endpoint not a vertex" if 1 <= a <= G.n else f"color outside [1, {G.n}]"))
+            + ("endpoint not a vertex" if 1 <= a <= n else f"color outside [1, {n}]"))
         for u, a, v in sorted(stray)
     ]
     return _Index(verts, f, e, [G.weight_of(v) for v in verts], stray_report, multi)
@@ -345,7 +348,8 @@ def check_local_axioms(G: CrystalGraph) -> dict:
     # from its head.  With partial functions a walk from a head cannot loop,
     # so a vertex with an out-edge that no walk reaches lies on a cycle.
     verts, f, e, wt = ix.verts, ix.f, ix.e, ix.wt
-    colors = range(1, G.n + 1)
+    n = G.n
+    colors = range(1, n + 1)
     eps: list[list[int]] = [[]]  # per color; color 0 unused
     phi: list[list[int]] = [[]]
     for a in colors:
@@ -367,7 +371,7 @@ def check_local_axioms(G: CrystalGraph) -> dict:
 
     steps = []  # read unsorted, flagged in edge order
     for a in colors:
-        want = [0] * (G.n + 1)
+        want = [0] * (n + 1)
         want[a - 1], want[a] = 1, -1
         for i, j in enumerate(f[a]):
             if j != -1 and (drop := [x - y for x, y in zip(wt[i], wt[j])]) != want:
@@ -434,20 +438,22 @@ def _apply_chain(op: list[list[int]], i: int, colors: Iterable[int]) -> int:
 def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
     """Is G isomorphic, weights included, to the word oracle B(lambda)?
 
-    One deterministic traversal pairs the single source of G with the
-    highest word and follows the f-edges of both graphs together; it stops
-    at the first mismatch.  ``check_local_axioms`` says where a graph fails.
+    One deterministic traversal pairs the one vertex of highest weight with
+    the highest word, as ``_crystals`` does, and follows the f-edges of both
+    graphs together; it stops at the first mismatch.  ``check_local_axioms``
+    says where a graph fails.
     """
-    W = word_oracle(G.n, lam)
+    n = G.n
+    W = word_oracle(n, lam)
     ix = _index(G)
     if ix.stray or ix.multi:
         return False
     verts, f, wt = ix.verts, ix.f, ix.wt
-    entered = set(itertools.chain.from_iterable(f[1:]))
-    sources = [i for i in range(len(verts)) if i not in entered]
-    if len(sources) != 1 or wt[sources[0]] != W.content(W.highest):
+    top = W.content(W.highest)
+    tops = [i for i, w in enumerate(wt) if w == top]
+    if len(tops) != 1:
         return False
-    src = sources[0]
+    src = tops[0]
     word: list[tuple[int, ...] | None] = [None] * len(verts)  # id -> paired word
     word[src] = W.highest
     used: set[tuple[int, ...]] = {W.highest}
@@ -455,7 +461,7 @@ def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
     while queue:
         i = queue.pop()
         w = word[i]
-        for a in range(1, G.n + 1):
+        for a in range(1, n + 1):
             j = f[a][i]
             gw = W._f.get((w, a))
             if (j == -1) != (gw is None):
@@ -507,7 +513,7 @@ def _sl3_crystal(a: int, b: int, f1: _Rule, f2: _Rule) -> CrystalGraph:
                 )
             source[(y, color)] = x
     edges = frozenset((x, color, y) for (y, color), x in source.items())
-    return CrystalGraph(n=2, lam=(a, b), vertices=pts, edges=edges)
+    return CrystalGraph(lam=(a, b), vertices=pts, edges=edges)
 
 
 def sl3_bgt(a: int, b: int) -> CrystalGraph:
@@ -680,9 +686,7 @@ def _crystals(
                 ]
             stack.append((step, fits, len(edges), len(order)))
         elif len(order) == len(pts):
-            graphs.append(CrystalGraph(
-                n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
-            ))
+            graphs.append(CrystalGraph(lam, pts, frozenset(edges), weights))
         # resume at the newest choice point with a target left to try
         while stack:
             step, fits, n_edges, n_order = stack[-1]
@@ -749,6 +753,7 @@ def conjecture_search(
             raise ValueError(f"budget must be at least 1, got {budget}")
         if mode == "greedy":
             raise ValueError("budget applies only to exhaustive mode")
+    lam = check_weight(n, lam)  # the ints fflv_points checks, stored in every graph
     pts = fflv_points(n, lam)
     cand = _candidate_map(n, pts)
 
@@ -761,9 +766,7 @@ def conjecture_search(
             if color_edges is None:
                 return SearchResult([], False, "greedy", 0, 0)
             edges += color_edges
-        g = CrystalGraph(
-            n=n, lam=lam, vertices=pts, edges=frozenset(edges), weights=weights
-        )
+        g = CrystalGraph(lam, pts, frozenset(edges), weights)
         valid = check_oracle_iso(g, lam)
         return SearchResult([g] if valid else [], True, "greedy", 0, 1)
 

@@ -90,6 +90,12 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
+def _check_row(coeffs: Sequence[int], dim: int) -> None:
+    """Raises ValueError unless the row has ``dim`` coefficients."""
+    if len(coeffs) != dim:
+        raise ValueError(f"row has {len(coeffs)} coefficients, dim is {dim}")
+
+
 class HPolytope(NamedTuple):
     """The rows ``coeffs . x <= rhs`` over Z^dim, with x >= 0 implied."""
 
@@ -102,8 +108,7 @@ class HPolytope(NamedTuple):
         norm = []
         for coeffs, rhs in rows:
             coeffs = tuple(map(index, coeffs))
-            if len(coeffs) != dim:
-                raise ValueError(f"row has {len(coeffs)} coefficients, dim is {dim}")
+            _check_row(coeffs, dim)
             norm.append((coeffs, index(rhs)))
         return cls(dim=dim, rows=tuple(norm))
 
@@ -179,10 +184,13 @@ class PointSet:
 
 def contains(P: HPolytope, x: Sequence[int]) -> bool:
     """Does P hold the integer point x?  Coordinates must be integers: a
-    float or a string raises TypeError, never rounds."""
+    float or a string raises TypeError, never rounds.  A point or a row of
+    P whose length is not P's dimension raises ValueError."""
     x = tuple(map(index, x))
     if len(x) != P.dim:
         raise ValueError(f"point has dimension {len(x)}, polytope has {P.dim}")
+    for a, _ in P.rows:
+        _check_row(a, P.dim)
     if any(v < 0 for v in x):
         return False
     return all(
@@ -225,8 +233,9 @@ def _plan(dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> Plan:
     alone, their right-hand sides unread: the greedy order; for each placed
     coordinate d, in that order, its capping rows and its negative entries;
     and the columns, ``cols[d]`` listing (row, coefficient) for every
-    nonzero coefficient on d, by row.  Raises ``ValueError`` when some
-    coordinate has no capping row.
+    nonzero coefficient on d, by row.  Raises ``ValueError`` when a row
+    does not have ``dim`` coefficients or some coordinate has no capping
+    row.
 
     One scan reads the coefficients once into the columns.  Each row keeps
     its count of negative coefficients on unplaced coordinates; a row whose
@@ -238,6 +247,7 @@ def _plan(dim: int, rows: Iterable[tuple[Sequence[int], int]]) -> Plan:
     support = []  # support[r]: the coordinates row r has a positive coefficient on
     coords = range(dim)
     for r, (a, _) in enumerate(rows):
+        _check_row(a, dim)
         pos = []
         k = 0
         for d in compress(coords, a):  # the nonzero coefficients
@@ -305,7 +315,8 @@ def _box(P: HPolytope) -> tuple[Sequence[int], list[int], Sequence[Sequence[tupl
 
 
 def lattice_points(P: HPolytope) -> PointSet:
-    """All integer points of P, or ``ValueError`` if P has no certified box.
+    """All integer points of P, or ``ValueError`` if P has no certified box
+    or a row whose length is not P's dimension.
 
     Depth-first over the coordinates in the order of ``certified_box``, each
     inside its bound.  A negative bound means P is empty, so no search is

@@ -3,16 +3,17 @@
 The tiling is purely combinatorial.  A vertex is a subset of the labels
 [1, m]; the edge with label t starting at vertex V joins V to V | {t}; the
 2m-gon's left boundary is the chain {} -> {1} -> {1,2} -> ... -> [m].
-Reading a reduced word letter by letter replaces two consecutive border
-edges (labels s < t, read upward) by the opposite sides of a new rhombic
-tile with label pair {s, t}; tiles correspond to positive roots via
-{s, t} <-> alpha_{s, t-1}.
+The rank n is the word's largest letter and m = n + 1.  Reading a reduced
+word letter by letter replaces two consecutive border edges (labels s < t,
+read upward) by the opposite sides of a new rhombic tile with label pair
+{s, t}; tiles correspond to positive roots via {s, t} <-> alpha_{s, t-1}.
 
 On top of the tiling: strips (the m-1 tiles carrying a fixed label, read
 in fold order), peeling partial orders for each of the 2m boundary
 windows, dual Reineke s-crossings, assembled inside the one search that
-finds them, and the resulting inequality system for the Lusztig polytope
-of the word.
+finds them from the one neighbour table (each neighbour with the label of
+the edge it shares), and the resulting inequality system for the Lusztig
+polytope of the word.
 
 No planar coordinates are stored; the optional SVG renderer assigns them
 for pictures only.
@@ -87,43 +88,41 @@ class Tile(_Value):
 class Tiling:
     """The tiles and edges of a word's tiling, with the adjacency derived from
     ``incidence`` (edge -> the tiles it borders, every edge in creation
-    order); the constructor raises ``RuntimeError`` when two tiles share
-    more than one edge."""
+    order): ``neighbors[tid]`` holds (neighbour, label of the one edge they
+    share) by neighbour id.  The constructor raises ``RuntimeError`` when
+    two tiles share more than one edge."""
 
     def __init__(
         self,
-        n: int,
-        m: int,
         word: tuple[int, ...],
         tiles: tuple[Tile, ...],
         left_boundary: tuple[Edge, ...],   # L_1 .. L_m, bottom to top
         right_boundary: tuple[Edge, ...],  # R_1 .. R_m, top to bottom of the final border
         incidence: dict[Edge, tuple[Tile, ...]],
     ) -> None:
-        self.n = n
-        self.m = m
+        self.n = max(word)  # a reduced word of the longest element uses every letter 1..n
+        self.m = self.n + 1
         self.word = word
         self.tiles = tiles
         self.left_boundary = left_boundary
         self.right_boundary = right_boundary
         self.incidence = incidence
-        # (a, b) -> label of the one edge tiles a and b share, both orders
-        self.shared_label: dict[tuple[int, int], int] = {}
-        nbrs: dict[int, set[int]] = {tile.id: set() for tile in tiles}
+        # tile id -> {neighbour id: label of the one edge they share}
+        shared: dict[int, dict[int, int]] = {tile.id: {} for tile in tiles}
         for e, inc in incidence.items():
             for a in inc:
                 for b in inc:
                     if a.id == b.id:
                         continue
-                    if (a.id, b.id) in self.shared_label:
+                    if b.id in shared[a.id]:
                         raise RuntimeError(
                             f"tiles {a.id} and {b.id} share more than one edge "
                             f"(word {word})"
                         )
-                    self.shared_label[(a.id, b.id)] = e.label
-                    nbrs[a.id].add(b.id)
-        self.neighbors = {
-            tid: tuple(tiles[j] for j in sorted(ids)) for tid, ids in nbrs.items()
+                    shared[a.id][b.id] = e.label
+        self.neighbors: dict[int, tuple[tuple[Tile, int], ...]] = {
+            tid: tuple((tiles[j], label) for j, label in sorted(labels.items()))
+            for tid, labels in shared.items()
         }
 
 
@@ -205,8 +204,6 @@ def build_tiling(word: Sequence[int], n: int | None = None) -> Tiling:
         raise RuntimeError(f"an edge borders more than two tiles (word {word})")
 
     return Tiling(
-        n=n,
-        m=m,
         word=word,
         tiles=tuple(tiles),
         left_boundary=left,
@@ -284,9 +281,9 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     The depth-first search enters only tiles from which the end tile is
     reachable along ascending layers, found by one backward pass over the
     peel layers; every pruned subtree holds no path to the end tile, so the
-    crossings and their order are those of the full search.  The search
-    carries the labels of the edges it crosses and assembles each crossing
-    as it reaches the end tile.  s must be an integer: a float or a string
+    crossings and their order are those of the full search.  Each step
+    carries the label of the edge it crosses, read from ``T.neighbors``, and
+    the search assembles each crossing as it reaches the end tile.  s must be an integer: a float or a string
     raises TypeError.
     """
     s = index(s)
@@ -296,19 +293,19 @@ def dual_crossings(T: Tiling, s: int) -> list[DualCrossing]:
     start = strip(T, s)[-1]
     end = strip(T, s + 1)[-1]
 
-    # tile id -> its ascending neighbours that reach the end tile, kept
-    # only for tiles that reach it themselves
-    steps: dict[int, list[Tile]] = {end.id: []}
+    # tile id -> (neighbour, shared label) per ascending neighbour that
+    # reaches the end tile, kept only for tiles that reach it themselves
+    steps: dict[int, list[tuple[Tile, int]]] = {end.id: []}
     for tid in sorted(layer, key=layer.get, reverse=True):
         ahead = [
-            nb for nb in T.neighbors[tid]
-            if nb.id in steps and layer[nb.id] > layer[tid]
+            step for step in T.neighbors[tid]
+            if step[0].id in steps and layer[step[0].id] > layer[tid]
         ]
         if ahead:
             steps[tid] = ahead
     out: list[DualCrossing] = []
     if start.id in steps:
-        _extend_paths(T, s, steps, end.id, [start], [], s, out)
+        _extend_paths(s, steps, end.id, [start], [], s, out)
     return out
 
 
@@ -322,9 +319,8 @@ def _fits(tile: Tile, enter: int, leave: int) -> bool:
 
 
 def _extend_paths(
-    T: Tiling,
     s: int,
-    steps: dict[int, list[Tile]],
+    steps: dict[int, list[tuple[Tile, int]]],
     end_id: int,
     path: list[Tile],
     roles: list[tuple[int, int]],
@@ -343,13 +339,12 @@ def _extend_paths(
             out.append(DualCrossing(tuple(path), s, tuple(roles)))
             roles.pop()
         return
-    for nb in steps[tile.id]:
-        leave = T.shared_label[tile.id, nb.id]
+    for nb, leave in steps[tile.id]:
         if not _fits(tile, enter, leave):
             continue
         path.append(nb)
         roles.append((enter, leave))
-        _extend_paths(T, s, steps, end_id, path, roles, leave, out)
+        _extend_paths(s, steps, end_id, path, roles, leave, out)
         roles.pop()
         path.pop()
 

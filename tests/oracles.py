@@ -688,7 +688,7 @@ def assemble_crossing(T, s, tiles):
 
     between = [s]
     for g1, g2 in zip(tiles, tiles[1:]):
-        label = T.shared_label.get((g1.id, g2.id))
+        label = next((label for nb, label in T.neighbors[g1.id] if nb.id == g2.id), None)
         if label is None:
             raise RuntimeError(f"consecutive tiles {g1.id} and {g2.id} share 0 edges, not 1")
         between.append(label)

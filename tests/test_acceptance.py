@@ -181,7 +181,7 @@ def test_criterion_9_negative_paths(monkeypatch):
     g = word_oracle(2, (1, 1)).export_graph()
     victim = sorted(g.edges)[0]
     maimed = CrystalGraph(
-        n=g.n, lam=g.lam, vertices=g.vertices,
+        lam=g.lam, vertices=g.vertices,
         edges=frozenset(g.edges - {victim}), weights=g.weights,
     )
     axioms = check_local_axioms(maimed)

@@ -117,7 +117,7 @@ def test_pb_graph_is_not_a_crystal():
 
 def test_rank_zero_is_rejected():
     # as fflv_points(0, ()) does: no one-vertex crystal of rank 0
-    point = CrystalGraph(n=0, lam=(), vertices=PointSet([()], dim=0), edges=frozenset())
+    point = CrystalGraph(lam=(), vertices=PointSet([()], dim=0), edges=frozenset())
     for name, bad in (
         ("WordCrystal", lambda: WordCrystal(0, ())),
         ("word_oracle", lambda: word_oracle(0, ())),
@@ -203,7 +203,6 @@ def test_axioms_fail_with_witness_on_deleted_edge():
     victim = ((1, 2, 1), 1, (1, 2, 2))
     assert victim in g.edges
     broken = CrystalGraph(
-        n=g.n,
         lam=g.lam,
         vertices=g.vertices,
         edges=frozenset(g.edges - {victim}),
@@ -217,20 +216,65 @@ def test_axioms_fail_with_witness_on_deleted_edge():
 
 def test_crystal_graph_equality_ignores_weights():
     g = word_oracle(2, (1, 1)).export_graph()
-    same = CrystalGraph(g.n, g.lam, g.vertices, g.edges)
+    same = CrystalGraph(g.lam, g.vertices, g.edges)
     assert same.weights is None and g.weights is not None
     assert same == g and hash(same) == hash(g) and {g: 1}[same] == 1
-    assert CrystalGraph(g.n, g.lam, g.vertices, g.edges, weights={}) == g
-    fewer = CrystalGraph(g.n, g.lam, g.vertices, frozenset(list(g.edges)[1:]), g.weights)
+    assert CrystalGraph(g.lam, g.vertices, g.edges, weights={}) == g
+    fewer = CrystalGraph(g.lam, g.vertices, frozenset(list(g.edges)[1:]), g.weights)
     assert fewer != g
-    assert CrystalGraph(g.n, (1, 2), g.vertices, g.edges, g.weights) != g
+    assert CrystalGraph((1, 2), g.vertices, g.edges, g.weights) != g
     assert sl3_bgt(2, 1) == sl3_bgt(2, 1) and sl3_bgt(2, 1) != sl3_blt(2, 1)
+
+
+def test_crystal_graph_rank_is_read_from_lambda():
+    # no rank argument can disagree with lambda: these parts with a rank of
+    # 3 beside them made the validators raise IndexError, with a rank of 1
+    # they reported the color-2 edges as out of range
+    g = sl3_bgt(1, 1)
+    rebuilt = CrystalGraph(g.lam, g.vertices, g.edges)
+    assert rebuilt.n == 2 and rebuilt == g and rebuilt.to_json() == g.to_json()
+    assert check_local_axioms(rebuilt) == {"passed": True, "violations": []}
+    assert check_oracle_iso(rebuilt, g.lam)
+    for bad, error in (
+        (lambda: CrystalGraph(n=2, lam=g.lam, vertices=g.vertices, edges=g.edges), TypeError),
+        (lambda: setattr(rebuilt, "n", 3), AttributeError),
+    ):
+        try:
+            bad()
+        except error:
+            pass
+        else:
+            raise AssertionError("the rank is read from lambda alone")
+
+
+def test_builders_store_the_checked_weight():
+    # the graphs keep the ints check_weight returns, not the entries given
+    graphs = [pb_graph(2, (True, 1))]
+    graphs += conjecture_search(2, (True, 1), sigma=(2, 1), mode="greedy").graphs
+    graphs += conjecture_search(2, (True, 1)).graphs
+    assert len(graphs) == 4
+    for g in graphs:
+        assert [type(v) for v in g.lam] == [int, int]
+        assert json.dumps(g.to_json()["lambda"]) == "[1, 1]"
+    # with several bad arguments, the first check still decides the error
+    for bad, error in (
+        (lambda: pb_graph(0, 5), "'int' object is not iterable"),
+        (lambda: conjecture_search(0, 5, mode="x"), "'int' object is not iterable"),
+        (lambda: conjecture_search(0, (1,), budget=0), "budget must be at least 1, got 0"),
+        (lambda: conjecture_search(2, (True, 1.5), sigma=(1, 1), mode="greedy"),
+         "sigma must be a permutation of [1, 2]"),
+    ):
+        try:
+            bad()
+        except (TypeError, ValueError) as e:
+            assert str(e) == error
+        else:
+            raise AssertionError(error)
 
 
 def test_axioms_catch_color_cycle():
     g = word_oracle(2, (1, 1)).export_graph()
     closed = CrystalGraph(
-        n=g.n,
         lam=g.lam,
         vertices=g.vertices,
         edges=g.edges | {((1, 2, 2), 1, (1, 2, 1))},  # 121 -f1-> 122 -f1-> 121
@@ -247,11 +291,11 @@ def test_axioms_catch_color_cycle():
 def single_changes(g):
     """Every single-edge deletion and recoloring of g."""
     for u, a, v in sorted(g.edges):
-        yield CrystalGraph(g.n, g.lam, g.vertices, g.edges - {(u, a, v)}, g.weights)
+        yield CrystalGraph(g.lam, g.vertices, g.edges - {(u, a, v)}, g.weights)
         for b in range(1, g.n + 1):
             if b != a:
                 edges = (g.edges - {(u, a, v)}) | {(u, b, v)}
-                yield CrystalGraph(g.n, g.lam, g.vertices, edges, g.weights)
+                yield CrystalGraph(g.lam, g.vertices, edges, g.weights)
 
 
 def test_axiom_violations_frozen():
@@ -278,7 +322,7 @@ def target_swaps():
         for (u1, a, v1), (u2, b, v2) in itertools.combinations(sorted(g.edges), 2):
             if a == b and g.weights[v1] == g.weights[v2]:
                 swapped = (g.edges - {(u1, a, v1), (u2, a, v2)}) | {(u1, a, v2), (u2, a, v1)}
-                yield CrystalGraph(g.n, g.lam, g.vertices, swapped, g.weights)
+                yield CrystalGraph(g.lam, g.vertices, swapped, g.weights)
 
 
 def test_axiom_violations_on_target_swaps_frozen():
@@ -312,7 +356,7 @@ def random_corruptions(g, count, seed):
                 edges.add((u, a, rng.choice(verts)))
             elif kind == 3:
                 edges.add((rng.choice(verts), rng.randint(1, g.n), rng.choice(verts)))
-        yield CrystalGraph(g.n, g.lam, g.vertices, frozenset(edges), g.weights)
+        yield CrystalGraph(g.lam, g.vertices, frozenset(edges), g.weights)
 
 
 def test_validators_match_dict_oracles():
@@ -320,7 +364,7 @@ def test_validators_match_dict_oracles():
     # did: the same violations in the same order, the same (ok, message)
     cycle = word_oracle(2, (1, 1)).export_graph()
     graphs = [CrystalGraph(
-        cycle.n, cycle.lam, cycle.vertices, cycle.edges | {((1, 2, 2), 1, (1, 2, 1))},
+        cycle.lam, cycle.vertices, cycle.edges | {((1, 2, 2), 1, (1, 2, 1))},
         cycle.weights,
     )]
     graphs += target_swaps()
@@ -342,7 +386,7 @@ def test_validators_match_dict_oracles():
 
 
 def with_edge(g, edge):
-    return CrystalGraph(g.n, g.lam, g.vertices, g.edges | {edge}, g.weights)
+    return CrystalGraph(g.lam, g.vertices, g.edges | {edge}, g.weights)
 
 
 def test_validators_reject_edges_that_leave_the_graph():
@@ -594,7 +638,7 @@ def _product_crystals(n, lam, cand, pts):
     weights = {v: _weight_of_point(lam, v) for v in pts}
     return oracles.product_search(
         n, pts, cand, weights,
-        lambda edges: _both_validators(CrystalGraph(n=n, lam=lam, vertices=pts, edges=edges), W),
+        lambda edges: _both_validators(CrystalGraph(lam=lam, vertices=pts, edges=edges), W),
     )
 
 
@@ -619,7 +663,7 @@ def _fixed_k_reference(n, k, lam, moves):
     if all(len(ces) <= 1 for ces in cand.values()):
         forced = frozenset((x, a, ces[0].target) for (x, a), ces in cand.items() if ces)
         return _both_validators(
-            CrystalGraph(n=n, lam=lam, vertices=pts, edges=forced), word_oracle(n, lam)
+            CrystalGraph(lam=lam, vertices=pts, edges=forced), word_oracle(n, lam)
         )
     return bool(_product_crystals(n, lam, cand, pts))
 
@@ -674,6 +718,16 @@ def test_fixed_k_rules_unused_moves():
         assert forced == ((n, k, r) not in choice), (n, k, r)
         assert unused == choice.get((n, k, r), 0), (n, k, r)
         assert fixed_k_check(n, k, r)
+
+
+def test_engine_pairs_no_point_set_that_cannot_be_a_crystal():
+    # one point short, or no point of highest weight: the engine returns no
+    # crystal, visits no node and reports the search complete
+    W = word_oracle(2, (1, 1))
+    pts = list(fflv_points(2, (1, 1)))
+    for points in (pts[:-1], [(5, 5, 5) if p == (0, 0, 0) else p for p in pts]):
+        vertices = PointSet(points)
+        assert _crystals(vertices, _candidate_map(2, vertices), W, SEARCH_BUDGET) == ([], 0, True)
 
 
 def test_conjecture_budget_counts_engine_nodes():

@@ -14,13 +14,16 @@ import fflv.fflv
 import fflv.polytope as polytope
 import fflv.tiling as tiling
 import fflv.verify as verify
-from fflv.polytope import PointSet
+from fflv.polytope import HPolytope, PointSet
 from fflv.roots import ik_word
 
 _REAL_LUSZTIG = verify.lusztig_points
 _REAL_SEARCH = polytope._search
 _REAL_FILTER = tiling.reineke_filter
 _REAL_DYCK_ROWS = fflv.fflv._dyck_rows
+_REAL_TILING = tiling.build_tiling
+_REAL_ROW = tiling._crossing_row
+_REAL_HREP = tiling._hrep
 
 
 def _non_ik_lusztig(change):
@@ -52,6 +55,15 @@ def _sumset_drops_a_point(A, B):
     return PointSet(list(polytope.sumset(A, B))[:-1], dim=A.dim)
 
 
+def _row_without_minus_ones(s, cr, idx, dim):
+    return tuple(max(c, 0) for c in _REAL_ROW(s, cr, idx, dim))
+
+
+def _hrep_drops_last_row(rows, lam, n):
+    P = _REAL_HREP(rows, lam, n)
+    return HPolytope(P.dim, P.rows[:-1])
+
+
 # name -> (module, attribute, mutant, the red claims or the error
 # run_suite raises, the check meant to kill a survivor)
 MUTANTS = {
@@ -62,6 +74,19 @@ MUTANTS = {
     "lusztig: FFLV points off i_k": (
         verify, "lusztig_points", _non_ik_lusztig(_fflv_instead),
         [], "a transport claim (ROADMAP item 4)",
+    ),
+    "tiling: fold the reversed word": (
+        tiling, "build_tiling", lambda word, n=None: _REAL_TILING(tuple(reversed(word)), n),
+        ["dyck", "fundamental", "main"], None,
+    ),
+    "rows: lose the -1 entries": (
+        tiling, "_crossing_row", _row_without_minus_ones,
+        ["words"], None,
+    ),
+    "rows: drop the last row": (
+        tiling, "_hrep", _hrep_drops_last_row,
+        "ValueError: no certified box: [0, 2] have no capping row",
+        "a claim's library error reported as a failed claim (ROADMAP item 6)",
     ),
     "filter: keep every crossing": (
         tiling, "reineke_filter", list,

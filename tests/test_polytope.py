@@ -56,6 +56,36 @@ def test_contains_dimension_check():
         raise AssertionError("expected dimension mismatch")
 
 
+def test_rows_of_the_wrong_length_are_rejected():
+    # make checks each row; a directly built HPolytope's rows are checked by
+    # the enumerator's plan and by contains, which otherwise read only the
+    # first min(len(row), dim) coefficients
+    for dim, rows, error in (
+        (1, (((1, 5), 3),), "row has 2 coefficients, dim is 1"),
+        (2, (((1,), 2), ((1, 1), 3)), "row has 1 coefficients, dim is 2"),
+    ):
+        P = HPolytope(dim=dim, rows=rows)
+        for call in (
+            lambda: HPolytope.make(dim, rows),
+            lambda: lattice_points(P),
+            lambda: certified_box(P),
+            lambda: contains(P, (1,) * dim),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == error
+
+
+def test_dimension_mismatches_are_rejected():
+    for call, error in (
+        (lambda: PointSet([(1, 2)], dim=3), "points have dimension 2, expected 3"),
+        (lambda: sumset(PointSet([(1,)]), PointSet([(1, 2)])), "dimension mismatch: 1 vs 2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == error
+
+
 def test_lattice_points_frozen_8():
     pts = lattice_points(fflv2(1, 1))
     assert set(pts) == set(EIGHT)

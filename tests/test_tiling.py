@@ -154,17 +154,30 @@ def _expect_runtime_error(action, *fragments):
 
 def test_tiles_sharing_two_edges_are_rejected():
     T = build_tiling(lexmin_word(3))
-    a, b = (T.tiles[i] for i in next(iter(T.shared_label)))
+    a, (b, _) = T.tiles[0], T.neighbors[0][0]
     second = next(e for e in a.all_edges if b not in T.incidence[e])
     incidence = dict(T.incidence)
     incidence[second] = (a, b)
     _expect_runtime_error(
-        lambda: Tiling(
-            T.n, T.m, T.word, T.tiles,
-            T.left_boundary, T.right_boundary, incidence,
-        ),
+        lambda: Tiling(T.word, T.tiles, T.left_boundary, T.right_boundary, incidence),
         f"tiles {a.id} and {b.id} share more than one edge",
     )
+
+
+def test_tiling_rank_is_the_largest_letter():
+    # a reduced word of the longest element of S_{n+1} uses every letter
+    # 1..n, so the word alone fixes n and m = n + 1
+    for word in ((1,), (1, 2, 1), lexmax_word(4)):
+        T = build_tiling(word)
+        rebuilt = Tiling(T.word, T.tiles, T.left_boundary, T.right_boundary, T.incidence)
+        assert (rebuilt.n, rebuilt.m) == (T.n, T.m) == (max(word), max(word) + 1)
+        assert rebuilt.neighbors == T.neighbors
+    try:
+        Tiling(2, 3, T.word, T.tiles, T.left_boundary, T.right_boundary, T.incidence)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("Tiling takes no rank")
 
 
 def test_tiles_and_crossings_are_values():
@@ -295,13 +308,15 @@ def test_crossing_search_applies_the_role_rule():
     clean = build_tiling(word)
     before = {s: dual_crossings(clean, s) for s in (1, 2, 3)}
     dropped = 0
-    for a, b in clean.shared_label:
-        if a > b:
-            continue
+    pairs = [(a, nb.id) for a, steps in clean.neighbors.items() for nb, _ in steps if a < nb.id]
+    for a, b in pairs:
         T = build_tiling(word)
         tile_a, tile_b = T.tiles[a], T.tiles[b]
         alien = min(set(range(1, T.m + 1)) - set(tile_a.labels) - set(tile_b.labels))
-        T.shared_label[a, b] = T.shared_label[b, a] = alien
+        for x, y in ((a, b), (b, a)):
+            T.neighbors[x] = tuple(
+                (nb, alien if nb.id == y else label) for nb, label in T.neighbors[x]
+            )
         for s, crossings in before.items():
             through = [
                 cr for cr in crossings
@@ -505,7 +520,7 @@ def test_tiling_json_and_svg():
 
 def test_tiling_layers_match_the_unpruned_oracles():
     """Incremental peeling, the pruned crossing search that assembles its
-    crossings, the shared-label table and the strips read in fold order
+    crossings, the neighbour table and the strips read in fold order
     reproduce the recount-every-layer peeling, the full neighbour path
     enumeration with per-path assembly and the incidence strip walks: same
     layers, strips, crossings and H-rows, in the same order."""
@@ -517,10 +532,12 @@ def test_tiling_layers_match_the_unpruned_oracles():
         n = max(word)
         T = build_tiling(word)
         edges = [set(tile.all_edges) for tile in T.tiles]
+        labels = [{nb.id: label for nb, label in T.neighbors[a]} for a in range(len(T.tiles))]
+        assert all(list(table) == sorted(table) for table in labels)  # neighbour-id order
         for a, b in combinations(range(len(T.tiles)), 2):
             shared = [e.label for e in edges[a] & edges[b]]
-            assert shared == ([T.shared_label[a, b]] if (a, b) in T.shared_label else [])
-            assert T.shared_label.get((b, a)) == T.shared_label.get((a, b))
+            assert shared == ([labels[a][b]] if b in labels[a] else [])
+            assert labels[b].get(a) == labels[a].get(b)
         layers = {}
         for s in range(1, 2 * T.m + 1):
             layers[s] = oracles.recount_peel_layers(T, s)

@@ -6,7 +6,7 @@ import fflv.polytope as polytope
 import fflv.tiling as tiling
 from fflv.polytope import PointSet
 from fflv.tiling import lusztig_hrep, lusztig_points, reineke_filter
-from fflv.roots import all_reduced_words, ik_word
+from fflv.roots import Root, all_reduced_words, ik_word, positive_roots, root_index
 from fflv.verify import (
     MAX_WITNESSES,
     default_sweep,
@@ -216,6 +216,68 @@ def test_verify_dyck_all_small():
         for k in range(1, n + 1):
             report = verify_dyck_correspondence(n, k)
             assert report.passed, (n, k, report.witnesses)
+
+
+def _edit_system(monkeypatch, edit):
+    """verify_dyck_correspondence reads the word system with ``edit(found,
+    rows)`` applied to its crossing counts and rows, both as lists."""
+    import fflv.verify as verify
+
+    real = verify._system
+
+    def edited(word, n):
+        system = real(word, n)
+        found, rows = list(system.found), list(system.rows)
+        edit(found, rows)
+        return tiling._System(tuple(found), tuple(rows), frozenset(rows))
+
+    monkeypatch.setattr(verify, "_system", edited)
+
+
+def test_verify_dyck_witnesses_each_broken_rule(monkeypatch):
+    # at (3, 2) the rectangle is a[1,2], a[1,3], a[2,2], a[2,3] and the
+    # paths are {a[1,2], a[2,2], a[2,3]} and {a[1,2], a[1,3], a[2,3]}
+    import fflv.verify as verify
+
+    idx = root_index(3)
+    rect = [idx[r] for r in positive_roots(3) if r.i <= 2 <= r.j]
+
+    def negative_entry(found, rows):  # a -1 on a[1,2] in the first s = 2 row
+        i = next(i for i, (s, _) in enumerate(rows) if s == 2)
+        coeffs = list(rows[i][1])
+        coeffs[idx[Root(1, 2)]] = -1
+        rows[i] = (2, tuple(coeffs))
+
+    def whole_rectangle(found, rows):  # one more s = 2 crossing, found and kept
+        rows.append((2, tuple(int(d in rect) for d in range(6))))
+        found[1] += 1
+
+    lost = [{"reason": "path not realized as a maximal support",
+             "support": ["a[1,2]", "a[2,2]", "a[2,3]"]}]
+    whole = ["a[1,2]", "a[1,3]", "a[2,2]", "a[2,3]"]
+    for edit, witnesses in (
+        (negative_entry, [
+            {"reason": "negative coefficient inside the rectangle at a[1,2]"},
+            {"reason": "maximal support is not a path", "support": ["a[2,2]", "a[2,3]"]},
+        ] + lost),
+        (whole_rectangle, [
+            {"reason": "restricted support outside every path", "support": whole},
+            {"reason": "maximal support is not a path", "support": whole},
+        ] + lost),
+    ):
+        with monkeypatch.context() as patch:
+            _edit_system(patch, edit)
+            report = verify_dyck_correspondence(3, 2)
+        assert not report.passed and report.witnesses == witnesses, edit.__name__
+
+    paths = verify.root_paths
+    monkeypatch.setattr(verify, "root_paths", lambda start, end: paths(start, end)[:-1])
+    cut = ["a[1,2]", "a[1,3]", "a[2,3]"]
+    assert verify_dyck_correspondence(3, 2).witnesses == [
+        {"reason": "1 paths, expected C(2,1)"},
+        {"reason": "restricted support outside every path", "support": cut},
+        {"reason": "maximal support is not a path", "support": cut},
+    ]
 
 
 def test_default_sweep_shape():
