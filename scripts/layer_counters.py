@@ -83,7 +83,8 @@ WORKLOADS = {
         "pairings": ("_crystals", lambda found: len(found[0])),
         "iso_report_calls": ("check_oracle_iso", None),
         "local_axiom_calls": ("check_local_axioms", None),
-        "weight_calls": ("_weight_of_point", None),
+        "points_weighed": ("_point_weights", len),
+        "index_builds": ("_index", None),  # vertex tables the validators read
         "move_calls": ("_moves", None),
         "candidates": ("_moves", len),
     }),

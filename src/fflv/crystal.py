@@ -1,17 +1,18 @@
 """Crystal structures on FFLV lattice points.
 
-A ``CrystalGraph`` reads its rank n from lambda, and every builder stores
-the lambda that ``check_weight`` returns.  Four layers:
+A ``CrystalGraph`` is immutable and reads its rank n from lambda, and
+every builder stores the lambda that ``check_weight`` returns.  Four
+layers:
 
 * candidate moves and the multi-edge graph PB_n(lambda) they form;
 * the explicit sl_3 crystals B^>(a, b) and B^<(a, b), each built from one
   rule per color that gives f_c of a lattice point, plus their critical
   points;
-* two validators -- the normative isomorphism check against an
-  independent tensor-word oracle crystal, which gives one verdict and,
-  like the search engine, pairs from the vertex of highest weight, and a
-  reconstructed Stembridge-style local-axiom check, the one validator that
-  says where a graph fails;
+* two validators, which read one vertex table per graph -- the normative
+  isomorphism check against an independent tensor-word oracle crystal,
+  which gives one verdict and, like the search engine, pairs from the
+  vertex of highest weight, and a reconstructed Stembridge-style
+  local-axiom check, the one validator that says where a graph fails;
 * a search over edge selections from PB_n(lambda) hunting for the
   conjectured n! crystal structures: greedy by a sigma-preference, or
   exhaustive by one budgeted backtracking engine that grows the
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fflv import fflv_points
 from .polytope import PointSet, _Value
-from .roots import Root, _weight_of_point, check_weight, fundamental_weight, root_index
+from .roots import Root, _point_weights, check_weight, fundamental_weight, root_index
 
 Point = tuple[int, ...]
 EdgeT = tuple[Point, int, Point]  # (source, color, target)
@@ -47,10 +48,12 @@ class CandidateEdge(NamedTuple):
 
 
 class CrystalGraph(_Value):
-    """A colored graph on lattice points, of rank n = ``len(lam)``.  Equality
-    and hash read n, lam, vertices and edges, never ``weights``."""
+    """An immutable colored graph on lattice points, of rank n = ``len(lam)``:
+    assigning a field raises AttributeError.  Equality and hash read n, lam,
+    vertices and edges, never ``weights``.  Both validators read one vertex
+    table of the graph, built on first use."""
 
-    __slots__ = ("lam", "vertices", "edges", "weights")
+    __slots__ = ("lam", "vertices", "edges", "weights", "_table")
     _value = ("n", "lam", "vertices", "edges")
 
     def __init__(
@@ -63,10 +66,19 @@ class CrystalGraph(_Value):
         # of the point
         weights: dict[Point, tuple[int, ...]] | None = None,
     ) -> None:
-        self.lam = lam
-        self.vertices = vertices
-        self.edges = edges
-        self.weights = weights
+        for name, value in (("lam", lam), ("vertices", vertices), ("edges", edges),
+                            ("weights", weights), ("_table", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CrystalGraph is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CrystalGraph is immutable: cannot delete {name}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, never by assigning fields
+        return self.__class__, (self.lam, self.vertices, self.edges, self.weights)
 
     @property
     def n(self) -> int:
@@ -75,7 +87,13 @@ class CrystalGraph(_Value):
     def weight_of(self, v: Point) -> tuple[int, ...]:
         if self.weights is not None:
             return self.weights[v]
-        return _weight_of_point(self.lam, v)
+        return _point_weights(self.lam, (v,))[0]
+
+    def _indexed(self) -> _Index:
+        """The graph's vertex table, built by ``_index`` on the first call."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _index(self))
+        return self._table
 
     def to_json(self) -> dict:
         return {
@@ -200,7 +218,9 @@ class WordCrystal:
         for k in range(n, 0, -1):
             hw.extend(list(range(1, k + 1)) * self.lam[k - 1])
         self.highest: tuple[int, ...] = tuple(hw)
-        self.vertices: set[tuple[int, ...]] = set()
+        # word -> content, filled as the f's reach each word; its keys are the vertices
+        self.weights: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.vertices = self.weights.keys()
         self._f: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
         self._close()
 
@@ -221,10 +241,10 @@ class WordCrystal:
         return tuple(word.count(i) for i in range(1, self.n + 2))
 
     def _close(self) -> None:
-        """Fill vertices and the f table; B(lambda) is generated by the f's
-        from the highest word."""
+        """Fill the weights (so the vertices) and the f table; B(lambda) is
+        generated by the f's from the highest word."""
         queue = [self.highest]
-        self.vertices.add(self.highest)
+        self.weights[self.highest] = self.content(self.highest)
         while queue:
             w = queue.pop()
             for a in range(1, self.n + 1):
@@ -232,8 +252,8 @@ class WordCrystal:
                 if w2 is None:
                     continue
                 self._f[(w, a)] = w2
-                if w2 not in self.vertices:
-                    self.vertices.add(w2)
+                if w2 not in self.weights:
+                    self.weights[w2] = self.content(w2)
                     queue.append(w2)
 
     def export_graph(self) -> CrystalGraph:
@@ -241,12 +261,11 @@ class WordCrystal:
         edges = frozenset(
             (w, a, w2) for (w, a), w2 in self._f.items()
         )
-        weights = {w: self.content(w) for w in self.vertices}
         return CrystalGraph(
             lam=self.lam,
             vertices=PointSet(sorted(self.vertices)),
             edges=edges,
-            weights=weights,
+            weights=self.weights,
         )
 
 
@@ -263,7 +282,9 @@ def _pairing(wt: Sequence[int], a: int) -> int:
 
 
 class _Index(NamedTuple):
-    """A graph on vertex ids: i is ``verts[i]``, in ``G.vertices`` order;
+    """A graph's vertex table, built once per graph by ``_index`` (through
+    ``CrystalGraph._indexed``) with its weights from one weight pass.  It
+    holds the graph on vertex ids: i is ``verts[i]``, in ``G.vertices`` order;
     ``f[a][i]`` / ``e[a][i]`` is the id of the color-a target / source at
     i, or -1; ``wt[i]`` is its weight.  ``stray`` holds (source, detail)
     of each edge with a color outside [1, n] or an end outside
@@ -300,7 +321,8 @@ def _index(G: CrystalGraph) -> _Index:
             + ("endpoint not a vertex" if 1 <= a <= n else f"color outside [1, {n}]"))
         for u, a, v in sorted(stray)
     ]
-    return _Index(verts, f, e, [G.weight_of(v) for v in verts], stray_report, multi)
+    wt = _point_weights(G.lam, verts) if G.weights is None else [G.weights[v] for v in verts]
+    return _Index(verts, f, e, wt, stray_report, multi)
 
 
 def check_local_axioms(G: CrystalGraph) -> dict:
@@ -331,7 +353,7 @@ def check_local_axioms(G: CrystalGraph) -> dict:
     def flag(axiom: str, vertex, detail: str) -> None:
         violations.append({"axiom": axiom, "vertex": vertex, "detail": detail})
 
-    ix = _index(G)
+    ix = G._indexed()
     for u, detail in ix.stray:
         flag("edge-range", u, detail)
     if not violations and ix.multi:  # sort and count only here, where something is flagged
@@ -445,11 +467,11 @@ def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
     """
     n = G.n
     W = word_oracle(n, lam)
-    ix = _index(G)
+    ix = G._indexed()
     if ix.stray or ix.multi:
         return False
     verts, f, wt = ix.verts, ix.f, ix.wt
-    top = W.content(W.highest)
+    top = W.weights[W.highest]
     tops = [i for i, w in enumerate(wt) if w == top]
     if len(tops) != 1:
         return False
@@ -472,7 +494,7 @@ def check_oracle_iso(G: CrystalGraph, lam: Sequence[int]) -> bool:
                 if word[j] != gw:
                     return False
             else:
-                if gw in used or wt[j] != W.content(gw):
+                if gw in used or wt[j] != W.weights[gw]:
                     return False
                 word[j] = gw
                 used.add(gw)
@@ -647,11 +669,11 @@ def _crystals(
     False for ``complete`` when the search stopped at node ``budget + 1``.
     """
     n, lam = W.n, W.lam
-    weights = {v: _weight_of_point(lam, v) for v in pts}
+    weights = dict(zip(pts, _point_weights(lam, pts)))
     graphs: list[CrystalGraph] = []
     if len(pts) != len(W.vertices):
         return graphs, 0, True
-    content = {w: W.content(w) for w in W.vertices}
+    content = W.weights
     tops = [v for v in pts if weights[v] == content[W.highest]]
     if len(tops) != 1:
         return graphs, 0, True
@@ -758,7 +780,7 @@ def conjecture_search(
     cand = _candidate_map(n, pts)
 
     if mode == "greedy":
-        weights = {v: _weight_of_point(lam, v) for v in pts}
+        weights = dict(zip(pts, _point_weights(lam, pts)))
         sigma_pos = {k: i for i, k in enumerate(sigma)}
         edges: list[EdgeT] = []
         for a in range(1, n + 1):

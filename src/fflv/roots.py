@@ -22,7 +22,7 @@ import random
 from functools import cache
 from operator import index
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
@@ -218,17 +218,24 @@ def weight_of_point(lam: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
     from row i to row j+1.  lambda must be a dominant weight of rank
     len(lambda) >= 1, else ValueError.
     """
-    return _weight_of_point(check_weight(len(lam), lam), x)
+    return _point_weights(check_weight(len(lam), lam), (x,))[0]
 
 
-def _weight_of_point(lam: tuple[int, ...], x: Sequence[int]) -> tuple[int, ...]:
-    """``weight_of_point`` for a lambda its caller has checked."""
+def _point_weights(lam: tuple[int, ...], points: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """``weight_of_point`` of each point, in order, for a lambda its caller
+    has checked: mu and the (i-1, j) box move of every root are read once
+    for the whole list.  A point of the wrong dimension raises ValueError."""
     n = len(lam)
-    if len(x) != num_roots(n):
-        raise ValueError("point has wrong dimension for this weight")
-    wt = list(weight_mu(lam))
-    for r, v in zip(_canonical_roots(n), x):
-        if v:
-            wt[r.i - 1] -= v
-            wt[r.j] += v
-    return tuple(wt)
+    mu = weight_mu(lam)
+    moves = [(r.i - 1, r.j) for r in _canonical_roots(n)]
+    out: list[tuple[int, ...]] = []
+    for x in points:
+        if len(x) != len(moves):
+            raise ValueError("point has wrong dimension for this weight")
+        wt = list(mu)
+        for (row, to), v in zip(moves, x):
+            if v:
+                wt[row] -= v
+                wt[to] += v
+        out.append(tuple(wt))
+    return out

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from collections import Counter
 
@@ -25,7 +27,7 @@ from fflv.crystal import (
 )
 from fflv.fflv import fflv_points, weyl_dim
 from fflv.polytope import PointSet
-from fflv.roots import _weight_of_point, fundamental_weight
+from fflv.roots import _point_weights, fundamental_weight
 
 import oracles
 
@@ -245,6 +247,28 @@ def test_crystal_graph_rank_is_read_from_lambda():
             pass
         else:
             raise AssertionError("the rank is read from lambda alone")
+
+
+def test_crystal_graph_is_immutable():
+    # the validators read one vertex table built on first use, so no field
+    # may change under it
+    g = sl3_bgt(1, 1)
+    assert check_oracle_iso(g, g.lam)
+    before = (g.lam, g.vertices, g.edges, g.weights, g._indexed())
+    for name, value in (("lam", (1, 2)), ("vertices", sl3_bgt(2, 1).vertices),
+                        ("edges", frozenset()), ("weights", {}), ("_table", None)):
+        for change in (lambda: setattr(g, name, value), lambda: delattr(g, name)):
+            try:
+                change()
+            except AttributeError as exc:
+                assert name in str(exc)
+            else:
+                raise AssertionError(f"{name} changed on a CrystalGraph")
+    assert (g.lam, g.vertices, g.edges, g.weights, g._indexed()) == before
+    assert check_local_axioms(g)["passed"]
+    # copies are rebuilt, not assigned field by field
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and copied.weights == g.weights and check_oracle_iso(copied, g.lam)
 
 
 def test_builders_store_the_checked_weight():
@@ -635,7 +659,7 @@ def _product_crystals(n, lam, cand, pts):
     """Crystal edge sets by the product-then-filter oracle, validated by
     both validators on graphs that carry no weight table."""
     W = word_oracle(n, lam)
-    weights = {v: _weight_of_point(lam, v) for v in pts}
+    weights = dict(zip(pts, _point_weights(lam, pts)))
     return oracles.product_search(
         n, pts, cand, weights,
         lambda edges: _both_validators(CrystalGraph(lam=lam, vertices=pts, edges=edges), W),
@@ -742,22 +766,41 @@ def test_weights_computed_once_per_point(monkeypatch):
     import fflv.crystal as crystal
 
     calls = Counter()
+    index = crystal._index
 
-    def counted(lam, x):
-        calls[x] += 1
-        return _weight_of_point(lam, x)
+    def weighed(lam, points):
+        points = list(points)
+        calls.update(points)
+        return _point_weights(lam, points)
 
-    monkeypatch.setattr(crystal, "_weight_of_point", counted)
-    for run, n, lam in (
-        (lambda: conjecture_search(2, (2, 2)), 2, (2, 2)),
-        (lambda: conjecture_search(3, (1, 0, 1)), 3, (1, 0, 1)),
-        (lambda: conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy"), 2, (1, 1)),
-        (lambda: fixed_k_check(2, 1, 2), 2, (2, 0)),
-        (lambda: fixed_k_check(3, 2, 1), 3, (0, 1, 0)),
+    def indexed(G):
+        calls["index builds"] += 1
+        return index(G)
+
+    def validated(g):
+        # both validators on one graph read one vertex table
+        assert check_local_axioms(g)["passed"] and check_oracle_iso(g, g.lam)
+        return g
+
+    def greedy():
+        (g,) = conjecture_search(2, (1, 1), sigma=(2, 1), mode="greedy").graphs
+        return validated(g)
+
+    monkeypatch.setattr(crystal, "_point_weights", weighed)
+    monkeypatch.setattr(crystal, "_index", indexed)
+    for run, n, lam, builds in (
+        (lambda: conjecture_search(2, (2, 2)), 2, (2, 2), 0),
+        (lambda: conjecture_search(3, (1, 0, 1)), 3, (1, 0, 1), 0),
+        (greedy, 2, (1, 1), 1),
+        (lambda: validated(sl3_bgt(2, 1)), 2, (2, 1), 1),
+        (lambda: fixed_k_check(2, 1, 2), 2, (2, 0), 0),
+        (lambda: fixed_k_check(3, 2, 1), 3, (0, 1, 0), 0),
     ):
         calls.clear()
         run()
-        assert calls == Counter(fflv_points(n, lam)), (n, lam)
+        expected = Counter(fflv_points(n, lam))
+        expected["index builds"] = builds
+        assert +calls == +expected, (n, lam)
 
 
 def test_work_done_once_per_call(monkeypatch):
@@ -823,8 +866,8 @@ def test_crystal_counters_pinned(layer_counters):
     # validator or search step must fail here, not read 0
     assert layer_counters.count("crystal", 1) == {
         "seed": 1, "cases": 125, "search_nodes": 1172, "pairings": 37,
-        "iso_report_calls": 68, "local_axiom_calls": 50, "weight_calls": 4061,
-        "move_calls": 2123, "candidates": 6208,
+        "iso_report_calls": 68, "local_axiom_calls": 50, "points_weighed": 2549,
+        "index_builds": 50, "move_calls": 2123, "candidates": 6208,
     }
 
 

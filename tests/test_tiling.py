@@ -547,6 +547,13 @@ def test_tiling_layers_match_the_unpruned_oracles():
         for t in range(1, T.m + 1):
             assert strip(T, t) == oracles.walk_strip(T, t)
         for s in range(1, n + 1):
+            # ascent in the s-th crossing window is read off ids and labels
+            # alone: a step a -> b through label t rises exactly when
+            # (b.id > a.id) == (t > s)
+            layer = layers[T.m + s]
+            for a, steps in T.neighbors.items():
+                for b, t in steps:
+                    assert (layer[b.id] > layer[a]) == ((b.id > a) == (t > s)), (word, s, a, b.id)
             start, end = strip(T, s)[-1].id, strip(T, s + 1)[-1].id
             candidates = [
                 oracles.assemble_crossing(T, s, tuple(T.tiles[i] for i in path))

@@ -252,6 +252,12 @@ def test_verify_dyck_witnesses_each_broken_rule(monkeypatch):
         rows.append((2, tuple(int(d in rect) for d in range(6))))
         found[1] += 1
 
+    def surplus_row(found, rows):  # that row, with no crossing found for it
+        rows.append((2, tuple(int(d in rect) for d in range(6))))
+
+    def dropped_row(found, rows):  # the last s = 2 row lost, its crossing found
+        del rows[max(i for i, (s, _) in enumerate(rows) if s == 2)]
+
     lost = [{"reason": "path not realized as a maximal support",
              "support": ["a[1,2]", "a[2,2]", "a[2,3]"]}]
     whole = ["a[1,2]", "a[1,3]", "a[2,2]", "a[2,3]"]
@@ -264,6 +270,12 @@ def test_verify_dyck_witnesses_each_broken_rule(monkeypatch):
             {"reason": "restricted support outside every path", "support": whole},
             {"reason": "maximal support is not a path", "support": whole},
         ] + lost),
+        (surplus_row, [
+            {"reason": "6 rows at s=2 but 5 crossings found"},
+            {"reason": "restricted support outside every path", "support": whole},
+            {"reason": "maximal support is not a path", "support": whole},
+        ] + lost),
+        (dropped_row, [{"reason": "Reineke filter dropped 1 crossings at s=2"}]),
     ):
         with monkeypatch.context() as patch:
             _edit_system(patch, edit)
